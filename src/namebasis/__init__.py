@@ -46,10 +46,7 @@ from .ortho import (
     make_ortho,
 )
 from .segmenter import (
-    Segment,
-    SegmentKind,
     SequenceCandidate,
-    SubstringIndex,
     candidate_words,
     enumerate_all,
     enumerate_with_basis,

@@ -38,9 +38,3 @@ def parse_bool(value: str) -> bool:
         return False
     raise ConfigError(f"not a boolean: {value!r}")
 
-
-def parse_floats(value: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in value.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"not a comma-separated float list: {value!r}") from exc

@@ -18,18 +18,13 @@ The global objective for a finished basis is
 which is maximal at both trivial extremes (single letters as the basis,
 or every full name as the basis) and is what the weight grid search
 minimizes.
-
-Per-name work inside a pass is pure; with ``workers > 1`` it is mapped
-over a thread pool and merged in input order, so results are identical
-to a serial run.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import config as _config
 from .corpus import Corpus, frequency_rank
@@ -46,13 +41,12 @@ from .features import (
 )
 from .ortho import Basis, BasisWord, make_ortho
 from .segmenter import (
-    SegmentKind,
     SequenceCandidate,
     candidate_words,
     enumerate_all,
     enumerate_with_basis,
 )
-from .syntax import DEFAULT_TABLE, CharClassTable, accepts_syntax
+from .syntax import CharClassTable, accepts_syntax
 
 logger = logging.getLogger(__name__)
 
@@ -106,9 +100,8 @@ class RunConfig:
     min_length: int = 3  # corpus normalization
     penalty: float = ZERO_PENALTY
     pav_inverted: bool = False
-    ortho_heuristic: str = "exact"  # "exact" | "greedy"
     cost_basis: str = "post_ortho"  # "post_ortho" | "pre_ortho"
-    workers: int = 1
+    workers: int = 1  # accepted and validated; runs are serial
     char_table: CharClassTable = field(default_factory=CharClassTable)
 
     def __post_init__(self):
@@ -122,8 +115,6 @@ class RunConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.cost_basis not in ("post_ortho", "pre_ortho"):
             raise ValueError(f"unknown cost_basis {self.cost_basis!r}")
-        if self.ortho_heuristic not in ("exact", "greedy"):
-            raise ValueError(f"unknown ortho_heuristic {self.ortho_heuristic!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -135,6 +126,7 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, values: Mapping[str, str]) -> "RunConfig":
+        """Parse config values; an unknown key is a ``ConfigError``."""
         kwargs: dict = {}
         parsers: dict[str, Callable[[str], object]] = {
             "algorithm": str,
@@ -148,30 +140,23 @@ class RunConfig:
             "min_length": int,
             "penalty": float,
             "pav_inverted": _config.parse_bool,
-            "ortho_heuristic": str,
             "cost_basis": str,
             "workers": int,
         }
+        for key in values:
+            if key not in parsers and key not in ("vowels", "digraphs"):
+                raise _config.ConfigError(f"unknown config key {key!r}")
         for key, parse in parsers.items():
             if key in values:
                 try:
                     kwargs[key] = parse(values[key])
                 except ValueError as exc:
                     raise _config.ConfigError(f"bad value for {key}: {exc}") from exc
-        if "vowels" in values or "digraphs" in values:
-            vowels = frozenset(values.get("vowels", "aeiou").replace(",", ""))
-            digraphs = frozenset(
-                d.strip() for d in values.get("digraphs", "sh,th,dh").split(",")
-            )
-            kwargs["char_table"] = CharClassTable(vowels=vowels, digraphs=digraphs)
+        kwargs["char_table"] = CharClassTable.from_mapping(values)
         try:
             return cls(**kwargs)
         except ValueError as exc:
             raise _config.ConfigError(str(exc)) from exc
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        return cls.from_mapping(_config.read_kv(path))
 
 
 def global_cost(b_size: int, j_total: int, n_total: int) -> float:
@@ -197,7 +182,7 @@ def trivial_case_b(corpus: Corpus) -> float:
     return global_cost(corpus.total_unique, 0, corpus.total_unique)
 
 
-def seed_basis(corpus: Corpus, k: float, ortho_heuristic: str = "exact") -> Basis:
+def seed_basis(corpus: Corpus, k: float) -> Basis:
     """Names with frequency >= k * max frequency, orthogonalized.
 
     Falls back to the single most frequent name when nothing passes.
@@ -213,16 +198,7 @@ def seed_basis(corpus: Corpus, k: float, ortho_heuristic: str = "exact") -> Basi
         logger.warning("no name reaches %.0f%% of the max frequency; seeding top name", k * 100)
         picked = [ranked[0]]
     basis = Basis(BasisWord(r.surface, "seed") for r in picked)
-    return make_ortho(basis, heuristic=ortho_heuristic)
-
-
-def _map_names(
-    names: Sequence[str], fn: Callable, workers: int
-) -> list:
-    if workers <= 1:
-        return [fn(name) for name in names]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, names))
+    return make_ortho(basis)
 
 
 def _syntax_bits(
@@ -236,18 +212,17 @@ def _syntax_bits(
     placed to count as accepted.
     """
     bits: dict[str, bool] = {}
-    for segment in seq.segments:
-        if segment.kind is not SegmentKind.NEW:
+    for text, start, new in zip(seq.texts, (0, *seq.boundaries), seq.new):
+        if not new:
             continue
-        key = (segment.text, segment.start)
+        key = (text, start)
         if key not in cache:
-            cache[key] = accepts_syntax(segment.text, seq.name, segment.start, table)
-        bits[segment.text] = bits.get(segment.text, True) and cache[key]
+            cache[key] = accepts_syntax(text, seq.name, start, table)
+        bits[text] = bits.get(text, True) and cache[key]
     return bits
 
 
 def _choose(
-    name: str,
     seqs: Sequence[SequenceCandidate],
     corpus_freq: Mapping[str, float] | None,
     cfg: RunConfig,
@@ -272,45 +247,35 @@ def run_iteration_alg1(
     and each name's chosen sequence.
     """
     names = sorted(corpus)
-
-    def survey(name: str) -> tuple[list[SequenceCandidate], frozenset[str]]:
-        seqs = enumerate_with_basis(name, candidate_words(name, basis), cfg.cap)
-        new_texts = frozenset(
-            seg.text
-            for seq in seqs
-            for seg in seq.segments
-            if seg.kind is SegmentKind.NEW
-        )
-        return seqs, new_texts
-
-    surveyed = _map_names(names, survey, cfg.workers)
+    surveyed = [
+        enumerate_with_basis(name, candidate_words(name, basis), cfg.cap) for name in names
+    ]
 
     demand_count: dict[str, int] = {}
-    for _, new_texts in surveyed:
+    for seqs in surveyed:
+        new_texts = {
+            text for seq in seqs for text, new in zip(seq.texts, seq.new) if new
+        }
         for text in sorted(new_texts):
             demand_count[text] = demand_count.get(text, 0) + 1
     n_total = corpus.total_unique
     corpus_freq = {text: count / n_total for text, count in demand_count.items()}
 
-    def decide(item: tuple[str, list[SequenceCandidate]]) -> SequenceCandidate:
-        name, seqs = item
-        return _choose(name, seqs, corpus_freq, cfg, cost_alg1)
-
-    chosen_list = _map_names(
-        [(name, seqs) for name, (seqs, _) in zip(names, surveyed)], decide, cfg.workers
-    )
-    chosen = dict(zip(names, chosen_list))
+    chosen = {
+        name: _choose(seqs, corpus_freq, cfg, cost_alg1)
+        for name, seqs in zip(names, surveyed)
+    }
 
     grown = Basis(basis.word(text) for text in basis)
     j_total = 0
     for name in names:
         seq = chosen[name]
         j_total += seq.eta_joins
-        for segment in seq.segments:
-            if segment.kind is SegmentKind.NEW:
-                grown.add(BasisWord(segment.text, "mined", demand_count[segment.text]))
+        for text, new in zip(seq.texts, seq.new):
+            if new:
+                grown.add(BasisWord(text, "mined", demand_count[text]))
 
-    pruned = make_ortho(grown, heuristic=cfg.ortho_heuristic)
+    pruned = make_ortho(grown)
     cost_size = len(grown) if cfg.cost_basis == "pre_ortho" else len(pruned)
     stats = IterationStats(
         iteration=iteration,
@@ -324,7 +289,7 @@ def run_iteration_alg1(
 
 def run_alg1(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, list[IterationStats]]:
     """Seeded grow/prune induction to a fixed point or iteration cap."""
-    basis = seed_basis(corpus, cfg.seed_fraction, cfg.ortho_heuristic)
+    basis = seed_basis(corpus, cfg.seed_fraction)
     trace: list[IterationStats] = []
     for iteration in range(1, cfg.max_iterations + 1):
         grown, pruned, stats, _ = run_iteration_alg1(corpus, basis, cfg, iteration)
@@ -351,9 +316,9 @@ def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, IterationStats]:
         if not seqs:
             # Unsplittable under the length floor; keep the name whole.
             seqs = enumerate_with_basis(name, {}, cap=1)
-        return _choose(name, seqs, None, cfg, cost_alg2)
+        return _choose(seqs, None, cfg, cost_alg2)
 
-    chosen_list = _map_names(names, decide, cfg.workers)
+    chosen_list = [decide(name) for name in names]
 
     demand_count: dict[str, int] = {}
     j_total = 0
@@ -365,7 +330,7 @@ def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, IterationStats]:
     grown = Basis(
         BasisWord(text, "mined", demand_count[text]) for text in sorted(demand_count)
     )
-    pruned = make_ortho(grown, heuristic=cfg.ortho_heuristic)
+    pruned = make_ortho(grown)
     cost_size = len(grown) if cfg.cost_basis == "pre_ortho" else len(pruned)
     stats = IterationStats(
         iteration=1,
@@ -396,9 +361,9 @@ def segment_corpus(
         if not covered:
             logger.warning("basis does not span %r; keeping a gapped sequence", name)
             covered = seqs
-        return _choose(name, covered, None, cfg, cost_fn)
+        return _choose(covered, None, cfg, cost_fn)
 
-    return dict(zip(names, _map_names(names, decide, cfg.workers)))
+    return {name: decide(name) for name in names}
 
 
 def check_convergence(trace: Sequence[IterationStats]) -> list[ConvergenceStep]:

@@ -33,7 +33,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .segmenter import SegmentKind, SequenceCandidate
+from .segmenter import SequenceCandidate
 
 #: Stand-in for 1/0 when an average is zero; far above any regular cost.
 ZERO_PENALTY = 1e6
@@ -116,9 +116,9 @@ def compute_features(
     of None means corpus demand was never collected (the from-scratch
     algorithm has no use for it) and leaves ``new_freq_avg`` undefined.
     """
-    lengths = [segment.length for segment in seq.segments]
+    lengths = [len(text) for text in seq.texts]
     avg_len = len(seq.name) / seq.eta_total
-    new_texts = [s.text for s in seq.segments if s.kind is SegmentKind.NEW]
+    new_texts = [text for text, new in zip(seq.texts, seq.new) if new]
 
     def look(table: Mapping, text: str, what: str):
         try:
@@ -126,7 +126,7 @@ def compute_features(
         except KeyError:
             raise KeyError(f"no {what} entry for segment {text!r} of {seq.name!r}") from None
 
-    demand_avg = sum(look(demand, s.text, "demand") for s in seq.segments) / seq.eta_total
+    demand_avg = sum(look(demand, text, "demand") for text in seq.texts) / seq.eta_total
     new_freq_avg = None
     syntax_avg = None
     if new_texts:

@@ -25,15 +25,12 @@ class BasisWord:
 class Basis:
     """A mutable set of basis words keyed by text.
 
-    Membership and iteration are over texts; iteration is sorted. The
-    orthogonality flag is a cache: ``None`` until checked, cleared by
-    any mutation.
+    Membership and iteration are over texts; iteration is sorted.
     """
 
     def __init__(self, words: Iterable[BasisWord] = ()):
         self._words: dict[str, BasisWord] = {}
         self._max_length = 0
-        self.is_orthogonal: bool | None = None
         for word in words:
             self.add(word)
 
@@ -43,13 +40,11 @@ class Basis:
         if word.text not in self._words:
             self._words[word.text] = word
             self._max_length = max(self._max_length, len(word.text))
-            self.is_orthogonal = None
 
     def discard(self, text: str) -> None:
         if self._words.pop(text, None) is not None:
             if len(text) == self._max_length:
                 self._max_length = max((len(t) for t in self._words), default=0)
-            self.is_orthogonal = None
 
     def word(self, text: str) -> BasisWord:
         return self._words[text]
@@ -136,52 +131,6 @@ def first_construction(word: str, others: Collection[str]) -> list[str] | None:
     return pieces
 
 
-def _greedy_constructible(word: str, others: Collection[str]) -> bool:
-    """Positional-fill construction check (incomplete by design).
-
-    For each substring candidate in descending length order, the
-    candidate is pinned at its first occurrence and the remaining gaps
-    are filled by scanning the candidate list in order, placing each
-    element at the leftmost occurrence lying wholly inside a gap. The
-    word counts as constructible if any starting candidate leads to
-    full coverage. This can miss constructions the exact test finds.
-    """
-    subs = sorted(
-        {w for w in others if w and w in word}, key=lambda w: (-len(w), w)
-    )
-    if not subs:
-        return False
-
-    def occurrences(piece: str) -> list[int]:
-        hits, pos = [], word.find(piece)
-        while pos != -1:
-            hits.append(pos)
-            pos = word.find(piece, pos + 1)
-        return hits
-
-    n = len(word)
-    for start_piece in subs:
-        covered = [False] * n
-        first = word.find(start_piece)
-        covered[first : first + len(start_piece)] = [True] * len(start_piece)
-        placed = True
-        while placed and not all(covered):
-            placed = False
-            for piece in subs:
-                for pos in occurrences(piece):
-                    span = range(pos, pos + len(piece))
-                    if not any(covered[i] for i in span):
-                        for i in span:
-                            covered[i] = True
-                        placed = True
-                        break
-                if placed:
-                    break
-        if all(covered):
-            return True
-    return False
-
-
 def is_ortho(basis: Basis) -> tuple[bool, list[tuple[str, list[str]]]]:
     """Exact orthogonality check with witnesses.
 
@@ -196,25 +145,18 @@ def is_ortho(basis: Basis) -> tuple[bool, list[tuple[str, list[str]]]]:
             construction = first_construction(text, others)
             assert construction is not None
             witnesses.append((text, construction))
-    basis.is_orthogonal = not witnesses
     return not witnesses, witnesses
 
 
-def make_ortho(basis: Basis, heuristic: str = "exact") -> Basis:
+def make_ortho(basis: Basis) -> Basis:
     """Delete constructible members until the basis is orthogonal.
 
     Words are processed longest-first (ties alphabetical); a word is
     removed when it is constructible from the current remaining set.
-    ``heuristic="greedy"`` prunes with the positional-fill check instead
-    of the exact one. After the pass every removed word is re-verified
-    to still be constructible from the survivors (exact check); any
-    that is not gets reinstated, protected from further removal, and
-    the pass repeats until clean.
+    After the pass every removed word is re-verified to still be
+    constructible from the survivors; any that is not gets reinstated,
+    protected from further removal, and the pass repeats until clean.
     """
-    if heuristic not in ("exact", "greedy"):
-        raise ValueError(f"unknown ortho heuristic {heuristic!r}")
-    check = is_constructible if heuristic == "exact" else _greedy_constructible
-
     candidates = set(basis.texts)
     protected: set[str] = set()
     while True:
@@ -223,7 +165,7 @@ def make_ortho(basis: Basis, heuristic: str = "exact") -> Basis:
         for text in sorted(candidates, key=lambda t: (-len(t), t)):
             if text in protected:
                 continue
-            if check(text, survivors - {text}):
+            if is_constructible(text, survivors - {text}):
                 survivors.discard(text)
                 removed.append(text)
         broken = [t for t in removed if not is_constructible(t, survivors)]
@@ -232,6 +174,4 @@ def make_ortho(basis: Basis, heuristic: str = "exact") -> Basis:
         protected.update(broken)
         candidates = survivors | set(broken)
 
-    result = Basis(basis.word(text) for text in sorted(survivors))
-    result.is_orthogonal = True
-    return result
+    return Basis(basis.word(text) for text in sorted(survivors))

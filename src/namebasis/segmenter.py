@@ -14,39 +14,31 @@ Both enumerate distinct boundary sets exactly once, in ascending
 segment-count order with ties in leftmost-boundary lexicographic order.
 When a cap is given, candidates with fewest segments are kept: levels
 are enumerated in full until the cap is reached, then truncated.
+
+A candidate is one flat ``SequenceCandidate`` tuple: the interior cut
+offsets, the segment strings, one new-or-existing flag per segment and
+the count of new segments, all computed once when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
-from typing import AbstractSet, Container, Mapping
+from typing import AbstractSet, Container, Mapping, NamedTuple
 
 
-class SegmentKind(str, Enum):
-    EXISTING = "existing"
-    NEW = "new"
+class SequenceCandidate(NamedTuple):
+    """One tiling of a name into existing-basis and new segments.
 
-
-@dataclass(frozen=True)
-class Segment:
-    text: str
-    kind: SegmentKind
-    start: int
-    length: int
-
-
-@dataclass(frozen=True)
-class SequenceCandidate:
-    """One tiling of a name into existing-basis and new segments."""
+    ``boundaries`` are the interior cut offsets, ``texts`` the segment
+    strings, and ``new[i]`` is true when segment ``i`` is not an
+    occurrence of a basis word.
+    """
 
     name: str
-    segments: tuple[Segment, ...]
-    eta_total: int
+    boundaries: tuple[int, ...]
+    texts: tuple[str, ...]
+    new: tuple[bool, ...]
     eta_new: int
-    eta_existing: int
-    eta_joins: int
 
     @classmethod
     def from_boundaries(
@@ -57,36 +49,20 @@ class SequenceCandidate:
     ) -> "SequenceCandidate":
         """Build from interior boundary offsets; kinds follow ``existing_spans``."""
         cuts = (0, *boundaries, len(name))
-        segments = []
-        for start, end in zip(cuts, cuts[1:]):
-            if not start < end:
-                raise ValueError(f"bad boundaries {boundaries} for {name!r}")
-            kind = (
-                SegmentKind.EXISTING
-                if (start, end) in existing_spans
-                else SegmentKind.NEW
-            )
-            segments.append(Segment(name[start:end], kind, start, end - start))
-        n_new = sum(1 for s in segments if s.kind is SegmentKind.NEW)
-        return cls(
-            name=name,
-            segments=tuple(segments),
-            eta_total=len(segments),
-            eta_new=n_new,
-            eta_existing=len(segments) - n_new,
-            eta_joins=len(segments) - 1,
-        )
+        spans = tuple(zip(cuts, cuts[1:]))
+        if any(start >= end for start, end in spans):
+            raise ValueError(f"bad boundaries {boundaries} for {name!r}")
+        new = tuple(span not in existing_spans for span in spans)
+        texts = tuple(name[start:end] for start, end in spans)
+        return cls(name, tuple(boundaries), texts, new, sum(new))
 
     @property
-    def boundaries(self) -> tuple[int, ...]:
-        return tuple(s.start for s in self.segments[1:])
+    def eta_total(self) -> int:
+        return len(self.texts)
 
     @property
-    def texts(self) -> tuple[str, ...]:
-        return tuple(s.text for s in self.segments)
-
-    def reconstructs(self) -> bool:
-        return "".join(self.texts) == self.name
+    def eta_joins(self) -> int:
+        return len(self.texts) - 1
 
 
 def candidate_words(
@@ -107,24 +83,6 @@ def candidate_words(
             if piece in basis:
                 found.setdefault(piece, []).append(start)
     return {word: tuple(offsets) for word, offsets in found.items()}
-
-
-class SubstringIndex:
-    """Occurrences of basis words across a corpus, per word and per name."""
-
-    def __init__(self, names, basis):
-        self._per_name = {name: candidate_words(name, basis) for name in names}
-        self._per_word: dict[str, list[tuple[str, int]]] = {}
-        for name in sorted(self._per_name):
-            for word, offsets in sorted(self._per_name[name].items()):
-                for offset in offsets:
-                    self._per_word.setdefault(word, []).append((name, offset))
-
-    def candidates(self, name: str) -> dict[str, tuple[int, ...]]:
-        return self._per_name[name]
-
-    def occurrences(self, word: str) -> tuple[tuple[str, int], ...]:
-        return tuple(self._per_word.get(word, ()))
 
 
 @lru_cache(maxsize=65536)

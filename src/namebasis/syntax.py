@@ -16,9 +16,10 @@ merely discouraged; neither rejects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
-from .config import ConfigError, read_kv
+from .config import ConfigError
 
 DEFAULT_VOWELS = frozenset("aeiou")
 DEFAULT_DIGRAPHS = frozenset({"sh", "th", "dh"})
@@ -30,9 +31,13 @@ class CharClassTable:
     digraphs: frozenset[str] = DEFAULT_DIGRAPHS
 
     @classmethod
-    def from_file(cls, path) -> "CharClassTable":
-        """Read ``vowels`` / ``digraphs`` overrides from a key=value file."""
-        values = read_kv(path)
+    def from_mapping(cls, values: Mapping[str, str]) -> "CharClassTable":
+        """Read ``vowels`` / ``digraphs`` overrides from config values.
+
+        Commas and spaces in ``vowels`` are separators. ``digraphs`` is
+        a comma list; empty entries are skipped and every other entry
+        must be two letters.
+        """
         vowels = DEFAULT_VOWELS
         digraphs = DEFAULT_DIGRAPHS
         if "vowels" in values:
@@ -41,7 +46,7 @@ class CharClassTable:
             digraphs = frozenset(
                 d.strip() for d in values["digraphs"].split(",") if d.strip()
             )
-            bad = [d for d in digraphs if len(d) != 2]
+            bad = sorted(d for d in digraphs if len(d) != 2)
             if bad:
                 raise ConfigError(f"digraphs must be two letters: {bad}")
         return cls(vowels=vowels, digraphs=digraphs)

@@ -160,8 +160,9 @@ def test_07_invariant_suite(corpus):
 
     grown, pruned, stats, chosen = run_iteration_alg1(corpus, basis, cfg)
     for name, seq in chosen.items():
-        assert seq.reconstructs()
-        assert seq.eta_total == seq.eta_new + seq.eta_existing
+        assert "".join(seq.texts) == seq.name
+        assert seq.eta_new == sum(seq.new)
+        assert len(seq.new) == seq.eta_total
         assert seq.eta_joins == seq.eta_total - 1
         ones = {text: 1.0 for text in seq.texts}
         fv = compute_features(seq, ones, ones, {t: True for t in seq.texts})

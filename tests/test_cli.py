@@ -92,6 +92,18 @@ class TestInduce:
         )
         assert code == 2
 
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys):
+        names = tmp_path / "names.txt"
+        names.write_text("rama\n", encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text("max_iteration = 5\n", encoding="utf-8")
+        code = main(
+            ["induce", "--names", str(names), "--config", str(config),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "max_iteration" in capsys.readouterr().err
+
     def test_alg2_on_three_letter_corpus(self, tmp_path):
         names = tmp_path / "names.txt"
         names.write_text("ram\nraj\n", encoding="utf-8")

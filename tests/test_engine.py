@@ -196,9 +196,9 @@ class TestSegmentCorpus:
         chosen = segment_corpus(planted.corpus, basis, cfg)
         assert set(chosen) == set(planted.corpus)
         for name, seq in chosen.items():
-            assert seq.reconstructs()
+            assert "".join(seq.texts) == seq.name
             assert seq.eta_new == 0
-            assert all(seg.text in basis for seg in seq.segments)
+            assert all(text in basis for text in seq.texts)
 
 
 class TestCheckConvergence:
@@ -292,6 +292,23 @@ class TestRunConfig:
             RunConfig(seed_fraction=0.0)
         with pytest.raises(ValueError):
             RunConfig(cost_basis="sideways")
+
+    def test_vowel_commas_and_spaces_are_separators(self):
+        cfg = RunConfig.from_mapping({"vowels": "a, e, i"})
+        assert cfg.char_table.vowels == {"a", "e", "i"}
+
+    def test_short_digraph_rejected(self):
+        with pytest.raises(ConfigError, match="two letters"):
+            RunConfig.from_mapping({"digraphs": "sh, t, "})
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigError, match="max_iteration"):
+            RunConfig.from_mapping({"max_iteration": "5"})
+
+    def test_workers_accepted(self):
+        assert RunConfig.from_mapping({"workers": "2"}).workers == 2
+        with pytest.raises(ConfigError):
+            RunConfig.from_mapping({"workers": "0"})
 
     def test_stats_product_field(self):
         stats = IterationStats(1, 25476, 10435, 27614, 23006.0)

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, strategies as st
 
 from conftest import brute_constructions
@@ -101,16 +100,7 @@ class TestMakeOrtho:
     def test_result_flag_and_metadata(self):
         basis = Basis([BasisWord("rama", "seed", 3), BasisWord("ra", "mined", 7), BasisWord("ma")])
         pruned = make_ortho(basis)
-        assert pruned.is_orthogonal is True
         assert pruned.word("ra") == BasisWord("ra", "mined", 7)
-
-    def test_greedy_heuristic_prunes_krishna(self):
-        pruned = make_ortho(basis_of("krishna", *KRISHNA_POOL), heuristic="greedy")
-        assert "krishna" not in pruned
-
-    def test_unknown_heuristic(self):
-        with pytest.raises(ValueError):
-            make_ortho(Basis(), heuristic="magic")
 
     @given(st.sets(st.text(alphabet="ab", min_size=1, max_size=4), min_size=1, max_size=8))
     def test_idempotent_and_orthogonal(self, texts):
@@ -127,13 +117,6 @@ class TestMakeOrtho:
 
 
 class TestBasisContainer:
-    def test_mutation_invalidates_ortho_cache(self):
-        basis = basis_of("ra", "ma")
-        is_ortho(basis)
-        assert basis.is_orthogonal is True
-        basis.add(BasisWord("rama"))
-        assert basis.is_orthogonal is None
-
     def test_duplicate_add_keeps_first(self):
         basis = Basis([BasisWord("ra", "seed", 1)])
         basis.add(BasisWord("ra", "mined", 9))

@@ -4,9 +4,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import brute_tilings, spans_of
 from namebasis.ortho import Basis, BasisWord
 from namebasis.segmenter import (
-    SegmentKind,
     SequenceCandidate,
-    SubstringIndex,
     candidate_words,
     enumerate_all,
     enumerate_with_basis,
@@ -63,37 +61,32 @@ class TestEnumerateWithBasis:
     def test_one_occurrence_plus_whole_name(self):
         seqs = enumerate_with_basis("abcd", {"ab": (0,)})
         assert [s.texts for s in seqs] == [("abcd",), ("ab", "cd")]
-        assert [seg.kind for seg in seqs[1].segments] == [
-            SegmentKind.EXISTING,
-            SegmentKind.NEW,
-        ]
+        assert seqs[1].new == (False, True)
 
     def test_empty_candidates_single_new_segment(self):
         seqs = enumerate_with_basis("abc", {})
         assert len(seqs) == 1
         assert seqs[0].texts == ("abc",)
-        assert seqs[0].segments[0].kind is SegmentKind.NEW
+        assert seqs[0].new[0]
 
     def test_whole_name_existing_when_in_candidates(self):
         seqs = enumerate_with_basis("rama", {"rama": (0,), "ra": (0,)})
         whole = seqs[0]
         assert whole.texts == ("rama",)
-        assert whole.segments[0].kind is SegmentKind.EXISTING
+        assert not whole.new[0]
 
     def test_gap_that_spells_a_candidate_is_existing(self):
         # both halves of "aa" are occurrences of "a"; the canonical
         # candidate marks them existing however it was generated
         seqs = enumerate_with_basis("aa", {"a": (0, 1)})
         split = next(s for s in seqs if s.eta_total == 2)
-        assert all(seg.kind is SegmentKind.EXISTING for seg in split.segments)
+        assert not any(split.new)
 
     def test_no_adjacent_new_segments(self):
         seqs = enumerate_with_basis("abcdef", {"cd": (2,)})
         for seq in seqs:
-            for left, right in zip(seq.segments, seq.segments[1:]):
-                assert not (
-                    left.kind is SegmentKind.NEW and right.kind is SegmentKind.NEW
-                )
+            for left, right in zip(seq.new, seq.new[1:]):
+                assert not (left and right)
 
     def test_cap_keeps_fewest_segments(self):
         candidates = candidate_words("aaaaaa", basis_of("a", "aa", "aaa"))
@@ -132,8 +125,9 @@ class TestOracleEquivalence:
     )
     def test_every_candidate_reconstructs_name(self, name, words):
         for seq in enumerate_with_basis(name, candidate_words(name, words)):
-            assert seq.reconstructs()
-            assert seq.eta_total == seq.eta_new + seq.eta_existing
+            assert "".join(seq.texts) == seq.name
+            assert seq.eta_new == sum(seq.new)
+            assert len(seq.new) == seq.eta_total
             assert seq.eta_joins == seq.eta_total - 1
 
 
@@ -155,7 +149,7 @@ class TestEnumerateAll:
 
     def test_all_segments_new(self):
         for seq in enumerate_all("gopal", min_segment=1):
-            assert all(seg.kind is SegmentKind.NEW for seg in seq.segments)
+            assert all(seq.new)
 
     def test_min_segment_validation(self):
         with pytest.raises(ValueError):
@@ -173,22 +167,6 @@ class TestEnumerateAll:
         without = enumerate_all(name, min_segment=1, include_whole=False)
         assert len(with_whole) == 2 ** (n - 1)
         assert len(without) == 2 ** (n - 1) - 1
-
-
-class TestSubstringIndex:
-    def test_occurrences_and_candidates_agree(self):
-        basis = basis_of("ra", "ma", "rama")
-        index = SubstringIndex(["rama", "maram"], basis)
-        assert index.candidates("rama") == {"ra": (0,), "ma": (2,), "rama": (0,)}
-        assert index.occurrences("ma") == (("maram", 0), ("rama", 2))
-        assert index.occurrences("absent") == ()
-
-    def test_every_occurrence_verifies(self):
-        basis = basis_of("an", "na")
-        index = SubstringIndex(["banana"], basis)
-        for word in ("an", "na"):
-            for name, offset in index.occurrences(word):
-                assert name[offset : offset + len(word)] == word
 
 
 def test_from_boundaries_rejects_bad_cuts():

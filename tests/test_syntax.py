@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from namebasis.config import read_kv
 from namebasis.syntax import CharClassTable, accepts_syntax
 
 
@@ -64,7 +65,7 @@ def test_custom_table():
 def test_table_from_file(tmp_path):
     path = tmp_path / "classes.cfg"
     path.write_text("# overrides\nvowels = aeiouy\ndigraphs = sh, ch\n", encoding="utf-8")
-    table = CharClassTable.from_file(path)
+    table = CharClassTable.from_mapping(read_kv(path))
     assert "y" in table.vowels
     assert table.digraphs == {"sh", "ch"}
     assert accepts_syntax("ty", table=table)
@@ -74,7 +75,7 @@ def test_table_from_file_rejects_long_digraphs(tmp_path):
     path = tmp_path / "classes.cfg"
     path.write_text("digraphs = sch\n", encoding="utf-8")
     with pytest.raises(Exception, match="two letters"):
-        CharClassTable.from_file(path)
+        CharClassTable.from_mapping(read_kv(path))
 
 
 @given(st.text(alphabet="bcdfghjklmnpqrstvwxz", min_size=1, max_size=8))
