@@ -1,7 +1,15 @@
 """Subword basis induction and pronunciation lexicon composition for
 proper-name corpora."""
 
-from .corpus import Corpus, CorpusError, NameRecord, frequency_rank, load_names, normalize
+from .corpus import (
+    Corpus,
+    CorpusError,
+    EmptyCorpusError,
+    NameRecord,
+    frequency_rank,
+    load_names,
+    normalize,
+)
 from .engine import (
     IterationStats,
     RunConfig,

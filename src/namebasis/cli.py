@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, read_kv
-from .corpus import CorpusError, load_names, normalize
+from .corpus import CorpusError, EmptyCorpusError, load_names, normalize
 from .engine import (
     IterationStats,
     RunConfig,
@@ -124,10 +124,10 @@ def _cmd_induce(args) -> int:
     try:
         cfg = _load_config(args.config, args.algo)
         corpus = normalize(load_names(args.names, args.input_format), cfg.min_length)
+    except EmptyCorpusError as exc:
+        return _fail(EXIT_VALIDATION, str(exc))
     except (ConfigError, CorpusError) as exc:
-        return _fail(
-            EXIT_VALIDATION if "empty corpus" in str(exc) else EXIT_IO, str(exc)
-        )
+        return _fail(EXIT_IO, str(exc))
 
     if cfg.algorithm == "alg1":
         basis, trace = run_alg1(corpus, cfg)
@@ -246,10 +246,10 @@ def _cmd_grid_search(args) -> int:
         cfg = _load_config(args.config, args.algo)
         corpus = normalize(load_names(args.names, args.input_format), cfg.min_length)
         best, table = grid_search_weights(corpus, cfg, args.step)
+    except EmptyCorpusError as exc:
+        return _fail(EXIT_VALIDATION, str(exc))
     except (ConfigError, CorpusError, ValueError) as exc:
-        return _fail(
-            EXIT_VALIDATION if "empty corpus" in str(exc) else EXIT_IO, str(exc)
-        )
+        return _fail(EXIT_IO, str(exc))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(

@@ -12,6 +12,10 @@ class CorpusError(Exception):
     """Unreadable input, malformed lines, or an empty corpus."""
 
 
+class EmptyCorpusError(CorpusError):
+    """No name survived normalization."""
+
+
 @dataclass(frozen=True)
 class NameRecord:
     surface: str
@@ -138,7 +142,7 @@ def normalize(raw: Corpus, min_length: int = 3) -> Corpus:
             if len(cleaned) >= min_length:
                 out.add(cleaned, record.frequency)
     if len(out) == 0:
-        raise CorpusError("empty corpus after normalization")
+        raise EmptyCorpusError("empty corpus after normalization")
     return out
 
 

@@ -250,6 +250,11 @@ def run_iteration_alg1(
     surveyed = [
         enumerate_with_basis(name, candidate_words(name, basis), cfg.cap) for name in names
     ]
+    capped = sum(len(seqs) >= cfg.cap for seqs in surveyed)
+    logger.info(
+        "alg1 iteration %d: %d of %d names reached the candidate cap %d",
+        iteration, capped, len(names), cfg.cap,
+    )
 
     demand_count: dict[str, int] = {}
     for seqs in surveyed:
@@ -310,15 +315,18 @@ def run_alg1(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, list[IterationStats
 def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, IterationStats]:
     """Single-shot induction from exhaustive compositions, no seed."""
     names = sorted(corpus)
-
-    def decide(name: str) -> SequenceCandidate:
+    chosen_list = []
+    capped = 0
+    for name in names:
         seqs = enumerate_all(name, cfg.min_segment, cfg.include_whole, cap=cfg.cap)
+        capped += len(seqs) >= cfg.cap
         if not seqs:
             # Unsplittable under the length floor; keep the name whole.
             seqs = enumerate_with_basis(name, {}, cap=1)
-        return _choose(seqs, None, cfg, cost_alg2)
-
-    chosen_list = [decide(name) for name in names]
+        chosen_list.append(_choose(seqs, None, cfg, cost_alg2))
+    logger.info(
+        "alg2: %d of %d names reached the candidate cap %d", capped, len(names), cfg.cap
+    )
 
     demand_count: dict[str, int] = {}
     j_total = 0
@@ -354,16 +362,21 @@ def segment_corpus(
     """
     cost_fn = cost_alg1 if cfg.algorithm == "alg1" else cost_alg2
     names = sorted(corpus)
-
-    def decide(name: str) -> SequenceCandidate:
+    chosen: dict[str, SequenceCandidate] = {}
+    capped = 0
+    for name in names:
         seqs = enumerate_with_basis(name, candidate_words(name, basis), cfg.cap)
+        capped += len(seqs) >= cfg.cap
         covered = [s for s in seqs if s.eta_new == 0]
         if not covered:
             logger.warning("basis does not span %r; keeping a gapped sequence", name)
             covered = seqs
-        return _choose(covered, None, cfg, cost_fn)
-
-    return {name: decide(name) for name in names}
+        chosen[name] = _choose(covered, None, cfg, cost_fn)
+    logger.info(
+        "segmentation: %d of %d names reached the candidate cap %d",
+        capped, len(names), cfg.cap,
+    )
+    return chosen
 
 
 def check_convergence(trace: Sequence[IterationStats]) -> list[ConvergenceStep]:

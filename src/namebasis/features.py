@@ -29,7 +29,6 @@ dropped entirely and never evaluated.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -116,8 +115,10 @@ def compute_features(
     of None means corpus demand was never collected (the from-scratch
     algorithm has no use for it) and leaves ``new_freq_avg`` undefined.
     """
-    lengths = [len(text) for text in seq.texts]
-    avg_len = len(seq.name) / seq.eta_total
+    k = seq.eta_total
+    s = len(seq.name)  # equals the sum of the segment lengths
+    q = sum(len(text) * len(text) for text in seq.texts)
+    avg_len = s / k
     new_texts = [text for text, new in zip(seq.texts, seq.new) if new]
 
     def look(table: Mapping, text: str, what: str):
@@ -126,7 +127,7 @@ def compute_features(
         except KeyError:
             raise KeyError(f"no {what} entry for segment {text!r} of {seq.name!r}") from None
 
-    demand_avg = sum(look(demand, text, "demand") for text in seq.texts) / seq.eta_total
+    demand_avg = sum(look(demand, text, "demand") for text in seq.texts) / k
     new_freq_avg = None
     syntax_avg = None
     if new_texts:
@@ -137,14 +138,16 @@ def compute_features(
         syntax_avg = sum(bool(look(syntax_ok, t, "syntax")) for t in new_texts) / len(new_texts)
     return FeatureVector(
         avg_len=avg_len,
-        len_var=statistics.pvariance(lengths),
+        # Population variance from integer moments: int / int rounds
+        # correctly, so this is the exact variance rounded once.
+        len_var=(k * q - s * s) / (k * k),
         demand_avg=demand_avg,
         new_freq_avg=new_freq_avg,
         syntax_avg=syntax_avg,
         eta_new=seq.eta_new,
-        eta_total=seq.eta_total,
+        eta_total=k,
         eta_joins=seq.eta_joins,
-        name_len=len(seq.name),
+        name_len=s,
     )
 
 

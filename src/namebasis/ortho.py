@@ -3,8 +3,8 @@
 A basis is orthogonal when no member can be written as a join of other
 members (members may repeat within one join). Constructibility is
 decided exactly by prefix-reachability dynamic programming over the
-word's positions; ``make_ortho`` deletes constructible members
-longest-first until the set is independent.
+word's positions; ``make_ortho`` deletes constructible members in one
+longest-first pass, which leaves the set independent.
 """
 
 from __future__ import annotations
@@ -149,29 +149,18 @@ def is_ortho(basis: Basis) -> tuple[bool, list[tuple[str, list[str]]]]:
 
 
 def make_ortho(basis: Basis) -> Basis:
-    """Delete constructible members until the basis is orthogonal.
+    """Delete constructible members, longest first, in one pass.
 
     Words are processed longest-first (ties alphabetical); a word is
-    removed when it is constructible from the current remaining set.
-    After the pass every removed word is re-verified to still be
-    constructible from the survivors; any that is not gets reinstated,
-    protected from further removal, and the pass repeats until clean.
+    removed when it is constructible from the other remaining words.
+    The result is orthogonal and spans every removed word: a removed
+    word's construction uses strictly shorter pieces, which are tested
+    after it, so by induction on length each removed word stays
+    constructible from the final survivors.
     """
-    candidates = set(basis.texts)
-    protected: set[str] = set()
-    while True:
-        survivors = set(candidates)
-        removed: list[str] = []
-        for text in sorted(candidates, key=lambda t: (-len(t), t)):
-            if text in protected:
-                continue
-            if is_constructible(text, survivors - {text}):
-                survivors.discard(text)
-                removed.append(text)
-        broken = [t for t in removed if not is_constructible(t, survivors)]
-        if not broken:
-            break
-        protected.update(broken)
-        candidates = survivors | set(broken)
-
+    survivors = set(basis.texts)
+    for text in sorted(survivors, key=lambda t: (-len(t), t)):
+        survivors.discard(text)
+        if not is_constructible(text, survivors):
+            survivors.add(text)
     return Basis(basis.word(text) for text in sorted(survivors))

@@ -12,8 +12,12 @@ Two enumerators produce the per-name sequence candidates:
 
 Both enumerate distinct boundary sets exactly once, in ascending
 segment-count order with ties in leftmost-boundary lexicographic order.
-When a cap is given, candidates with fewest segments are kept: levels
-are enumerated in full until the cap is reached, then truncated.
+When a cap is given, the first ``cap`` candidates in that order are
+kept. Tilings come from one feasibility-pruned pass per segment count:
+a table of which tile counts can still finish from each position lets
+the search skip every dead prefix and stop at the cap. Compositions
+have no dead prefixes; their levels are enumerated in full until the
+cap is reached, then truncated.
 
 A candidate is one flat ``SequenceCandidate`` tuple: the interior cut
 offsets, the segment strings, one new-or-existing flag per segment and
@@ -89,35 +93,61 @@ def candidate_words(
 def _basis_tilings(
     name: str, spans: frozenset[tuple[int, int]], cap: int
 ) -> tuple[tuple[int, ...], ...]:
-    """Boundary tuples (interior cuts) of all tilings, fewest tiles first.
+    """Boundary tuples (interior cuts) of the first ``cap`` tilings.
 
     A tile is either an occurrence span from ``spans`` or a new-segment
-    gap; gaps may not be adjacent. Iterative deepening on the tile
-    count keeps enumeration bounded when a cap cuts the output.
+    gap; gaps may not be adjacent. Tilings come fewest tiles first, ties
+    in leftmost-boundary order.
+
+    One backward pass builds ``feasible[pos][after_gap]``, a bitmask
+    whose bit ``t`` is set when ``name[pos:]`` can be tiled with exactly
+    ``t`` more tiles (``after_gap``: the tile ending at ``pos`` was a
+    gap, so the next one must be a span). Then, for each tile count
+    whose bit is set at the start, a depth-first pass enters a move only
+    when its target can still finish with the tiles left. Every node
+    visited leads to a tiling, so no dead prefix is walked, and the
+    search stops at the ``cap``-th tiling.
     """
     n = len(name)
-    collected: list[tuple[int, ...]] = []
+    feasible = [(1, 1)] * (n + 1)
+    # moves[pos][after_gap]: (end, is_gap, target mask) for each tile
+    # from pos that some tiling can finish, ascending end
+    moves: list[tuple[list, list]] = [([], [])] * n
+    for pos in range(n - 1, -1, -1):
+        any_move: list[tuple[int, bool, int]] = []
+        span_move: list[tuple[int, bool, int]] = []
+        after_any = after_span = 0
+        for end in range(pos + 1, n + 1):
+            is_gap = (pos, end) not in spans
+            mask = feasible[end][is_gap]
+            if not mask:
+                continue
+            move = (end, is_gap, mask)
+            any_move.append(move)
+            after_any |= mask
+            if not is_gap:
+                span_move.append(move)
+                after_span |= mask
+        moves[pos] = (any_move, span_move)
+        feasible[pos] = (after_any << 1, after_span << 1)
+
+    found: list[tuple[int, ...]] = []
+
+    def descend(pos: int, left: int, after_gap: bool, cuts: tuple[int, ...]) -> bool:
+        """Collect the tilings of ``name[pos:]`` in ``left`` tiles; true at the cap."""
+        if pos == n:
+            found.append(cuts)
+            return len(found) >= cap
+        bit = 1 << (left - 1)
+        for end, is_gap, mask in moves[pos][after_gap]:
+            if mask & bit and descend(end, left - 1, is_gap, cuts + (end,)):
+                return True
+        return False
+
     for tiles in range(1, n + 1):
-        level: list[tuple[int, ...]] = []
-
-        def descend(pos: int, left: int, prev_new: bool, cuts: tuple[int, ...]):
-            if pos == n:
-                if left == 0:
-                    level.append(cuts)
-                return
-            if left == 0 or n - pos < left:
-                return
-            for end in range(pos + 1, n + 1):
-                if (pos, end) in spans:
-                    descend(end, left - 1, False, cuts + (end,))
-                elif not prev_new:
-                    descend(end, left - 1, True, cuts + (end,))
-
-        descend(0, tiles, False, ())
-        collected.extend(level)
-        if len(collected) >= cap:
+        if feasible[0][0] >> tiles & 1 and descend(0, tiles, False, ()):
             break
-    return tuple(cut[:-1] for cut in collected[:cap])
+    return tuple(cuts[:-1] for cuts in found)
 
 
 def enumerate_with_basis(

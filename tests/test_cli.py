@@ -268,6 +268,13 @@ class TestGridSearch:
         assert len(rows) == 11
         assert "best weights:" in capsys.readouterr().out
 
+    def test_empty_corpus_exits_one(self, tmp_path, capsys):
+        names = tmp_path / "names.txt"
+        names.write_text("a\nb9\n", encoding="utf-8")
+        code = main(["grid-search", "--names", str(names), "--out", str(tmp_path / "g")])
+        assert code == 1
+        assert "empty corpus after normalization" in capsys.readouterr().err
+
     def test_bad_step_exits_two(self, tmp_path):
         names = tmp_path / "names.txt"
         names.write_text("rama\n", encoding="utf-8")

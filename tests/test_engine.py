@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +200,24 @@ class TestSegmentCorpus:
             assert "".join(seq.texts) == seq.name
             assert seq.eta_new == 0
             assert all(text in basis for text in seq.texts)
+
+
+class TestCapCount:
+    def test_names_reaching_cap_logged_once_per_pass(self, caplog):
+        # with cap 2, rama and ram have two tilings by "ra" and gopal one;
+        # rama and gopal have two or more compositions into parts >= 2
+        corpus = Corpus({"rama": 1, "ram": 1, "gopal": 1})
+        cfg = RunConfig(cap=2, min_length=2)
+        basis = basis_of("ra")
+        with caplog.at_level(logging.INFO, logger="namebasis.engine"):
+            run_iteration_alg1(corpus, basis, cfg)
+            run_alg2(corpus, dataclasses.replace(cfg, algorithm="alg2"))
+            segment_corpus(corpus, basis, cfg)
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
+            "alg1 iteration 1: 2 of 3 names reached the candidate cap 2",
+            "alg2: 2 of 3 names reached the candidate cap 2",
+            "segmentation: 2 of 3 names reached the candidate cap 2",
+        ]
 
 
 class TestCheckConvergence:

@@ -1,4 +1,6 @@
 import math
+import statistics
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +16,7 @@ from namebasis.features import (
     demand_shares,
     select_best,
 )
-from namebasis.segmenter import enumerate_all, enumerate_with_basis
+from namebasis.segmenter import SequenceCandidate, enumerate_all, enumerate_with_basis
 
 
 def fv(**overrides):
@@ -122,6 +124,18 @@ class TestComputeFeatures:
             assert math.isclose(
                 features.avg_len * features.eta_total, len(name), rel_tol=1e-9
             )
+
+    @given(st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=12))
+    def test_len_var_equals_pvariance(self, lengths):
+        cuts = tuple(accumulate(lengths))
+        seq = SequenceCandidate.from_boundaries("a" * cuts[-1], cuts[:-1])
+        features = compute_features(
+            seq,
+            {t: 1.0 for t in seq.texts},
+            {t: 1.0 for t in seq.texts},
+            {t: True for t in seq.texts},
+        )
+        assert features.len_var == statistics.pvariance(lengths)
 
 
 class TestCostAlg1:

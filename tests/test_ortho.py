@@ -115,6 +115,21 @@ class TestMakeOrtho:
         for text in texts:
             assert is_constructible(text, pruned.texts)
 
+    @given(
+        pieces=st.lists(st.text(alphabet="abc", min_size=1, max_size=3), min_size=1, max_size=5),
+        joins=st.lists(st.lists(st.integers(0, 20), min_size=2, max_size=4), max_size=6),
+    )
+    def test_removed_words_spanned_by_survivors(self, pieces, joins):
+        # each join may reuse earlier joins, so removals chain across lengths
+        words = list(pieces)
+        for join in joins:
+            words.append("".join(words[i % len(words)] for i in join))
+        pruned = make_ortho(Basis(BasisWord(t) for t in words))
+        assert is_ortho(pruned)[0]
+        assert pruned.texts <= set(words)
+        for text in set(words) - pruned.texts:
+            assert is_constructible(text, pruned.texts)
+
 
 class TestBasisContainer:
     def test_duplicate_add_keeps_first(self):

@@ -120,6 +120,20 @@ class TestOracleEquivalence:
         assert len({s.boundaries for s in seqs}) == len(seqs)  # no duplicates
 
     @given(
+        name=st.text(alphabet="ab", min_size=1, max_size=10),
+        words=st.sets(st.text(alphabet="ab", min_size=1, max_size=3), max_size=5),
+        cap=st.one_of(st.integers(min_value=1, max_value=20), st.just(10**9)),
+    )
+    @settings(max_examples=300)
+    def test_order_and_cap_match_brute_force(self, name, words, cap):
+        candidates = candidate_words(name, words)
+        expected = sorted(
+            brute_tilings(name, spans_of(candidates)), key=lambda c: (len(c), c)
+        )[:cap]
+        seqs = enumerate_with_basis(name, candidates, cap)
+        assert [s.boundaries for s in seqs] == expected
+
+    @given(
         name=st.text(alphabet="abc", min_size=1, max_size=9),
         words=st.sets(st.text(alphabet="abc", min_size=1, max_size=3), max_size=5),
     )
