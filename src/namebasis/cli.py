@@ -25,6 +25,7 @@ from .engine import (
     run_alg1,
     run_alg2,
     segment_corpus,
+    weight_grid,
 )
 from .lexicon import (
     LEXICON_FORMATS,
@@ -243,13 +244,17 @@ def _cmd_report(args) -> int:
 
 def _cmd_grid_search(args) -> int:
     try:
+        weight_grid(args.step)
+    except ValueError as exc:
+        return _fail(EXIT_IO, str(exc))
+    try:
         cfg = _load_config(args.config, args.algo)
         corpus = normalize(load_names(args.names, args.input_format), cfg.min_length)
-        best, table = grid_search_weights(corpus, cfg, args.step)
     except EmptyCorpusError as exc:
         return _fail(EXIT_VALIDATION, str(exc))
-    except (ConfigError, CorpusError, ValueError) as exc:
+    except (ConfigError, CorpusError) as exc:
         return _fail(EXIT_IO, str(exc))
+    best, table = grid_search_weights(corpus, cfg, args.step)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(

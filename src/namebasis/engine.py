@@ -33,6 +33,7 @@ from .features import (
     ALG2_DEFAULT_WEIGHTS,
     ZERO_PENALTY,
     WeightSet,
+    composition_cost,
     compute_features,
     cost_alg1,
     cost_alg2,
@@ -41,9 +42,11 @@ from .features import (
 )
 from .ortho import Basis, BasisWord, make_ortho
 from .segmenter import (
+    CompositionTable,
     SequenceCandidate,
     candidate_words,
-    enumerate_all,
+    composition_table,
+    enumerate_all,  # unused here, but perfbench's tracer wraps engine.enumerate_all
     enumerate_with_basis,
 )
 from .syntax import CharClassTable, accepts_syntax
@@ -113,6 +116,12 @@ class RunConfig:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.cap < 1:
+            raise ValueError(f"cap must be >= 1, got {self.cap}")
+        if self.min_segment < 1:
+            raise ValueError(f"min_segment must be >= 1, got {self.min_segment}")
+        if self.min_length < 1:
+            raise ValueError(f"min_length must be >= 1, got {self.min_length}")
         if self.cost_basis not in ("post_ortho", "pre_ortho"):
             raise ValueError(f"unknown cost_basis {self.cost_basis!r}")
         if self.workers < 1:
@@ -238,6 +247,80 @@ def _choose(
     return select_best(seqs, costs)
 
 
+def _choose_composition(
+    name: str, table: CompositionTable, cfg: RunConfig
+) -> SequenceCandidate:
+    """The composition ``_choose`` picks among ``table``'s rows for ``name``.
+
+    Each row's cost is the ``cost_alg2`` float of its features, built in
+    the same order as ``compute_features``. Rows come fewest segments
+    first, then by boundaries, and every segment is new, so the first
+    row of least cost is ``select_best``'s pick. A name with no rows is
+    kept whole.
+    """
+    if not table.rows:
+        return SequenceCandidate.from_boundaries(name, ())
+    texts = [name[start:end] for start, end in table.spans]
+    placements: dict[str, list[int]] = {}
+    for i, text in enumerate(texts):
+        placements.setdefault(text, []).append(i)
+    # demand_shares: a text counts once per row that contains it
+    demand = [0.0] * len(texts)
+    for same_text in placements.values():
+        rows_with_text = 0
+        for i in same_text:
+            rows_with_text |= table.masks[i]
+        share = rows_with_text.bit_count() / len(table.rows)
+        for i in same_text:
+            demand[i] = share
+
+    weights = cfg.resolved_weights
+    accepted: list[bool] | None = None
+    # rows placing one text where it is accepted and again where it is not
+    mixed = 0
+    if weights.extra > 0.0:
+        accepted = [
+            accepts_syntax(text, name, start, cfg.char_table)
+            for text, (start, _) in zip(texts, table.spans)
+        ]
+        for same_text in placements.values():
+            yes = no = 0
+            for i in same_text:
+                if accepted[i]:
+                    yes |= table.masks[i]
+                else:
+                    no |= table.masks[i]
+            mixed |= yes & no
+
+    n = len(name)
+    costs = []
+    for r, (row, q) in enumerate(zip(table.rows, table.q)):
+        k = len(row)
+        syntax_avg = None
+        if accepted is not None:
+            if mixed >> r & 1:
+                # _syntax_bits: a repeated text counts only if accepted everywhere
+                bits: dict[str, bool] = {}
+                for i in row:
+                    bits[texts[i]] = bits.get(texts[i], True) and accepted[i]
+                syntax_avg = sum(bits[texts[i]] for i in row) / k
+            else:
+                syntax_avg = sum(map(accepted.__getitem__, row)) / k
+        costs.append(
+            composition_cost(
+                n / k,
+                (k * q - n * n) / (k * k),
+                sum(map(demand.__getitem__, row)) / k,
+                syntax_avg,
+                weights,
+                cfg.penalty,
+                cfg.pav_inverted,
+            )
+        )
+    best_row = min(range(len(costs)), key=costs.__getitem__)
+    return SequenceCandidate.from_boundaries(name, table.boundaries(best_row))
+
+
 def run_iteration_alg1(
     corpus: Corpus, basis: Basis, cfg: RunConfig, iteration: int = 1
 ) -> tuple[Basis, Basis, IterationStats, dict[str, SequenceCandidate]]:
@@ -318,12 +401,9 @@ def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, IterationStats]:
     chosen_list = []
     capped = 0
     for name in names:
-        seqs = enumerate_all(name, cfg.min_segment, cfg.include_whole, cap=cfg.cap)
-        capped += len(seqs) >= cfg.cap
-        if not seqs:
-            # Unsplittable under the length floor; keep the name whole.
-            seqs = enumerate_with_basis(name, {}, cap=1)
-        chosen_list.append(_choose(seqs, None, cfg, cost_alg2))
+        table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
+        capped += len(table.rows) >= cfg.cap
+        chosen_list.append(_choose_composition(name, table, cfg))
     logger.info(
         "alg2: %d of %d names reached the candidate cap %d", capped, len(names), cfg.cap
     )
@@ -401,6 +481,8 @@ def check_convergence(trace: Sequence[IterationStats]) -> list[ConvergenceStep]:
 
 def weight_grid(grid_step: float) -> list[WeightSet]:
     """All weight 4-tuples on the given grid that sum to 1."""
+    if not grid_step > 0.0:
+        raise ValueError(f"grid_step must be positive, got {grid_step}")
     steps = round(1.0 / grid_step)
     if abs(steps * grid_step - 1.0) > 1e-9 or steps < 1:
         raise ValueError(f"grid_step must divide 1 evenly, got {grid_step}")

@@ -157,10 +157,10 @@ def _reciprocal(value: float | None, penalty: float) -> float:
     return 1.0 / value
 
 
-def _demand_term(fv: FeatureVector, weight: float, penalty: float, inverted: bool) -> float:
+def _demand_term(demand_avg: float, weight: float, penalty: float, inverted: bool) -> float:
     if inverted:
-        return weight * _reciprocal(fv.demand_avg, penalty)
-    return weight * fv.demand_avg
+        return weight * _reciprocal(demand_avg, penalty)
+    return weight * demand_avg
 
 
 def cost_alg1(
@@ -174,7 +174,7 @@ def cost_alg1(
     cost = (
         weights.avg_len / fv.avg_len
         + weights.len_var * fv.len_var
-        + _demand_term(fv, weights.demand, penalty, pav_inverted)
+        + _demand_term(fv.demand_avg, weights.demand, penalty, pav_inverted)
     )
     if fv.eta_new > 0:
         cost += (
@@ -193,13 +193,28 @@ def cost_alg2(
 ) -> float:
     """Sequence cost with no pre-existing basis (lower is better)."""
     assert fv.avg_len > 0, "segments are non-empty, so mean length is positive"
-    cost = (
-        weights.avg_len / fv.avg_len
-        + weights.len_var * fv.len_var
-        + _demand_term(fv, weights.demand, penalty, pav_inverted)
+    return composition_cost(
+        fv.avg_len, fv.len_var, fv.demand_avg, fv.syntax_avg, weights, penalty, pav_inverted
     )
-    if weights.extra > 0.0 and fv.syntax_avg is not None:
-        cost += weights.extra * _reciprocal(fv.syntax_avg, penalty)
+
+
+def composition_cost(
+    avg_len: float,
+    len_var: float,
+    demand_avg: float,
+    syntax_avg: float | None,
+    weights: WeightSet,
+    penalty: float,
+    pav_inverted: bool,
+) -> float:
+    """``cost_alg2`` from the feature values alone."""
+    cost = (
+        weights.avg_len / avg_len
+        + weights.len_var * len_var
+        + _demand_term(demand_avg, weights.demand, penalty, pav_inverted)
+    )
+    if weights.extra > 0.0 and syntax_avg is not None:
+        cost += weights.extra * _reciprocal(syntax_avg, penalty)
     return cost
 
 

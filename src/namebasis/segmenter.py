@@ -15,9 +15,16 @@ segment-count order with ties in leftmost-boundary lexicographic order.
 When a cap is given, the first ``cap`` candidates in that order are
 kept. Tilings come from one feasibility-pruned pass per segment count:
 a table of which tile counts can still finish from each position lets
-the search skip every dead prefix and stop at the cap. Compositions
-have no dead prefixes; their levels are enumerated in full until the
-cap is reached, then truncated.
+the search skip every dead prefix and stop at the cap.
+
+Compositions depend only on the name's length, so they are built once
+per (length, minimum part, whole name allowed, cap) into a cached
+``CompositionTable``: one row of span indices per composition, each
+row's sum of squared part lengths, and per span a bitmask of the rows
+containing it. The from-scratch algorithm costs a name's rows straight
+from this table and builds a candidate for the winner only;
+``enumerate_all`` turns every row into a candidate and serves as its
+test oracle.
 
 A candidate is one flat ``SequenceCandidate`` tuple: the interior cut
 offsets, the segment strings, one new-or-existing flag per segment and
@@ -172,31 +179,66 @@ def enumerate_with_basis(
     ]
 
 
-@lru_cache(maxsize=65536)
-def _compositions(
+class CompositionTable(NamedTuple):
+    """The capped compositions of every name of one length.
+
+    ``rows[r]`` lists composition ``r`` as indices into ``spans``, left
+    to right; rows come in ``enumerate_all`` order. ``q[r]`` is the sum
+    of the squared segment lengths of row ``r``, and bit ``r`` of
+    ``masks[i]`` is set when row ``r`` contains ``spans[i]``.
+    """
+
+    spans: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[int, ...], ...]
+    q: tuple[int, ...]
+    masks: tuple[int, ...]
+
+    def boundaries(self, row: int) -> tuple[int, ...]:
+        """Interior cut offsets of row ``row``."""
+        return tuple(self.spans[i][1] for i in self.rows[row][:-1])
+
+
+@lru_cache(maxsize=1024)
+def composition_table(
     n: int, min_part: int, include_whole: bool, cap: int | None
-) -> tuple[tuple[int, ...], ...]:
-    collected: list[tuple[int, ...]] = []
-    for parts in range(1, n // min_part + 1):
-        if parts == 1 and not include_whole:
-            continue
-        level: list[tuple[int, ...]] = []
+) -> CompositionTable:
+    """Compositions of a length-``n`` name into parts >= ``min_part``.
 
-        def descend(pos: int, left: int, cuts: tuple[int, ...]):
+    Levels of one part count each are walked depth first, leftmost cut
+    first, and the walk stops at the ``cap``-th composition.
+    """
+    index: dict[tuple[int, int], int] = {}
+    rows: list[tuple[int, ...]] = []
+    q: list[int] = []
+
+    def descend(pos: int, left: int, row: tuple[int, ...], squares: int) -> bool:
+        """Collect the compositions of ``[pos, n)`` in ``left`` parts; true at the cap."""
+        ends = (n,) if left == 1 else range(pos + min_part, n - min_part * (left - 1) + 1)
+        for end in ends:
+            span = index.setdefault((pos, end), len(index))
+            square = (end - pos) * (end - pos)
             if left == 1:
-                if n - pos >= min_part:
-                    level.append(cuts)
-                return
-            for end in range(pos + min_part, n - min_part * (left - 1) + 1):
-                descend(end, left - 1, cuts + (end,))
+                rows.append(row + (span,))
+                q.append(squares + square)
+                if cap is not None and len(rows) >= cap:
+                    return True
+            elif descend(end, left - 1, row + (span,), squares + square):
+                return True
+        return False
 
-        descend(0, parts, ())
-        collected.extend(level)
-        if cap is not None and len(collected) >= cap:
+    for parts in range(1 if include_whole else 2, n // min_part + 1):
+        if descend(0, parts, (), 0):
             break
-    if cap is not None:
-        collected = collected[:cap]
-    return tuple(collected)
+    # Set the mask bits in byte arrays: OR-ing into growing ints would
+    # copy each mask once per row.
+    bits = [bytearray((len(rows) + 7) // 8) for _ in index]
+    for r, row in enumerate(rows):
+        byte, bit = r >> 3, 1 << (r & 7)
+        for i in row:
+            bits[i][byte] |= bit
+    spans = tuple(index)
+    masks = tuple(int.from_bytes(b, "little") for b in bits)
+    return CompositionTable(spans, tuple(rows), tuple(q), masks)
 
 
 def enumerate_all(
@@ -213,9 +255,10 @@ def enumerate_all(
     """
     if min_segment < 1:
         raise ValueError(f"min_segment must be >= 1, got {min_segment}")
-    if len(name) < min_segment:
-        return []
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    table = composition_table(len(name), min_segment, include_whole, cap)
     return [
-        SequenceCandidate.from_boundaries(name, cuts)
-        for cuts in _compositions(len(name), min_segment, include_whole, cap)
+        SequenceCandidate.from_boundaries(name, table.boundaries(r))
+        for r in range(len(table.rows))
     ]

@@ -104,6 +104,21 @@ class TestInduce:
         assert code == 2
         assert "max_iteration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["cap = 0", "min_segment = 0", "min_length = 0"])
+    @pytest.mark.parametrize("algo", ["alg1", "alg2"])
+    def test_size_below_one_exits_two(self, tmp_path, capsys, algo, setting):
+        names = tmp_path / "names.txt"
+        names.write_text("rama\nsita\n", encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{setting}\n", encoding="utf-8")
+        code = main(
+            ["induce", "--names", str(names), "--algo", algo, "--config", str(config),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {setting.split()[0]} must be >= 1, got 0\n"
+
     def test_alg2_on_three_letter_corpus(self, tmp_path):
         names = tmp_path / "names.txt"
         names.write_text("ram\nraj\n", encoding="utf-8")
@@ -281,3 +296,25 @@ class TestGridSearch:
         assert main(
             ["grid-search", "--names", str(names), "--step", "0.3", "--out", str(tmp_path / "g")]
         ) == 2
+
+    @pytest.mark.parametrize("step", ["0", "-0.5"])
+    def test_non_positive_step_exits_two(self, tmp_path, capsys, step):
+        names = tmp_path / "names.txt"
+        names.write_text("rama\n", encoding="utf-8")
+        code = main(
+            ["grid-search", "--names", str(names), "--step", step, "--out", str(tmp_path / "g")]
+        )
+        assert code == 2
+        assert "grid_step must be positive" in capsys.readouterr().err
+
+    def test_cap_below_one_exits_two(self, tmp_path, capsys):
+        names = tmp_path / "names.txt"
+        names.write_text("rama\nsita\n", encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text("cap = 0\n", encoding="utf-8")
+        code = main(
+            ["grid-search", "--names", str(names), "--config", str(config),
+             "--step", "0.5", "--out", str(tmp_path / "g")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: cap must be >= 1, got 0\n"

@@ -2,13 +2,15 @@ import dataclasses
 import logging
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from namebasis.config import ConfigError
 from namebasis.corpus import Corpus
 from namebasis.engine import (
     IterationStats,
     RunConfig,
+    _choose,
+    _choose_composition,
     check_convergence,
     global_cost,
     grid_search_weights,
@@ -21,8 +23,9 @@ from namebasis.engine import (
     trivial_case_b,
     weight_grid,
 )
-from namebasis.features import WeightSet
+from namebasis.features import WeightSet, cost_alg2
 from namebasis.ortho import Basis, BasisWord, is_constructible, is_ortho
+from namebasis.segmenter import composition_table, enumerate_all, enumerate_with_basis
 from namebasis.synthetic import make_planted_corpus
 
 # A large-run trace whose pruned-basis column creeps back up near
@@ -189,6 +192,78 @@ class TestRunAlg2:
         assert is_ortho(basis)[0]
 
 
+def oracle_composition(name, cfg):
+    """alg2's pick by scoring every composition as a full candidate."""
+    seqs = enumerate_all(name, cfg.min_segment, cfg.include_whole, cap=cfg.cap)
+    if not seqs:
+        seqs = enumerate_with_basis(name, {}, cap=1)
+    return _choose(seqs, None, cfg, cost_alg2)
+
+
+def table_composition(name, cfg):
+    table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
+    return _choose_composition(name, table, cfg)
+
+
+class TestCompositionOracle:
+    @given(
+        name=st.text(alphabet="ab", min_size=1, max_size=14),
+        min_segment=st.integers(1, 3),
+        include_whole=st.booleans(),
+        cap=st.one_of(st.integers(1, 20), st.just(10**9)),
+        weights=st.sampled_from(weight_grid(0.25)),
+        pav_inverted=st.booleans(),
+    )
+    # The demand average must be summed left to right: a reversed sum
+    # rounds differently and picks ('ab', 'b', 'b').
+    @example("abbb", 1, False, 10**9, WeightSet(0.0, 0.25, 0.5, 0.25), True)
+    # "aa" is rejected at offset 0 (a vowel-vowel join) but accepted at
+    # 4, so ('aa', 'ab', 'aa') accepts none of its texts; counting the
+    # placements alone would give it one in three and pick it.
+    @example("aaabaa", 1, True, 10**9, WeightSet(0.0, 0.5, 0.25, 0.25), True)
+    @settings(max_examples=400)
+    def test_matches_full_scoring(
+        self, name, min_segment, include_whole, cap, weights, pav_inverted
+    ):
+        cfg = RunConfig(
+            algorithm="alg2",
+            min_segment=min_segment,
+            include_whole=include_whole,
+            cap=cap,
+            weights=weights,
+            pav_inverted=pav_inverted,
+        )
+        assert table_composition(name, cfg) == oracle_composition(name, cfg)
+
+    @pytest.mark.parametrize(
+        "weights, pav_inverted",
+        [
+            pytest.param(None, False, id="default"),
+            pytest.param(WeightSet(0.2, 0.2, 0.2, 0.4), False, id="syntax"),
+            pytest.param(WeightSet(0.2, 0.2, 0.2, 0.4), True, id="syntax-pav-inverted"),
+        ],
+    )
+    def test_planted_corpus(self, weights, pav_inverted):
+        planted = make_planted_corpus(n_names=150, n_units=30, seed=7)
+        cfg = RunConfig(algorithm="alg2", weights=weights, pav_inverted=pav_inverted)
+        for name in sorted(planted.corpus):
+            assert table_composition(name, cfg) == oracle_composition(name, cfg)
+
+    @pytest.mark.parametrize(
+        "name, min_segment, include_whole",
+        [
+            ("ab", 3, True),  # shorter than min_segment
+            ("abc", 2, False),  # no split and the whole name excluded
+            ("abcde", 3, False),
+        ],
+    )
+    def test_no_composition_keeps_name_whole(self, name, min_segment, include_whole):
+        cfg = RunConfig(algorithm="alg2", min_segment=min_segment, include_whole=include_whole)
+        chosen = table_composition(name, cfg)
+        assert chosen == oracle_composition(name, cfg)
+        assert chosen.texts == (name,)
+
+
 class TestSegmentCorpus:
     def test_all_segments_existing(self):
         planted = make_planted_corpus(n_names=50, n_units=8, seed=5)
@@ -253,6 +328,11 @@ class TestWeightGrid:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             weight_grid(0.3)
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, float("nan")])
+    def test_non_positive_step_rejected(self, step):
+        with pytest.raises(ValueError, match="must be positive"):
+            weight_grid(step)
 
 
 class TestGridSearch:
@@ -323,6 +403,14 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="max_iteration"):
             RunConfig.from_mapping({"max_iteration": "5"})
+
+    @pytest.mark.parametrize("key", ["cap", "min_segment", "min_length"])
+    def test_sizes_at_least_one(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+            RunConfig.from_mapping({key: "0"})
+        with pytest.raises(ValueError):
+            RunConfig(**{key: -1})
+        assert getattr(RunConfig.from_mapping({key: "1"}), key) == 1
 
     def test_workers_accepted(self):
         assert RunConfig.from_mapping({"workers": "2"}).workers == 2

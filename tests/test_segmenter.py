@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from namebasis.ortho import Basis, BasisWord
 from namebasis.segmenter import (
     SequenceCandidate,
     candidate_words,
+    composition_table,
     enumerate_all,
     enumerate_with_basis,
 )
@@ -168,6 +171,43 @@ class TestEnumerateAll:
     def test_min_segment_validation(self):
         with pytest.raises(ValueError):
             enumerate_all("abc", min_segment=0)
+
+    def test_cap_validation(self):
+        with pytest.raises(ValueError):
+            enumerate_all("abc", min_segment=1, cap=0)
+
+    @given(
+        n=st.integers(1, 12),
+        min_segment=st.integers(1, 3),
+        include_whole=st.booleans(),
+        cap=st.one_of(st.integers(1, 20), st.none()),
+    )
+    def test_order_and_cap_match_brute_force(self, n, min_segment, include_whole, cap):
+        expected = sorted(
+            (
+                cuts
+                for parts in range(0 if include_whole else 1, n)
+                for cuts in combinations(range(1, n), parts)
+                if all(b - a >= min_segment for a, b in zip((0, *cuts), (*cuts, n)))
+            ),
+            key=lambda cuts: (len(cuts), cuts),
+        )[:cap]
+        seqs = enumerate_all("x" * n, min_segment, include_whole, cap)
+        assert [s.boundaries for s in seqs] == expected
+
+    @given(
+        n=st.integers(1, 12),
+        min_segment=st.integers(1, 3),
+        cap=st.one_of(st.integers(1, 20), st.none()),
+    )
+    def test_table_rows_masks_and_squares(self, n, min_segment, cap):
+        table = composition_table(n, min_segment, True, cap)
+        for r, row in enumerate(table.rows):
+            lengths = [table.spans[i][1] - table.spans[i][0] for i in row]
+            assert sum(lengths) == n
+            assert table.q[r] == sum(length * length for length in lengths)
+        for i, mask in enumerate(table.masks):
+            assert mask == sum(1 << r for r, row in enumerate(table.rows) if i in row)
 
     def test_cap(self):
         seqs = enumerate_all("abcdef", min_segment=1, include_whole=True, cap=4)
