@@ -244,17 +244,14 @@ def _cmd_report(args) -> int:
 
 def _cmd_grid_search(args) -> int:
     try:
-        weight_grid(args.step)
-    except ValueError as exc:
-        return _fail(EXIT_IO, str(exc))
-    try:
+        grid = weight_grid(args.step)
         cfg = _load_config(args.config, args.algo)
         corpus = normalize(load_names(args.names, args.input_format), cfg.min_length)
     except EmptyCorpusError as exc:
         return _fail(EXIT_VALIDATION, str(exc))
-    except (ConfigError, CorpusError) as exc:
+    except (ConfigError, CorpusError, ValueError) as exc:
         return _fail(EXIT_IO, str(exc))
-    best, table = grid_search_weights(corpus, cfg, args.step)
+    best, table = grid_search_weights(corpus, cfg, grid=grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(

@@ -276,36 +276,23 @@ def _choose_composition(
 
     weights = cfg.resolved_weights
     accepted: list[bool] | None = None
-    # rows placing one text where it is accepted and again where it is not
-    mixed = 0
     if weights.extra > 0.0:
         accepted = [
             accepts_syntax(text, name, start, cfg.char_table)
             for text, (start, _) in zip(texts, table.spans)
         ]
-        for same_text in placements.values():
-            yes = no = 0
-            for i in same_text:
-                if accepted[i]:
-                    yes |= table.masks[i]
-                else:
-                    no |= table.masks[i]
-            mixed |= yes & no
 
     n = len(name)
     costs = []
-    for r, (row, q) in enumerate(zip(table.rows, table.q)):
+    for row, q in zip(table.rows, table.q):
         k = len(row)
         syntax_avg = None
         if accepted is not None:
-            if mixed >> r & 1:
-                # _syntax_bits: a repeated text counts only if accepted everywhere
-                bits: dict[str, bool] = {}
-                for i in row:
-                    bits[texts[i]] = bits.get(texts[i], True) and accepted[i]
-                syntax_avg = sum(bits[texts[i]] for i in row) / k
-            else:
-                syntax_avg = sum(map(accepted.__getitem__, row)) / k
+            # _syntax_bits: a repeated text counts only if accepted everywhere
+            bits: dict[str, bool] = {}
+            for i in row:
+                bits[texts[i]] = bits.get(texts[i], True) and accepted[i]
+            syntax_avg = sum(bits[texts[i]] for i in row) / k
         costs.append(
             composition_cost(
                 n / k,
@@ -496,18 +483,25 @@ def weight_grid(grid_step: float) -> list[WeightSet]:
 
 
 def grid_search_weights(
-    corpus: Corpus, cfg: RunConfig, grid_step: float = 0.1
+    corpus: Corpus,
+    cfg: RunConfig,
+    grid_step: float = 0.1,
+    *,
+    grid: Sequence[WeightSet] | None = None,
 ) -> tuple[WeightSet, list[tuple[WeightSet, float]]]:
     """Run the configured algorithm once per grid weight set.
 
-    Returns the weights minimizing the final global cost (ties prefer
-    the smaller final basis, then the earlier tuple in grid order) and
-    the full (weights, cost) table in grid order.
+    ``grid`` defaults to ``weight_grid(grid_step)``. Returns the weights
+    minimizing the final global cost (ties prefer the smaller final
+    basis, then the earlier tuple in grid order) and the full
+    (weights, cost) table in grid order.
     """
+    if grid is None:
+        grid = weight_grid(grid_step)
     table: list[tuple[WeightSet, float]] = []
     best: tuple[float, int, int] | None = None
     best_weights: WeightSet | None = None
-    for index, weights in enumerate(weight_grid(grid_step)):
+    for index, weights in enumerate(grid):
         candidate_cfg = replace(cfg, weights=weights)
         if cfg.algorithm == "alg1":
             basis, trace = run_alg1(corpus, candidate_cfg)
