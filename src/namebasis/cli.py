@@ -81,13 +81,17 @@ def read_segmentations(path) -> dict[str, tuple[str, ...]]:
     return rows
 
 
-def write_stats(trace: list[IterationStats], csv_path, json_path) -> None:
-    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(IterationStats.CSV_HEADER)
-        for stats in trace:
-            writer.writerow(stats.to_row())
-    payload = [dict(zip(IterationStats.CSV_HEADER, s.to_row())) for s in trace]
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_stats(trace: list[IterationStats], csv_path, json_path) -> None:
+    rows = [s.to_row() for s in trace]
+    _write_csv(csv_path, IterationStats.CSV_HEADER, rows)
+    payload = [dict(zip(IterationStats.CSV_HEADER, row)) for row in rows]
     Path(json_path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
@@ -164,13 +168,6 @@ def _cmd_induce(args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _cmd_ortho(args) -> int:
     try:
         basis = read_basis_file(args.basis)
@@ -201,6 +198,8 @@ def _cmd_transcribe(args) -> int:
         basis = read_basis_file(args.basis)
         segmentations = read_segmentations(args.segmentations)
         table = load_transcriptions(args.table, basis=basis.texts)
+    except EmptyCorpusError as exc:
+        return _fail(EXIT_VALIDATION, str(exc))
     except (CorpusError, LexiconError) as exc:
         return _fail(EXIT_IO, str(exc))
     for name, words in segmentations.items():

@@ -31,7 +31,6 @@ from .corpus import Corpus, frequency_rank
 from .features import (
     ALG1_DEFAULT_WEIGHTS,
     ALG2_DEFAULT_WEIGHTS,
-    ZERO_PENALTY,
     WeightSet,
     composition_cost,
     compute_features,
@@ -101,9 +100,7 @@ class RunConfig:
     min_segment: int = 2  # alg2 only
     include_whole: bool = True  # alg2 only
     min_length: int = 3  # corpus normalization
-    penalty: float = ZERO_PENALTY
     pav_inverted: bool = False
-    cost_basis: str = "post_ortho"  # "post_ortho" | "pre_ortho"
     workers: int = 1  # accepted and validated; runs are serial
     char_table: CharClassTable = field(default_factory=CharClassTable)
 
@@ -122,8 +119,6 @@ class RunConfig:
             raise ValueError(f"min_segment must be >= 1, got {self.min_segment}")
         if self.min_length < 1:
             raise ValueError(f"min_length must be >= 1, got {self.min_length}")
-        if self.cost_basis not in ("post_ortho", "pre_ortho"):
-            raise ValueError(f"unknown cost_basis {self.cost_basis!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -147,9 +142,7 @@ class RunConfig:
             "min_segment": int,
             "include_whole": _config.parse_bool,
             "min_length": int,
-            "penalty": float,
             "pav_inverted": _config.parse_bool,
-            "cost_basis": str,
             "workers": int,
         }
         for key in values:
@@ -194,7 +187,7 @@ def trivial_case_b(corpus: Corpus) -> float:
 def seed_basis(corpus: Corpus, k: float) -> Basis:
     """Names with frequency >= k * max frequency, orthogonalized.
 
-    Falls back to the single most frequent name when nothing passes.
+    The most frequent name always passes, since ``k <= 1``.
     """
     if not 0.0 < k <= 1.0:
         raise ValueError(f"k must be in (0, 1], got {k}")
@@ -203,9 +196,6 @@ def seed_basis(corpus: Corpus, k: float) -> Basis:
         raise ValueError("cannot seed from an empty corpus")
     threshold = k * corpus.max_frequency
     picked = [r for r in ranked if r.frequency >= threshold]
-    if not picked:
-        logger.warning("no name reaches %.0f%% of the max frequency; seeding top name", k * 100)
-        picked = [ranked[0]]
     basis = Basis(BasisWord(r.surface, "seed") for r in picked)
     return make_ortho(basis)
 
@@ -243,7 +233,7 @@ def _choose(
     for seq in seqs:
         bits = _syntax_bits(seq, syntax_cache, cfg.char_table)
         fv = compute_features(seq, demand, corpus_freq, bits)
-        costs.append(cost_fn(fv, cfg.resolved_weights, cfg.penalty, cfg.pav_inverted))
+        costs.append(cost_fn(fv, cfg.resolved_weights, cfg.pav_inverted))
     return select_best(seqs, costs)
 
 
@@ -300,7 +290,6 @@ def _choose_composition(
                 sum(map(demand.__getitem__, row)) / k,
                 syntax_avg,
                 weights,
-                cfg.penalty,
                 cfg.pav_inverted,
             )
         )
@@ -351,13 +340,12 @@ def run_iteration_alg1(
                 grown.add(BasisWord(text, "mined", demand_count[text]))
 
     pruned = make_ortho(grown)
-    cost_size = len(grown) if cfg.cost_basis == "pre_ortho" else len(pruned)
     stats = IterationStats(
         iteration=iteration,
         b_m_size=len(grown),
         b_size=len(pruned),
         j_total=j_total,
-        cost=global_cost(cost_size, j_total, n_total),
+        cost=global_cost(len(pruned), j_total, n_total),
     )
     return grown, pruned, stats, chosen
 
@@ -367,16 +355,13 @@ def run_alg1(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, list[IterationStats
     basis = seed_basis(corpus, cfg.seed_fraction)
     trace: list[IterationStats] = []
     for iteration in range(1, cfg.max_iterations + 1):
-        grown, pruned, stats, _ = run_iteration_alg1(corpus, basis, cfg, iteration)
+        _, pruned, stats, _ = run_iteration_alg1(corpus, basis, cfg, iteration)
         trace.append(stats)
-        if stats.b_m_size - stats.b_size < cfg.epsilon:
-            basis = pruned
-            break
-        if pruned.texts == basis.texts:
-            # Exact fixed point: every further round would repeat this row.
-            basis = pruned
-            break
+        # At an exact fixed point every further round would repeat this row.
+        done = stats.b_m_size - stats.b_size < cfg.epsilon or pruned.texts == basis.texts
         basis = pruned
+        if done:
+            break
     else:
         logger.warning("stopped at max_iterations=%d without converging", cfg.max_iterations)
     return basis, trace
@@ -406,13 +391,12 @@ def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, IterationStats]:
         BasisWord(text, "mined", demand_count[text]) for text in sorted(demand_count)
     )
     pruned = make_ortho(grown)
-    cost_size = len(grown) if cfg.cost_basis == "pre_ortho" else len(pruned)
     stats = IterationStats(
         iteration=1,
         b_m_size=len(grown),
         b_size=len(pruned),
         j_total=j_total,
-        cost=global_cost(cost_size, j_total, corpus.total_unique),
+        cost=global_cost(len(pruned), j_total, corpus.total_unique),
     )
     return pruned, stats
 
@@ -423,22 +407,23 @@ def segment_corpus(
     """Best fully-in-basis segmentation of every name.
 
     Used to write the final name -> word-sequence table once induction
-    is done; every name a finished run produced is coverable, but a
-    foreign basis may leave gaps, in which case the best gapped
-    sequence is kept and a warning logged.
+    is done. Each name is chosen among its first ``cfg.cap`` covering
+    tilings. Every name a finished run produced is coverable, but a
+    foreign basis may leave gaps, in which case the best of the first
+    ``cfg.cap`` gapped tilings is kept and a warning logged.
     """
     cost_fn = cost_alg1 if cfg.algorithm == "alg1" else cost_alg2
     names = sorted(corpus)
     chosen: dict[str, SequenceCandidate] = {}
     capped = 0
     for name in names:
-        seqs = enumerate_with_basis(name, candidate_words(name, basis), cfg.cap)
-        capped += len(seqs) >= cfg.cap
-        covered = [s for s in seqs if s.eta_new == 0]
-        if not covered:
+        words = candidate_words(name, basis)
+        seqs = enumerate_with_basis(name, words, cfg.cap, gaps=False)
+        if not seqs:
             logger.warning("basis does not span %r; keeping a gapped sequence", name)
-            covered = seqs
-        chosen[name] = _choose(covered, None, cfg, cost_fn)
+            seqs = enumerate_with_basis(name, words, cfg.cap)
+        capped += len(seqs) >= cfg.cap
+        chosen[name] = _choose(seqs, None, cfg, cost_fn)
     logger.info(
         "segmentation: %d of %d names reached the candidate cap %d",
         capped, len(names), cfg.cap,

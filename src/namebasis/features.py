@@ -22,9 +22,9 @@ Cost of a from-scratch composition (the alg2 flavor):
     w.avg_len/avg_len + w.len_var*len_var + w.demand*demand_avg
         + w.extra / syntax_avg
 
-A zero in a denominator is replaced by a large finite penalty so costs
-stay totally ordered; with ``w.extra == 0`` the corresponding term is
-dropped entirely and never evaluated.
+A zero in a denominator is replaced by ``ZERO_PENALTY``, a large finite
+stand-in for 1/0, so costs stay totally ordered; with ``w.extra == 0``
+the corresponding term is dropped entirely and never evaluated.
 """
 
 from __future__ import annotations
@@ -151,50 +151,40 @@ def compute_features(
     )
 
 
-def _reciprocal(value: float | None, penalty: float) -> float:
+def _reciprocal(value: float | None) -> float:
     if value is None or value <= 0.0:
-        return penalty
+        return ZERO_PENALTY
     return 1.0 / value
 
 
-def _demand_term(demand_avg: float, weight: float, penalty: float, inverted: bool) -> float:
+def _demand_term(demand_avg: float, weight: float, inverted: bool) -> float:
     if inverted:
-        return weight * _reciprocal(demand_avg, penalty)
+        return weight * _reciprocal(demand_avg)
     return weight * demand_avg
 
 
-def cost_alg1(
-    fv: FeatureVector,
-    weights: WeightSet,
-    penalty: float = ZERO_PENALTY,
-    pav_inverted: bool = False,
-) -> float:
+def cost_alg1(fv: FeatureVector, weights: WeightSet, pav_inverted: bool = False) -> float:
     """Sequence cost against an existing basis (lower is better)."""
     assert fv.avg_len > 0, "segments are non-empty, so mean length is positive"
     cost = (
         weights.avg_len / fv.avg_len
         + weights.len_var * fv.len_var
-        + _demand_term(fv.demand_avg, weights.demand, penalty, pav_inverted)
+        + _demand_term(fv.demand_avg, weights.demand, pav_inverted)
     )
     if fv.eta_new > 0:
         cost += (
             weights.extra
             * fv.eta_new
-            * (_reciprocal(fv.new_freq_avg, penalty) + _reciprocal(fv.syntax_avg, penalty))
+            * (_reciprocal(fv.new_freq_avg) + _reciprocal(fv.syntax_avg))
         )
     return cost
 
 
-def cost_alg2(
-    fv: FeatureVector,
-    weights: WeightSet,
-    penalty: float = ZERO_PENALTY,
-    pav_inverted: bool = False,
-) -> float:
+def cost_alg2(fv: FeatureVector, weights: WeightSet, pav_inverted: bool = False) -> float:
     """Sequence cost with no pre-existing basis (lower is better)."""
     assert fv.avg_len > 0, "segments are non-empty, so mean length is positive"
     return composition_cost(
-        fv.avg_len, fv.len_var, fv.demand_avg, fv.syntax_avg, weights, penalty, pav_inverted
+        fv.avg_len, fv.len_var, fv.demand_avg, fv.syntax_avg, weights, pav_inverted
     )
 
 
@@ -204,17 +194,16 @@ def composition_cost(
     demand_avg: float,
     syntax_avg: float | None,
     weights: WeightSet,
-    penalty: float,
     pav_inverted: bool,
 ) -> float:
     """``cost_alg2`` from the feature values alone."""
     cost = (
         weights.avg_len / avg_len
         + weights.len_var * len_var
-        + _demand_term(demand_avg, weights.demand, penalty, pav_inverted)
+        + _demand_term(demand_avg, weights.demand, pav_inverted)
     )
     if weights.extra > 0.0 and syntax_avg is not None:
-        cost += weights.extra * _reciprocal(syntax_avg, penalty)
+        cost += weights.extra * _reciprocal(syntax_avg)
     return cost
 
 

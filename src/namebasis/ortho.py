@@ -41,11 +41,6 @@ class Basis:
             self._words[word.text] = word
             self._max_length = max(self._max_length, len(word.text))
 
-    def discard(self, text: str) -> None:
-        if self._words.pop(text, None) is not None:
-            if len(text) == self._max_length:
-                self._max_length = max((len(t) for t in self._words), default=0)
-
     def word(self, text: str) -> BasisWord:
         return self._words[text]
 

@@ -5,7 +5,9 @@ Two enumerators produce the per-name sequence candidates:
   * ``enumerate_with_basis`` tiles the name with occurrences of current
     basis words; every maximal uncovered run becomes exactly one
     not-yet-in-basis ("new") segment, so no two adjacent segments are
-    both new. The whole name as a single segment is always a candidate.
+    both new, and the whole name as a single segment is always a
+    candidate. With ``gaps=False`` it lists only the covering tilings,
+    those made of occurrences alone.
   * ``enumerate_all`` lists every composition of the name into
     contiguous parts of a minimum length, all parts new (used when
     there is no basis to start from).
@@ -98,13 +100,13 @@ def candidate_words(
 
 @lru_cache(maxsize=65536)
 def _basis_tilings(
-    name: str, spans: frozenset[tuple[int, int]], cap: int
+    name: str, spans: frozenset[tuple[int, int]], cap: int, gaps: bool = True
 ) -> tuple[tuple[int, ...], ...]:
     """Boundary tuples (interior cuts) of the first ``cap`` tilings.
 
-    A tile is either an occurrence span from ``spans`` or a new-segment
-    gap; gaps may not be adjacent. Tilings come fewest tiles first, ties
-    in leftmost-boundary order.
+    A tile is either an occurrence span from ``spans`` or, when ``gaps``
+    is true, a new-segment gap; gaps may not be adjacent. Tilings come
+    fewest tiles first, ties in leftmost-boundary order.
 
     One backward pass builds ``feasible[pos][after_gap]``, a bitmask
     whose bit ``t`` is set when ``name[pos:]`` can be tiled with exactly
@@ -126,6 +128,8 @@ def _basis_tilings(
         after_any = after_span = 0
         for end in range(pos + 1, n + 1):
             is_gap = (pos, end) not in spans
+            if is_gap and not gaps:
+                continue
             mask = feasible[end][is_gap]
             if not mask:
                 continue
@@ -158,13 +162,19 @@ def _basis_tilings(
 
 
 def enumerate_with_basis(
-    name: str, candidates: Mapping[str, tuple[int, ...]], cap: int = 5000
+    name: str,
+    candidates: Mapping[str, tuple[int, ...]],
+    cap: int = 5000,
+    *,
+    gaps: bool = True,
 ) -> list[SequenceCandidate]:
-    """All tilings of ``name`` by the candidate occurrences.
+    """The first ``cap`` tilings of ``name`` by the candidate occurrences.
 
-    Gaps between placed words become one new segment each; the full
-    name as a single segment is always among the results (as an
-    existing segment when the name is itself a candidate word).
+    Gaps between placed words become one new segment each; with gaps,
+    the full name as a single segment is always among the results (as
+    an existing segment when the name is itself a candidate word).
+    ``gaps=False`` keeps only the tilings made of occurrences alone,
+    and may return none.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -175,7 +185,7 @@ def enumerate_with_basis(
     )
     return [
         SequenceCandidate.from_boundaries(name, cuts, spans)
-        for cuts in _basis_tilings(name, spans, cap)
+        for cuts in _basis_tilings(name, spans, cap, gaps)
     ]
 
 

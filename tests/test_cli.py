@@ -104,6 +104,19 @@ class TestInduce:
         assert code == 2
         assert "max_iteration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["penalty = 1e6", "cost_basis = pre_ortho"])
+    def test_removed_config_key_exits_two(self, tmp_path, capsys, setting):
+        names = tmp_path / "names.txt"
+        names.write_text("rama\n", encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text(setting + "\n", encoding="utf-8")
+        code = main(
+            ["induce", "--names", str(names), "--config", str(config),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "unknown config key" in capsys.readouterr().err
+
     @pytest.mark.parametrize("setting", ["cap = 0", "min_segment = 0", "min_length = 0"])
     @pytest.mark.parametrize("algo", ["alg1", "alg2"])
     def test_size_below_one_exits_two(self, tmp_path, capsys, algo, setting):
@@ -224,6 +237,12 @@ class TestTranscribe:
         code, out = self.run(files)
         assert code == 0
         assert out.read_text() == "# name\twords\tdarpa\tsapi\n"
+
+    def test_empty_names_exits_one(self, files, capsys):
+        (files / "names.txt").write_text("", encoding="utf-8")
+        code, _ = self.run(files)
+        assert code == 1
+        assert "empty corpus" in capsys.readouterr().err
 
 
 class TestReport:

@@ -154,6 +154,19 @@ class TestRunAlg1:
         basis, trace = run_alg1(corpus, RunConfig(max_iterations=1))
         assert len(trace) == 1
 
+    def test_epsilon_stops_after_first_round(self, caplog):
+        corpus = make_planted_corpus(n_names=60, n_units=8, seed=3).corpus
+        cfg = RunConfig(min_length=2)
+        _, default_trace = run_alg1(corpus, cfg)
+        assert len(default_trace) >= 2
+        one_round, _ = run_alg1(corpus, dataclasses.replace(cfg, max_iterations=1))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="namebasis.engine"):
+            basis, trace = run_alg1(corpus, dataclasses.replace(cfg, epsilon=10**9))
+        assert len(trace) == 1
+        assert not [r for r in caplog.records if "max_iterations" in r.getMessage()]
+        assert basis.texts == one_round.texts
+
     def test_stats_join_consistency(self):
         planted = make_planted_corpus(n_names=60, n_units=8, seed=3)
         cfg = RunConfig(min_length=2)
@@ -276,6 +289,34 @@ class TestSegmentCorpus:
             assert seq.eta_new == 0
             assert all(text in basis for text in seq.texts)
 
+    def test_covering_tiling_beyond_cap_of_gapped_ones(self, caplog):
+        # the one gapped tiling "xy" comes first, the covering "x y" second
+        with caplog.at_level(logging.WARNING, logger="namebasis.engine"):
+            chosen = segment_corpus(
+                Corpus({"xy": 1}), basis_of("x", "y"), RunConfig(cap=1, min_length=1)
+            )
+        assert chosen["xy"].texts == ("x", "y")
+        assert not [r for r in caplog.records if "does not span" in r.getMessage()]
+
+    def test_planted_alg2_names_written_in_basis_words(self, caplog):
+        planted = make_planted_corpus(n_names=50, n_units=12, seed=7)
+        cfg = RunConfig(
+            algorithm="alg2",
+            min_length=2,
+            min_segment=1,
+            cap=300,
+            include_whole=False,
+            pav_inverted=True,
+            weights=WeightSet(0.2, 0.2, 0.2, 0.4),
+        )
+        basis, _ = run_alg2(planted.corpus, cfg)
+        with caplog.at_level(logging.WARNING, logger="namebasis.engine"):
+            chosen = segment_corpus(planted.corpus, basis, cfg)
+        assert not [r for r in caplog.records if "does not span" in r.getMessage()]
+        for seq in chosen.values():
+            assert seq.eta_new == 0
+            assert all(text in basis for text in seq.texts)
+
 
 class TestCapCount:
     def test_names_reaching_cap_logged_once_per_pass(self, caplog):
@@ -389,8 +430,6 @@ class TestRunConfig:
             RunConfig(algorithm="alg3")
         with pytest.raises(ValueError):
             RunConfig(seed_fraction=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(cost_basis="sideways")
 
     def test_vowel_commas_and_spaces_are_separators(self):
         cfg = RunConfig.from_mapping({"vowels": "a, e, i"})

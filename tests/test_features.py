@@ -156,7 +156,7 @@ class TestCostAlg1:
 
     def test_zero_averages_get_penalty(self):
         vector = fv(eta_new=2, new_freq_avg=0.0, syntax_avg=0.0)
-        cost = cost_alg1(vector, ALG1_DEFAULT_WEIGHTS, penalty=1e6)
+        cost = cost_alg1(vector, ALG1_DEFAULT_WEIGHTS)
         assert cost == pytest.approx(0.4 / 3 + 0.4 + 0.1 + 0.3 * 2 * 2e6, rel=1e-12)
 
     def test_inverted_demand_flag(self):
@@ -200,7 +200,7 @@ class TestCostAlg2:
     def test_zero_syntax_average_penalized(self):
         weights = WeightSet(0.4, 0.2, 0.2, 0.2)
         vector = fv(avg_len=2.0, len_var=0.0, demand_avg=0.5, eta_new=1, syntax_avg=0.0)
-        assert cost_alg2(vector, weights, penalty=1e6) == pytest.approx(
+        assert cost_alg2(vector, weights) == pytest.approx(
             0.2 + 0.1 + 0.2 * 1e6, rel=1e-12
         )
 

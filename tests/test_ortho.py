@@ -137,11 +137,5 @@ class TestBasisContainer:
         basis.add(BasisWord("ra", "mined", 9))
         assert basis.word("ra").source == "seed"
 
-    def test_max_length_tracks_discard(self):
-        basis = basis_of("rama", "ra")
-        assert basis.max_length == 4
-        basis.discard("rama")
-        assert basis.max_length == 2
-
     def test_iteration_sorted(self):
         assert list(basis_of("zz", "aa", "mm")) == ["aa", "mm", "zz"]

@@ -126,14 +126,20 @@ class TestOracleEquivalence:
         name=st.text(alphabet="ab", min_size=1, max_size=10),
         words=st.sets(st.text(alphabet="ab", min_size=1, max_size=3), max_size=5),
         cap=st.one_of(st.integers(min_value=1, max_value=20), st.just(10**9)),
+        gaps=st.booleans(),
     )
     @settings(max_examples=300)
-    def test_order_and_cap_match_brute_force(self, name, words, cap):
+    def test_order_and_cap_match_brute_force(self, name, words, cap, gaps):
         candidates = candidate_words(name, words)
-        expected = sorted(
-            brute_tilings(name, spans_of(candidates)), key=lambda c: (len(c), c)
-        )[:cap]
-        seqs = enumerate_with_basis(name, candidates, cap)
+        spans = set(spans_of(candidates))
+        tilings = brute_tilings(name, spans)
+        if not gaps:
+            tilings = {
+                cuts for cuts in tilings
+                if set(zip((0, *cuts), (*cuts, len(name)))) <= spans
+            }
+        expected = sorted(tilings, key=lambda c: (len(c), c))[:cap]
+        seqs = enumerate_with_basis(name, candidates, cap, gaps=gaps)
         assert [s.boundaries for s in seqs] == expected
 
     @given(
