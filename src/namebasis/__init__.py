@@ -26,13 +26,9 @@ from .engine import (
 from .features import (
     ALG1_DEFAULT_WEIGHTS,
     ALG2_DEFAULT_WEIGHTS,
-    FeatureVector,
     WeightSet,
-    compute_features,
     cost_alg1,
     cost_alg2,
-    demand_shares,
-    select_best,
 )
 from .lexicon import (
     Lexicon,

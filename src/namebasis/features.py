@@ -1,5 +1,12 @@
 """Per-sequence features, the two sequence cost functions, and argmin.
 
+Each cost flavour has one scalar body that takes the feature values
+(``tiling_cost`` for alg1, ``composition_cost`` for alg2); the engine's
+table choosers call these bodies directly. ``compute_features``,
+``FeatureVector``, ``cost_alg1``/``cost_alg2``, ``demand_shares`` and
+``select_best`` score whole candidates through the same bodies, and
+serve as the choosers' test oracle.
+
 Feature semantics, per candidate sequence:
 
   * ``avg_len``: mean segment length; equals name length / segment
@@ -24,7 +31,8 @@ Cost of a from-scratch composition (the alg2 flavor):
 
 A zero in a denominator is replaced by ``ZERO_PENALTY``, a large finite
 stand-in for 1/0, so costs stay totally ordered; with ``w.extra == 0``
-the corresponding term is dropped entirely and never evaluated.
+the corresponding term is dropped entirely and never evaluated (the
+choosers then skip the syntax checks as well).
 """
 
 from __future__ import annotations
@@ -166,16 +174,39 @@ def _demand_term(demand_avg: float, weight: float, inverted: bool) -> float:
 def cost_alg1(fv: FeatureVector, weights: WeightSet, pav_inverted: bool = False) -> float:
     """Sequence cost against an existing basis (lower is better)."""
     assert fv.avg_len > 0, "segments are non-empty, so mean length is positive"
-    cost = (
-        weights.avg_len / fv.avg_len
-        + weights.len_var * fv.len_var
-        + _demand_term(fv.demand_avg, weights.demand, pav_inverted)
+    return tiling_cost(
+        fv.avg_len,
+        fv.len_var,
+        fv.demand_avg,
+        fv.eta_new,
+        fv.new_freq_avg,
+        fv.syntax_avg,
+        weights,
+        pav_inverted,
     )
-    if fv.eta_new > 0:
+
+
+def tiling_cost(
+    avg_len: float,
+    len_var: float,
+    demand_avg: float,
+    eta_new: int,
+    new_freq_avg: float | None,
+    syntax_avg: float | None,
+    weights: WeightSet,
+    pav_inverted: bool,
+) -> float:
+    """``cost_alg1`` from the feature values alone."""
+    cost = (
+        weights.avg_len / avg_len
+        + weights.len_var * len_var
+        + _demand_term(demand_avg, weights.demand, pav_inverted)
+    )
+    if weights.extra > 0.0 and eta_new > 0:
         cost += (
             weights.extra
-            * fv.eta_new
-            * (_reciprocal(fv.new_freq_avg) + _reciprocal(fv.syntax_avg))
+            * eta_new
+            * (_reciprocal(new_freq_avg) + _reciprocal(syntax_avg))
         )
     return cost
 

@@ -28,6 +28,14 @@ from this table and builds a candidate for the winner only;
 ``enumerate_all`` turns every row into a candidate and serves as its
 test oracle.
 
+Tilings depend on the basis, so they are cached per (name, occurrence
+spans, cap, gaps) as plain boundary tuples, which ``basis_tilings``
+returns with the spans. The seeded algorithm and the final
+segmentation cost a name's tilings from a transient per-name table of
+distinct segments and build a candidate for the winner only;
+``enumerate_with_basis`` turns every tiling into a candidate and serves
+as the test oracle.
+
 A candidate is one flat ``SequenceCandidate`` tuple: the interior cut
 offsets, the segment strings, one new-or-existing flag per segment and
 the count of new segments, all computed once when it is built.
@@ -161,6 +169,29 @@ def _basis_tilings(
     return tuple(cuts[:-1] for cuts in found)
 
 
+def basis_tilings(
+    name: str,
+    candidates: Mapping[str, tuple[int, ...]],
+    cap: int = 5000,
+    *,
+    gaps: bool = True,
+) -> tuple[frozenset[tuple[int, int]], tuple[tuple[int, ...], ...]]:
+    """The occurrence spans of the candidate words in ``name``, and the
+    boundary tuples of its first ``cap`` tilings by them.
+
+    The tuple of tilings is shared with a cache; tilings come fewest
+    segments first, ties in leftmost-boundary order.
+    """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    spans = frozenset(
+        (start, start + len(word))
+        for word, offsets in candidates.items()
+        for start in offsets
+    )
+    return spans, _basis_tilings(name, spans, cap, gaps)
+
+
 def enumerate_with_basis(
     name: str,
     candidates: Mapping[str, tuple[int, ...]],
@@ -176,17 +207,8 @@ def enumerate_with_basis(
     ``gaps=False`` keeps only the tilings made of occurrences alone,
     and may return none.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    spans = frozenset(
-        (start, start + len(word))
-        for word, offsets in candidates.items()
-        for start in offsets
-    )
-    return [
-        SequenceCandidate.from_boundaries(name, cuts, spans)
-        for cuts in _basis_tilings(name, spans, cap, gaps)
-    ]
+    spans, tilings = basis_tilings(name, candidates, cap, gaps=gaps)
+    return [SequenceCandidate.from_boundaries(name, cuts, spans) for cuts in tilings]
 
 
 class CompositionTable(NamedTuple):

@@ -9,8 +9,9 @@ from namebasis.corpus import Corpus
 from namebasis.engine import (
     IterationStats,
     RunConfig,
-    _choose,
     _choose_composition,
+    _choose_tiling,
+    _composition_tiling_cost,
     check_convergence,
     global_cost,
     grid_search_weights,
@@ -23,9 +24,24 @@ from namebasis.engine import (
     trivial_case_b,
     weight_grid,
 )
-from namebasis.features import WeightSet, cost_alg2
+from namebasis.features import (
+    WeightSet,
+    compute_features,
+    cost_alg1,
+    cost_alg2,
+    demand_shares,
+    select_best,
+    tiling_cost,
+)
 from namebasis.ortho import Basis, BasisWord, is_constructible, is_ortho
-from namebasis.segmenter import composition_table, enumerate_all, enumerate_with_basis
+from namebasis.segmenter import (
+    basis_tilings,
+    candidate_words,
+    composition_table,
+    enumerate_all,
+    enumerate_with_basis,
+)
+from namebasis.syntax import accepts_syntax
 from namebasis.synthetic import make_planted_corpus
 
 # A large-run trace whose pruned-basis column creeps back up near
@@ -41,6 +57,35 @@ REFERENCE_TRACE = [
 
 def basis_of(*texts):
     return Basis(BasisWord(t) for t in texts)
+
+
+def syntax_bits(seq, cache, table):
+    """Admissibility of each new word at its placements in this sequence.
+
+    A word placed more than once must be admissible everywhere it is
+    placed to count as accepted.
+    """
+    bits = {}
+    for text, start, new in zip(seq.texts, (0, *seq.boundaries), seq.new):
+        if not new:
+            continue
+        key = (text, start)
+        if key not in cache:
+            cache[key] = accepts_syntax(text, seq.name, start, table)
+        bits[text] = bits.get(text, True) and cache[key]
+    return bits
+
+
+def choose(seqs, corpus_freq, cfg, cost_fn):
+    """The oracle chooser: every candidate's full feature vector, costed."""
+    demand = demand_shares(seqs)
+    syntax_cache = {}
+    costs = []
+    for seq in seqs:
+        bits = syntax_bits(seq, syntax_cache, cfg.char_table)
+        fv = compute_features(seq, demand, corpus_freq, bits)
+        costs.append(cost_fn(fv, cfg.resolved_weights, cfg.pav_inverted))
+    return select_best(seqs, costs)
 
 
 class TestGlobalCost:
@@ -210,7 +255,7 @@ def oracle_composition(name, cfg):
     seqs = enumerate_all(name, cfg.min_segment, cfg.include_whole, cap=cfg.cap)
     if not seqs:
         seqs = enumerate_with_basis(name, {}, cap=1)
-    return _choose(seqs, None, cfg, cost_alg2)
+    return choose(seqs, None, cfg, cost_alg2)
 
 
 def table_composition(name, cfg):
@@ -277,6 +322,131 @@ class TestCompositionOracle:
         assert chosen.texts == (name,)
 
 
+# Each cost flavour as the tiling chooser takes it, and as the oracle does.
+FLAVOURS = {"alg1": (tiling_cost, cost_alg1), "alg2": (_composition_tiling_cost, cost_alg2)}
+
+
+def oracle_demand(seqs_by_name, n_total):
+    """run_iteration_alg1's corpus frequencies, from full candidates."""
+    count = {}
+    for seqs in seqs_by_name.values():
+        for text in {t for seq in seqs for t, new in zip(seq.texts, seq.new) if new}:
+            count[text] = count.get(text, 0) + 1
+    return {text: c / n_total for text, c in count.items()}
+
+
+def table_tiling(name, basis, corpus_freq, cfg, gaps, flavour):
+    spans, tilings = basis_tilings(name, candidate_words(name, basis), cfg.cap, gaps=gaps)
+    return _choose_tiling(name, spans, tilings, corpus_freq, cfg, FLAVOURS[flavour][0])
+
+
+class TestTilingOracle:
+    @given(
+        name=st.text(alphabet="abe", min_size=1, max_size=10),
+        basis=st.frozensets(st.text(alphabet="abe", min_size=1, max_size=3), max_size=6),
+        cap=st.one_of(st.integers(1, 20), st.just(5000)),
+        weights=st.sampled_from(weight_grid(0.25)),
+        pav_inverted=st.booleans(),
+        n_total=st.one_of(st.none(), st.integers(1, 9)),
+        flavour=st.sampled_from(sorted(FLAVOURS)),
+        gaps=st.booleans(),
+    )
+    # "bb" and "b b" tie on every term, so the whole name, placed first,
+    # wins unless ties go to the fewer new segments.
+    @example(
+        "bb", frozenset({"b"}), 5000, WeightSet(0.0, 0.5, 0.5, 0.0), True, 5, "alg1", True
+    )
+    # The demand average must be summed left to right: a reversed sum
+    # rounds differently and picks another covering tiling.
+    @example(
+        "bbbababa",
+        frozenset({"bab", "aa", "a", "b"}),
+        20,
+        WeightSet(0.5, 0.0, 0.25, 0.25),
+        False,
+        None,
+        "alg1",
+        False,
+    )
+    # In "aa a b a" the gap "a" is rejected at offset 2 (a vowel-vowel
+    # join) but accepted at 4, so that tiling accepts none of its new
+    # texts; counting the placements alone would give it one in two.
+    @example(
+        "aaaba",
+        frozenset({"aa", "b"}),
+        5000,
+        WeightSet(0.0, 0.5, 0.25, 0.25),
+        True,
+        8,
+        "alg2",
+        True,
+    )
+    @settings(max_examples=400)
+    def test_matches_full_scoring(
+        self, name, basis, cap, weights, pav_inverted, n_total, flavour, gaps
+    ):
+        cfg = RunConfig(cap=cap, weights=weights, pav_inverted=pav_inverted)
+        seqs = enumerate_with_basis(name, candidate_words(name, basis), cap, gaps=gaps)
+        if not seqs:
+            return  # no covering tiling; segment_corpus falls back to gaps
+        corpus_freq = None
+        if n_total is not None:
+            # any fixed share per new text, as count / n_total
+            corpus_freq = {
+                text: (1 + sum(map(ord, text)) % n_total) / n_total
+                for seq in seqs
+                for text, new in zip(seq.texts, seq.new)
+                if new
+            }
+        assert table_tiling(name, basis, corpus_freq, cfg, gaps, flavour) == choose(
+            seqs, corpus_freq, cfg, FLAVOURS[flavour][1]
+        )
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        corpus = make_planted_corpus(n_names=606, n_units=150, seed=7).corpus
+        first = seed_basis(corpus, RunConfig().seed_fraction)
+        _, second, _, _ = run_iteration_alg1(corpus, first, RunConfig())
+        return corpus, {1: first, 2: second}
+
+    @pytest.mark.parametrize("round_", [1, 2])
+    @pytest.mark.parametrize(
+        "weights, pav_inverted",
+        [
+            pytest.param(None, False, id="default"),
+            pytest.param(WeightSet(0.2, 0.2, 0.2, 0.4), True, id="syntax-pav-inverted"),
+            pytest.param(WeightSet(0.4, 0.3, 0.3, 0.0), False, id="no-extra"),
+        ],
+    )
+    def test_planted_corpus(self, planted, round_, weights, pav_inverted):
+        corpus, bases = planted
+        basis = bases[round_]
+        cfg = RunConfig(weights=weights, pav_inverted=pav_inverted)
+        names = sorted(corpus)
+        gapped = {
+            name: enumerate_with_basis(name, candidate_words(name, basis), cfg.cap)
+            for name in names
+        }
+        corpus_freq = oracle_demand(gapped, corpus.total_unique)
+        # run_iteration_alg1 also collects the corpus frequencies itself
+        _, _, _, chosen = run_iteration_alg1(corpus, basis, cfg)
+        assert chosen == {
+            name: choose(seqs, corpus_freq, cfg, cost_alg1) for name, seqs in gapped.items()
+        }
+        for name, seqs in gapped.items():
+            for flavour, (_, oracle_cost) in FLAVOURS.items():
+                assert table_tiling(name, basis, None, cfg, True, flavour) == choose(
+                    seqs, None, cfg, oracle_cost
+                )
+            covering = enumerate_with_basis(
+                name, candidate_words(name, basis), cfg.cap, gaps=False
+            )
+            if covering:
+                assert table_tiling(name, basis, None, cfg, False, "alg1") == choose(
+                    covering, None, cfg, cost_alg1
+                )
+
+
 class TestSegmentCorpus:
     def test_all_segments_existing(self):
         planted = make_planted_corpus(n_names=50, n_units=8, seed=5)
@@ -320,8 +490,10 @@ class TestSegmentCorpus:
 
 class TestCapCount:
     def test_names_reaching_cap_logged_once_per_pass(self, caplog):
-        # with cap 2, rama and ram have two tilings by "ra" and gopal one;
-        # rama and gopal have two or more compositions into parts >= 2
+        # with cap 2, rama and ram have two tilings by "ra" and gopal one,
+        # 5 tilings costed in each pass (none covers, so segmentation
+        # costs the gapped ones); rama and gopal have two or more
+        # compositions into parts >= 2
         corpus = Corpus({"rama": 1, "ram": 1, "gopal": 1})
         cfg = RunConfig(cap=2, min_length=2)
         basis = basis_of("ra")
@@ -330,9 +502,19 @@ class TestCapCount:
             run_alg2(corpus, dataclasses.replace(cfg, algorithm="alg2"))
             segment_corpus(corpus, basis, cfg)
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
-            "alg1 iteration 1: 2 of 3 names reached the candidate cap 2",
+            "alg1 iteration 1: 2 of 3 names reached the candidate cap 2; 5 tilings costed",
             "alg2: 2 of 3 names reached the candidate cap 2",
-            "segmentation: 2 of 3 names reached the candidate cap 2",
+            "segmentation: 2 of 3 names reached the candidate cap 2; 5 tilings costed",
+        ]
+
+    def test_segmentation_counts_covering_tilings_only(self, caplog):
+        # rama has 4 covering tilings (ra ma, ra m a, r a ma, r a m a)
+        # and more gapped ones
+        corpus = Corpus({"rama": 1})
+        with caplog.at_level(logging.INFO, logger="namebasis.engine"):
+            segment_corpus(corpus, basis_of("ra", "ma", "r", "a", "m"), RunConfig())
+        assert [r.getMessage() for r in caplog.records] == [
+            "segmentation: 0 of 1 names reached the candidate cap 5000; 4 tilings costed",
         ]
 
 

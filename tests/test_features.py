@@ -15,6 +15,7 @@ from namebasis.features import (
     cost_alg2,
     demand_shares,
     select_best,
+    tiling_cost,
 )
 from namebasis.segmenter import SequenceCandidate, enumerate_all, enumerate_with_basis
 
@@ -179,6 +180,22 @@ class TestCostAlg1:
         assert cost_alg1(fv(len_var=3.0, eta_new=1, new_freq_avg=0.5, syntax_avg=1.0), w) > cost_alg1(base, w)
         assert cost_alg1(fv(eta_new=2, new_freq_avg=0.5, syntax_avg=1.0), w) > cost_alg1(base, w)
         assert cost_alg1(fv(eta_new=1, new_freq_avg=0.9, syntax_avg=1.0), w) < cost_alg1(base, w)
+
+
+class TestTilingCost:
+    def test_is_cost_alg1_of_the_same_features(self):
+        vector = fv(eta_new=2, new_freq_avg=0.25, syntax_avg=0.5, demand_avg=0.75)
+        for inverted in (False, True):
+            assert tiling_cost(3.0, 2.0, 0.75, 2, 0.25, 0.5, ALG1_DEFAULT_WEIGHTS, inverted) == (
+                cost_alg1(vector, ALG1_DEFAULT_WEIGHTS, inverted)
+            )
+
+    def test_zero_extra_weight_never_reads_new_word_features(self):
+        weights = WeightSet(0.4, 0.3, 0.3, 0.0)
+        # undefined averages would cost ZERO_PENALTY if the term were evaluated
+        assert tiling_cost(3.0, 2.0, 1.0, 2, None, None, weights, False) == (
+            0.4 / 3.0 + 0.3 * 2.0 + 0.3 * 1.0
+        )
 
 
 class TestCostAlg2:
