@@ -42,6 +42,8 @@ EXIT_IO = 2
 
 JOIN_MARK = "⊕"  # circled plus, the join symbol in reports
 
+logger = logging.getLogger(__name__)
+
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -71,13 +73,20 @@ def read_segmentations(path) -> dict[str, tuple[str, ...]]:
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
     rows: dict[str, tuple[str, ...]] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise CorpusError(f"{path}: line {lineno}: expected name<TAB>words")
-        rows[parts[0]] = tuple(parts[1].split(" "))
+        name = parts[0]
+        if name in set_on:
+            raise CorpusError(
+                f"{path}: line {lineno}: {name!r} already segmented on line {set_on[name]}"
+            )
+        set_on[name] = lineno
+        rows[name] = tuple(parts[1].split(" "))
     return rows
 
 
@@ -207,6 +216,13 @@ def _cmd_transcribe(args) -> int:
             return _fail(EXIT_VALIDATION, f"segmentation of {name!r} does not spell it")
         if name not in corpus:
             return _fail(EXIT_VALIDATION, f"{name!r} is not in the names corpus")
+    missing = [name for name in sorted(corpus) if name not in segmentations]
+    if missing:
+        shown = ", ".join(map(repr, missing[:5])) + (", ..." if len(missing) > 5 else "")
+        logger.warning(
+            "%d of %d names have no segmentation and are left out: %s",
+            len(missing), corpus.total_unique, shown,
+        )
     try:
         lexicon = build_lexicon(segmentations, table)
     except LexiconError as exc:

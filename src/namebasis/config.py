@@ -1,7 +1,8 @@
 """key=value configuration files.
 
 One ``key = value`` pair per line; blank lines and ``#`` comments are
-ignored. Values keep their raw string form; callers parse them.
+ignored, and a key set twice is an error. Values keep their raw string
+form; callers parse them, raising ``ValueError`` on a bad value.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ def read_kv(path: str | Path) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -26,7 +28,13 @@ def read_kv(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in set_on:
+            raise ConfigError(
+                f"{path}: line {lineno}: key {key!r} already set on line {set_on[key]}"
+            )
+        set_on[key] = lineno
+        values[key] = value.strip()
     return values
 
 
@@ -36,5 +44,5 @@ def parse_bool(value: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {value!r}")
+    raise ValueError(f"not a boolean: {value!r}")
 

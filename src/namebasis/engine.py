@@ -6,16 +6,15 @@ by the current basis, as boundary tuples, and collects the corpus-wide
 demand for each not-yet-in-basis word (a word counts at most once per
 name however many of the name's tilings want it); the demand shares
 feed the cost of pass 2, which picks each name's cheapest tiling and
-adds its new words to the grown set. Pass 2 costs a name's tilings
-from a transient table that holds each distinct segment once (squared
-length, share of the name's tilings containing its text, new flag,
-corpus frequency, syntax bit), so every tiling is one row of sums and
-one scalar cost, and only the winner becomes a ``SequenceCandidate``.
-The grown set is then orthogonalized and fed back in. The final
-segmentation costs covering tilings the same way. The from-scratch
-algorithm (``alg2``) needs no seed: it picks the cheapest full
-composition of every name outright, from a cached per-length table,
-and orthogonalizes once at the end.
+adds its new words to the grown set, which is then orthogonalized and
+fed back in. The from-scratch algorithm (``alg2``) needs no seed: it
+picks the cheapest composition of every name outright and
+orthogonalizes once. The final segmentation picks each name's cheapest
+covering tiling. All three picks go through one chooser,
+``_choose_row``, over a ``SegmentTable`` of the name's candidates
+(cached per length for alg2, built per name from its tilings
+otherwise), so every candidate is one row of sums and one scalar cost,
+and only the winner becomes a ``SequenceCandidate``.
 
 The global objective for a finished basis is
 
@@ -30,10 +29,8 @@ letters-only basis costs 0.52 times the planted basis.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Container, Mapping, Sequence
 
 from . import config as _config
 from .corpus import Corpus, frequency_rank
@@ -48,11 +45,12 @@ from .features import (
 from .features import compute_features, cost_alg1, cost_alg2, demand_shares, select_best
 from .ortho import Basis, BasisWord, make_ortho
 from .segmenter import (
-    CompositionTable,
+    SegmentTable,
     SequenceCandidate,
     basis_tilings,
     candidate_words,
     composition_table,
+    tiling_table,
     enumerate_all,  # unused here, but perfbench's tracer wraps engine.enumerate_all
     enumerate_with_basis,  # unused here, but perfbench's tracer wraps it too
 )
@@ -208,129 +206,63 @@ def seed_basis(corpus: Corpus, k: float) -> Basis:
     return make_ortho(basis)
 
 
-def _choose_composition(
-    name: str, table: CompositionTable, cfg: RunConfig
-) -> SequenceCandidate:
-    """The cheapest composition among ``table``'s rows for ``name``.
-
-    Each row's cost is the ``cost_alg2`` float of its features, built in
-    the same order as ``compute_features``. Rows come fewest segments
-    first, then by boundaries, and every segment is new, so the first
-    row of least cost is ``select_best``'s pick. A name with no rows is
-    kept whole.
-    """
-    if not table.rows:
-        return SequenceCandidate.from_boundaries(name, ())
-    texts = [name[start:end] for start, end in table.spans]
-    placements: dict[str, list[int]] = {}
-    for i, text in enumerate(texts):
-        placements.setdefault(text, []).append(i)
-    # demand_shares: a text counts once per row that contains it
-    demand = [0.0] * len(texts)
-    for same_text in placements.values():
-        rows_with_text = 0
-        for i in same_text:
-            rows_with_text |= table.masks[i]
-        share = rows_with_text.bit_count() / len(table.rows)
-        for i in same_text:
-            demand[i] = share
-
-    weights = cfg.resolved_weights
-    accepted: list[bool] | None = None
-    if weights.extra > 0.0:
-        accepted = [
-            accepts_syntax(text, name, start, cfg.char_table)
-            for text, (start, _) in zip(texts, table.spans)
-        ]
-
-    n = len(name)
-    costs = []
-    for row, q in zip(table.rows, table.q):
-        k = len(row)
-        syntax_avg = None
-        if accepted is not None:
-            # a text placed twice counts only if accepted at both
-            bits: dict[str, bool] = {}
-            for i in row:
-                bits[texts[i]] = bits.get(texts[i], True) and accepted[i]
-            syntax_avg = sum(bits[texts[i]] for i in row) / k
-        costs.append(
-            composition_cost(
-                n / k,
-                (k * q - n * n) / (k * k),
-                sum(map(demand.__getitem__, row)) / k,
-                syntax_avg,
-                weights,
-                cfg.pav_inverted,
-            )
-        )
-    best_row = min(range(len(costs)), key=costs.__getitem__)
-    return SequenceCandidate.from_boundaries(name, table.boundaries(best_row))
-
-
-def _choose_tiling(
+def _choose_row(
     name: str,
-    spans: frozenset[tuple[int, int]],
-    tilings: Sequence[tuple[int, ...]],
+    table: SegmentTable,
+    existing_spans: Container[tuple[int, int]],
     corpus_freq: Mapping[str, float] | None,
     cfg: RunConfig,
-    cost_fn: Callable[..., float] = tiling_cost,
+    cost_fn: Callable[..., float],
 ) -> SequenceCandidate:
-    """The cheapest of ``tilings``, the boundary tuples of ``name``'s
-    tilings by the occurrence ``spans``.
+    """The cheapest row of ``table``, a segmentation table of ``name``.
 
-    A transient table holds each distinct segment once, with its
-    squared length, its demand share (the share of tilings containing
-    its text), its new flag, and for new segments its corpus frequency
-    and syntax bit. Each tiling's features are summed from that table
-    in ``compute_features``' order and costed by ``cost_fn``, which
-    takes ``tiling_cost``'s arguments. The new-word features are only
-    built when ``weights.extra > 0``, since the cost ignores them
-    otherwise. Tilings come fewest segments first, then by boundaries,
-    so the first tiling of least ``(cost, new segments)`` is
-    ``select_best``'s pick; only it becomes a candidate.
+    A segment is new unless its span is in ``existing_spans``. A text's
+    demand share is the share of rows containing it: the popcount of
+    the OR of its spans' masks, over the row count. Each row's features
+    are summed in ``compute_features``' order and costed by ``cost_fn``,
+    which takes ``tiling_cost``'s arguments. The new-word features
+    (corpus frequency, syntax bit) are only built when
+    ``weights.extra > 0``, since the cost ignores them otherwise. Rows
+    come fewest segments first, then by boundaries, so the first row of
+    least ``(cost, new segments)`` is ``select_best``'s pick; only it
+    becomes a candidate. A table with no rows keeps the name whole.
     """
-    n = len(name)
-    placed = [tuple(zip((0, *cuts), (*cuts, n))) for cuts in tilings]
-    index = {span: i for i, span in enumerate(set().union(*placed))}
-    rows = [list(map(index.__getitem__, row)) for row in placed]
-    text_ids: dict[str, int] = {}
-    text_of = [text_ids.setdefault(name[start:end], len(text_ids)) for start, end in index]
-    # demand_shares: a text counts once per tiling that contains it
-    rows_with = Counter(chain.from_iterable(set(map(text_of.__getitem__, row)) for row in rows))
-    demand = [rows_with[t] / len(rows) for t in text_of]
-    squares = [(end - start) * (end - start) for start, end in index]
-    new = [span not in spans for span in index]
+    if not table.rows:
+        return SequenceCandidate.from_boundaries(name, (), existing_spans)
+    texts = [name[start:end] for start, end in table.spans]
+    # demand_shares: a text counts once per row that contains it
+    rows_with: dict[str, int] = {}
+    for text, mask in zip(texts, table.masks):
+        rows_with[text] = rows_with.get(text, 0) | mask
+    share = {text: mask.bit_count() / len(table.rows) for text, mask in rows_with.items()}
+    demand = list(map(share.__getitem__, texts))
+    new = [span not in existing_spans for span in table.spans]
 
     weights = cfg.resolved_weights
     scored_new = weights.extra > 0.0
     if scored_new:
         accepted = [
-            is_new and accepts_syntax(name[start:end], name, start, cfg.char_table)
-            for (start, end), is_new in zip(index, new)
+            is_new and accepts_syntax(text, name, start, cfg.char_table)
+            for text, (start, _), is_new in zip(texts, table.spans, new)
         ]
         if corpus_freq is not None:
-            freq = [
-                corpus_freq[name[start:end]] if is_new else 0.0
-                for (start, end), is_new in zip(index, new)
-            ]
+            freq = [corpus_freq[text] if is_new else 0.0 for text, is_new in zip(texts, new)]
 
+    n = len(name)
     best = 0
     best_key: tuple[float, int] | None = None
-    for r, row in enumerate(rows):
+    for r, (row, q, eta_new) in enumerate(zip(table.rows, table.q, table.eta_new)):
         k = len(row)
-        fresh = list(filter(new.__getitem__, row))
-        eta_new = len(fresh)
         new_freq_avg = syntax_avg = None
-        if scored_new and fresh:
+        if scored_new and eta_new:
+            fresh = list(filter(new.__getitem__, row))
             if corpus_freq is not None:
                 new_freq_avg = sum(map(freq.__getitem__, fresh)) / eta_new
             # a new text placed twice counts only if accepted at both
-            bits: dict[int, bool] = {}
+            bits: dict[str, bool] = {}
             for i in fresh:
-                bits[text_of[i]] = bits.get(text_of[i], True) and accepted[i]
-            syntax_avg = sum(bits[text_of[i]] for i in fresh) / eta_new
-        q = sum(map(squares.__getitem__, row))
+                bits[texts[i]] = bits.get(texts[i], True) and accepted[i]
+            syntax_avg = sum(bits[texts[i]] for i in fresh) / eta_new
         cost = cost_fn(
             n / k,
             (k * q - n * n) / (k * k),
@@ -343,14 +275,7 @@ def _choose_tiling(
         )
         if best_key is None or (cost, eta_new) < best_key:
             best, best_key = r, (cost, eta_new)
-    return SequenceCandidate.from_boundaries(name, tilings[best], spans)
-
-
-def _composition_tiling_cost(
-    avg_len, len_var, demand_avg, eta_new, new_freq_avg, syntax_avg, weights, pav_inverted
-) -> float:
-    """``composition_cost`` (the alg2 flavour) with ``tiling_cost``'s arguments."""
-    return composition_cost(avg_len, len_var, demand_avg, syntax_avg, weights, pav_inverted)
+    return SequenceCandidate.from_boundaries(name, table.boundaries(best), existing_spans)
 
 
 def run_iteration_alg1(
@@ -385,7 +310,9 @@ def run_iteration_alg1(
     corpus_freq = {text: count / n_total for text, count in demand_count.items()}
 
     chosen = {
-        name: _choose_tiling(name, spans, tilings, corpus_freq, cfg)
+        name: _choose_row(
+            name, tiling_table(name, spans, tilings), spans, corpus_freq, cfg, tiling_cost
+        )
         for name, (spans, tilings) in zip(names, surveyed)
     }
 
@@ -434,7 +361,7 @@ def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, IterationStats]:
     for name in names:
         table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
         capped += len(table.rows) >= cfg.cap
-        chosen_list.append(_choose_composition(name, table, cfg))
+        chosen_list.append(_choose_row(name, table, frozenset(), None, cfg, composition_cost))
     logger.info(
         "alg2: %d of %d names reached the candidate cap %d", capped, len(names), cfg.cap
     )
@@ -471,7 +398,7 @@ def segment_corpus(
     foreign basis may leave gaps, in which case the best of the first
     ``cfg.cap`` gapped tilings is kept and a warning logged.
     """
-    cost_fn = tiling_cost if cfg.algorithm == "alg1" else _composition_tiling_cost
+    cost_fn = tiling_cost if cfg.algorithm == "alg1" else composition_cost
     names = sorted(corpus)
     chosen: dict[str, SequenceCandidate] = {}
     capped = costed = 0
@@ -483,7 +410,8 @@ def segment_corpus(
             spans, tilings = basis_tilings(name, words, cfg.cap)
         capped += len(tilings) >= cfg.cap
         costed += len(tilings)
-        chosen[name] = _choose_tiling(name, spans, tilings, None, cfg, cost_fn)
+        table = tiling_table(name, spans, tilings)
+        chosen[name] = _choose_row(name, table, spans, None, cfg, cost_fn)
     logger.info(
         "segmentation: %d of %d names reached the candidate cap %d; %d tilings costed",
         capped, len(names), cfg.cap, costed,

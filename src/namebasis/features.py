@@ -1,11 +1,12 @@
 """Per-sequence features, the two sequence cost functions, and argmin.
 
 Each cost flavour has one scalar body that takes the feature values
-(``tiling_cost`` for alg1, ``composition_cost`` for alg2); the engine's
-table choosers call these bodies directly. ``compute_features``,
-``FeatureVector``, ``cost_alg1``/``cost_alg2``, ``demand_shares`` and
-``select_best`` score whole candidates through the same bodies, and
-serve as the choosers' test oracle.
+(``tiling_cost`` for alg1, ``composition_cost`` for alg2). Both take
+the same arguments, so the engine's one table chooser calls either
+directly. ``compute_features``, ``FeatureVector``,
+``cost_alg1``/``cost_alg2``, ``demand_shares`` and ``select_best``
+score whole candidates through the same bodies, and serve as the
+chooser's test oracle.
 
 Feature semantics, per candidate sequence:
 
@@ -32,7 +33,7 @@ Cost of a from-scratch composition (the alg2 flavor):
 A zero in a denominator is replaced by ``ZERO_PENALTY``, a large finite
 stand-in for 1/0, so costs stay totally ordered; with ``w.extra == 0``
 the corresponding term is dropped entirely and never evaluated (the
-choosers then skip the syntax checks as well).
+chooser then skips the syntax checks as well).
 """
 
 from __future__ import annotations
@@ -171,19 +172,15 @@ def _demand_term(demand_avg: float, weight: float, inverted: bool) -> float:
     return weight * demand_avg
 
 
+def _cost_args(fv: FeatureVector) -> tuple:
+    """The features of ``fv`` in the scalar cost bodies' argument order."""
+    assert fv.avg_len > 0, "segments are non-empty, so mean length is positive"
+    return (fv.avg_len, fv.len_var, fv.demand_avg, fv.eta_new, fv.new_freq_avg, fv.syntax_avg)
+
+
 def cost_alg1(fv: FeatureVector, weights: WeightSet, pav_inverted: bool = False) -> float:
     """Sequence cost against an existing basis (lower is better)."""
-    assert fv.avg_len > 0, "segments are non-empty, so mean length is positive"
-    return tiling_cost(
-        fv.avg_len,
-        fv.len_var,
-        fv.demand_avg,
-        fv.eta_new,
-        fv.new_freq_avg,
-        fv.syntax_avg,
-        weights,
-        pav_inverted,
-    )
+    return tiling_cost(*_cost_args(fv), weights, pav_inverted)
 
 
 def tiling_cost(
@@ -213,21 +210,21 @@ def tiling_cost(
 
 def cost_alg2(fv: FeatureVector, weights: WeightSet, pav_inverted: bool = False) -> float:
     """Sequence cost with no pre-existing basis (lower is better)."""
-    assert fv.avg_len > 0, "segments are non-empty, so mean length is positive"
-    return composition_cost(
-        fv.avg_len, fv.len_var, fv.demand_avg, fv.syntax_avg, weights, pav_inverted
-    )
+    return composition_cost(*_cost_args(fv), weights, pav_inverted)
 
 
 def composition_cost(
     avg_len: float,
     len_var: float,
     demand_avg: float,
+    eta_new: int,
+    new_freq_avg: float | None,
     syntax_avg: float | None,
     weights: WeightSet,
     pav_inverted: bool,
 ) -> float:
-    """``cost_alg2`` from the feature values alone."""
+    """``cost_alg2`` from the feature values alone; takes ``tiling_cost``'s
+    arguments and ignores ``eta_new`` and ``new_freq_avg``."""
     cost = (
         weights.avg_len / avg_len
         + weights.len_var * len_var

@@ -19,22 +19,20 @@ kept. Tilings come from one feasibility-pruned pass per segment count:
 a table of which tile counts can still finish from each position lets
 the search skip every dead prefix and stop at the cap.
 
-Compositions depend only on the name's length, so they are built once
-per (length, minimum part, whole name allowed, cap) into a cached
-``CompositionTable``: one row of span indices per composition, each
-row's sum of squared part lengths, and per span a bitmask of the rows
-containing it. The from-scratch algorithm costs a name's rows straight
-from this table and builds a candidate for the winner only;
-``enumerate_all`` turns every row into a candidate and serves as its
-test oracle.
+Both kinds of candidate are scored from one table type,
+``SegmentTable``: one row of span indices per candidate, each row's sum
+of squared segment lengths and count of new segments, and per span a
+bitmask of the rows containing it. The engine costs a name's rows
+straight from its table and builds a candidate for the winner only.
 
-Tilings depend on the basis, so they are cached per (name, occurrence
-spans, cap, gaps) as plain boundary tuples, which ``basis_tilings``
-returns with the spans. The seeded algorithm and the final
-segmentation cost a name's tilings from a transient per-name table of
-distinct segments and build a candidate for the winner only;
-``enumerate_with_basis`` turns every tiling into a candidate and serves
-as the test oracle.
+Compositions depend only on the name's length, so their table is built
+once per (length, minimum part, whole name allowed, cap) and cached by
+``composition_table``. Tilings depend on the basis, so they are cached
+per (name, occurrence spans, cap, gaps) as plain boundary tuples, which
+``basis_tilings`` returns with the spans; ``tiling_table`` turns them
+into a transient table per name. ``enumerate_all`` and
+``enumerate_with_basis`` turn every row or tiling into a candidate and
+serve as the test oracles.
 
 A candidate is one flat ``SequenceCandidate`` tuple: the interior cut
 offsets, the segment strings, one new-or-existing flag per segment and
@@ -44,7 +42,7 @@ the count of new segments, all computed once when it is built.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import AbstractSet, Container, Mapping, NamedTuple
+from typing import AbstractSet, Container, Iterable, Mapping, NamedTuple, Sequence
 
 
 class SequenceCandidate(NamedTuple):
@@ -211,30 +209,73 @@ def enumerate_with_basis(
     return [SequenceCandidate.from_boundaries(name, cuts, spans) for cuts in tilings]
 
 
-class CompositionTable(NamedTuple):
-    """The capped compositions of every name of one length.
+class SegmentTable(NamedTuple):
+    """Candidate segmentations of a name as rows over one list of spans.
 
-    ``rows[r]`` lists composition ``r`` as indices into ``spans``, left
-    to right; rows come in ``enumerate_all`` order. ``q[r]`` is the sum
-    of the squared segment lengths of row ``r``, and bit ``r`` of
-    ``masks[i]`` is set when row ``r`` contains ``spans[i]``.
+    ``rows[r]`` lists segmentation ``r`` as indices into ``spans``, left
+    to right, in enumeration order. ``q[r]`` is the sum of the squared
+    segment lengths of row ``r`` and ``eta_new[r]`` its count of new
+    segments; bit ``r`` of ``masks[i]`` is set when row ``r`` contains
+    ``spans[i]``.
     """
 
     spans: tuple[tuple[int, int], ...]
     rows: tuple[tuple[int, ...], ...]
     q: tuple[int, ...]
     masks: tuple[int, ...]
+    eta_new: tuple[int, ...]
 
     def boundaries(self, row: int) -> tuple[int, ...]:
         """Interior cut offsets of row ``row``."""
         return tuple(self.spans[i][1] for i in self.rows[row][:-1])
 
 
+def _table(
+    index: Mapping[tuple[int, int], int],
+    rows: Sequence[tuple[int, ...]],
+    q: Iterable[int],
+    eta_new: Iterable[int],
+) -> SegmentTable:
+    """A ``SegmentTable`` over the spans of ``index``, in index order,
+    with each span's row bitmask."""
+    # Set the bits in byte arrays: OR-ing into growing ints would copy
+    # each mask once per row.
+    bits = [bytearray((len(rows) + 7) // 8) for _ in index]
+    for r, row in enumerate(rows):
+        byte, bit = r >> 3, 1 << (r & 7)
+        for i in row:
+            bits[i][byte] |= bit
+    masks = tuple(int.from_bytes(b, "little") for b in bits)
+    return SegmentTable(tuple(index), tuple(rows), tuple(q), masks, tuple(eta_new))
+
+
+def tiling_table(
+    name: str, spans: AbstractSet[tuple[int, int]], tilings: Sequence[tuple[int, ...]]
+) -> SegmentTable:
+    """The table of ``name``'s ``tilings`` (boundary tuples); a segment
+    is new unless it is one of the occurrence ``spans``."""
+    n = len(name)
+    index: dict[tuple[int, int], int] = {}
+    rows = [
+        tuple([index.setdefault(span, len(index)) for span in zip((0, *cuts), (*cuts, n))])
+        for cuts in tilings
+    ]
+    squares = [(end - start) * (end - start) for start, end in index]
+    new = [span not in spans for span in index]
+    return _table(
+        index,
+        rows,
+        (sum(map(squares.__getitem__, row)) for row in rows),
+        (sum(map(new.__getitem__, row)) for row in rows),
+    )
+
+
 @lru_cache(maxsize=1024)
 def composition_table(
     n: int, min_part: int, include_whole: bool, cap: int | None
-) -> CompositionTable:
-    """Compositions of a length-``n`` name into parts >= ``min_part``.
+) -> SegmentTable:
+    """Compositions of a length-``n`` name into parts >= ``min_part``,
+    every part new.
 
     Levels of one part count each are walked depth first, leftmost cut
     first, and the walk stops at the ``cap``-th composition.
@@ -261,16 +302,7 @@ def composition_table(
     for parts in range(1 if include_whole else 2, n // min_part + 1):
         if descend(0, parts, (), 0):
             break
-    # Set the mask bits in byte arrays: OR-ing into growing ints would
-    # copy each mask once per row.
-    bits = [bytearray((len(rows) + 7) // 8) for _ in index]
-    for r, row in enumerate(rows):
-        byte, bit = r >> 3, 1 << (r & 7)
-        for i in row:
-            bits[i][byte] |= bit
-    spans = tuple(index)
-    masks = tuple(int.from_bytes(b, "little") for b in bits)
-    return CompositionTable(spans, tuple(rows), tuple(q), masks)
+    return _table(index, rows, q, map(len, rows))
 
 
 def enumerate_all(

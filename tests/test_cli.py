@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 
 import pytest
 
@@ -103,6 +104,32 @@ class TestInduce:
         )
         assert code == 2
         assert "max_iteration" in capsys.readouterr().err
+        # a bad value names its key too
+        config.write_text("pav_inverted = maybe\n", encoding="utf-8")
+        code = main(
+            ["induce", "--names", str(names), "--config", str(config),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: bad value for pav_inverted: not a boolean: 'maybe'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["induce", "grid-search"])
+    def test_repeated_config_key_exits_two(self, tmp_path, capsys, command):
+        names = tmp_path / "names.txt"
+        names.write_text("rama\nsita\n", encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text("cap = 0\n# raised\ncap = 5000\n", encoding="utf-8")
+        code = main(
+            [command, "--names", str(names), "--config", str(config),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: line 3: key 'cap' already set on line 1\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("setting", ["penalty = 1e6", "cost_basis = pre_ortho"])
     def test_removed_config_key_exits_two(self, tmp_path, capsys, setting):
@@ -237,6 +264,29 @@ class TestTranscribe:
         code, out = self.run(files)
         assert code == 0
         assert out.read_text() == "# name\twords\tdarpa\tsapi\n"
+
+    def test_repeated_name_exits_two(self, files, capsys):
+        (files / "seg.tsv").write_text(
+            "ramakanth\tra ma kanth\nrajeshwar\tra je shwar\nramakanth\tram a kanth\n",
+            encoding="utf-8",
+        )
+        code, out = self.run(files)
+        assert code == 2
+        assert "line 3: 'ramakanth' already segmented on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_names_without_segmentation_warned(self, files, caplog):
+        (files / "names.txt").write_text(
+            "ramakanth\nrajeshwar\nrama\nrajesh\nkanth\n", encoding="utf-8"
+        )
+        with caplog.at_level(logging.WARNING, logger="namebasis.cli"):
+            code, out = self.run(files)
+        assert code == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "3 of 5 names have no segmentation and are left out: 'kanth', 'rajesh', 'rama'"
+        ]
+        assert len(out.read_text().splitlines()) == 3  # header and two names
 
     def test_empty_names_exits_one(self, files, capsys):
         (files / "names.txt").write_text("", encoding="utf-8")

@@ -9,9 +9,7 @@ from namebasis.corpus import Corpus
 from namebasis.engine import (
     IterationStats,
     RunConfig,
-    _choose_composition,
-    _choose_tiling,
-    _composition_tiling_cost,
+    _choose_row,
     check_convergence,
     global_cost,
     grid_search_weights,
@@ -26,6 +24,7 @@ from namebasis.engine import (
 )
 from namebasis.features import (
     WeightSet,
+    composition_cost,
     compute_features,
     cost_alg1,
     cost_alg2,
@@ -40,6 +39,7 @@ from namebasis.segmenter import (
     composition_table,
     enumerate_all,
     enumerate_with_basis,
+    tiling_table,
 )
 from namebasis.syntax import accepts_syntax
 from namebasis.synthetic import make_planted_corpus
@@ -260,7 +260,7 @@ def oracle_composition(name, cfg):
 
 def table_composition(name, cfg):
     table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
-    return _choose_composition(name, table, cfg)
+    return _choose_row(name, table, frozenset(), None, cfg, composition_cost)
 
 
 class TestCompositionOracle:
@@ -322,8 +322,8 @@ class TestCompositionOracle:
         assert chosen.texts == (name,)
 
 
-# Each cost flavour as the tiling chooser takes it, and as the oracle does.
-FLAVOURS = {"alg1": (tiling_cost, cost_alg1), "alg2": (_composition_tiling_cost, cost_alg2)}
+# Each cost flavour as the table chooser takes it, and as the oracle does.
+FLAVOURS = {"alg1": (tiling_cost, cost_alg1), "alg2": (composition_cost, cost_alg2)}
 
 
 def oracle_demand(seqs_by_name, n_total):
@@ -337,7 +337,8 @@ def oracle_demand(seqs_by_name, n_total):
 
 def table_tiling(name, basis, corpus_freq, cfg, gaps, flavour):
     spans, tilings = basis_tilings(name, candidate_words(name, basis), cfg.cap, gaps=gaps)
-    return _choose_tiling(name, spans, tilings, corpus_freq, cfg, FLAVOURS[flavour][0])
+    table = tiling_table(name, spans, tilings)
+    return _choose_row(name, table, spans, corpus_freq, cfg, FLAVOURS[flavour][0])
 
 
 class TestTilingOracle:

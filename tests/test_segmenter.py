@@ -7,10 +7,12 @@ from conftest import brute_tilings, spans_of
 from namebasis.ortho import Basis, BasisWord
 from namebasis.segmenter import (
     SequenceCandidate,
+    basis_tilings,
     candidate_words,
     composition_table,
     enumerate_all,
     enumerate_with_basis,
+    tiling_table,
 )
 
 # The 15 splits of gopal, in generation order (fewest parts first,
@@ -205,13 +207,34 @@ class TestEnumerateAll:
         n=st.integers(1, 12),
         min_segment=st.integers(1, 3),
         cap=st.one_of(st.integers(1, 20), st.none()),
+        # a name, its basis words and gaps: tile it instead of composing
+        tiled=st.one_of(
+            st.none(),
+            st.tuples(
+                st.text(alphabet="ab", min_size=1, max_size=10),
+                st.sets(st.text(alphabet="ab", min_size=1, max_size=3), max_size=5),
+                st.booleans(),
+            ),
+        ),
     )
-    def test_table_rows_masks_and_squares(self, n, min_segment, cap):
-        table = composition_table(n, min_segment, True, cap)
+    def test_table_rows_masks_and_squares(self, n, min_segment, cap, tiled):
+        if tiled is None:
+            table = composition_table(n, min_segment, True, cap)
+            existing = frozenset()  # every part is new
+        else:
+            name, words, gaps = tiled
+            n = len(name)
+            candidates = candidate_words(name, words)
+            existing, tilings = basis_tilings(name, candidates, cap or 10**9, gaps=gaps)
+            table = tiling_table(name, existing, tilings)
+            assert [table.boundaries(r) for r in range(len(table.rows))] == list(tilings)
+        assert len(set(table.spans)) == len(table.spans)
         for r, row in enumerate(table.rows):
-            lengths = [table.spans[i][1] - table.spans[i][0] for i in row]
-            assert sum(lengths) == n
-            assert table.q[r] == sum(length * length for length in lengths)
+            placed = [table.spans[i] for i in row]
+            assert [start for start, _ in placed] == [0] + [end for _, end in placed[:-1]]
+            assert placed[-1][1] == n
+            assert table.q[r] == sum((end - start) ** 2 for start, end in placed)
+            assert table.eta_new[r] == sum(span not in existing for span in placed)
         for i, mask in enumerate(table.masks):
             assert mask == sum(1 << r for r, row in enumerate(table.rows) if i in row)
 
