@@ -65,11 +65,8 @@ def main():
             mapping["weights"] = args.weights
         cfg = RunConfig.from_mapping(mapping)
         started = time.perf_counter()
-        if algo == "alg1":
-            basis, trace = run_alg1(corpus, cfg)
-        else:
-            basis, stats = run_alg2(corpus, cfg)
-            trace = [stats]
+        run = run_alg1 if algo == "alg1" else run_alg2
+        basis, trace = run(corpus, cfg)
         elapsed = time.perf_counter() - started
 
         print(f"\n== {algo} ({elapsed:.1f}s) ==")

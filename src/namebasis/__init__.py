@@ -27,8 +27,6 @@ from .features import (
     ALG1_DEFAULT_WEIGHTS,
     ALG2_DEFAULT_WEIGHTS,
     WeightSet,
-    cost_alg1,
-    cost_alg2,
 )
 from .lexicon import (
     Lexicon,
@@ -42,7 +40,6 @@ from .lexicon import (
 )
 from .ortho import (
     Basis,
-    BasisWord,
     count_constructions,
     first_construction,
     is_constructible,
@@ -52,8 +49,6 @@ from .ortho import (
 from .segmenter import (
     SequenceCandidate,
     candidate_words,
-    enumerate_all,
-    enumerate_with_basis,
 )
 from .syntax import CharClassTable, accepts_syntax
 

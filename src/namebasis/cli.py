@@ -34,7 +34,7 @@ from .lexicon import (
     emit_lexicon,
     load_transcriptions,
 )
-from .ortho import Basis, BasisWord, is_ortho, make_ortho
+from .ortho import Basis, is_ortho, make_ortho
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -55,12 +55,11 @@ def read_basis_file(path) -> Basis:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
-    words = [
+    return Basis(
         line.strip()
         for line in text.splitlines()
         if line.strip() and not line.lstrip().startswith("#")
-    ]
-    return Basis(BasisWord(word) for word in words)
+    )
 
 
 def write_basis_file(basis: Basis, path) -> None:
@@ -86,7 +85,12 @@ def read_segmentations(path) -> dict[str, tuple[str, ...]]:
                 f"{path}: line {lineno}: {name!r} already segmented on line {set_on[name]}"
             )
         set_on[name] = lineno
-        rows[name] = tuple(parts[1].split(" "))
+        words = tuple(parts[1].split(" "))
+        if "" in words:
+            raise CorpusError(
+                f"{path}: line {lineno}: empty word in the segmentation of {name!r}"
+            )
+        rows[name] = words
     return rows
 
 
@@ -135,23 +139,20 @@ def _load_config(path: str | None, algo: str | None) -> RunConfig:
 
 
 def _cmd_induce(args) -> int:
+    out = Path(args.out)
     try:
         cfg = _load_config(args.config, args.algo)
         corpus = normalize(load_names(args.names, args.input_format), cfg.min_length)
+        out.mkdir(parents=True, exist_ok=True)
     except EmptyCorpusError as exc:
         return _fail(EXIT_VALIDATION, str(exc))
     except (ConfigError, CorpusError) as exc:
         return _fail(EXIT_IO, str(exc))
 
-    if cfg.algorithm == "alg1":
-        basis, trace = run_alg1(corpus, cfg)
-    else:
-        basis, stats = run_alg2(corpus, cfg)
-        trace = [stats]
+    run = run_alg1 if cfg.algorithm == "alg1" else run_alg2
+    basis, trace = run(corpus, cfg)
     chosen = segment_corpus(corpus, basis, cfg)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_basis_file(basis, out / "basis.txt")
     with open(out / "segmentations.tsv", "w", encoding="utf-8") as handle:
         for name in sorted(chosen):
@@ -258,17 +259,17 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_grid_search(args) -> int:
+    out = Path(args.out)
     try:
         grid = weight_grid(args.step)
         cfg = _load_config(args.config, args.algo)
         corpus = normalize(load_names(args.names, args.input_format), cfg.min_length)
+        out.mkdir(parents=True, exist_ok=True)
     except EmptyCorpusError as exc:
         return _fail(EXIT_VALIDATION, str(exc))
     except (ConfigError, CorpusError, ValueError) as exc:
         return _fail(EXIT_IO, str(exc))
-    best, table = grid_search_weights(corpus, cfg, grid=grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    best, table = grid_search_weights(corpus, cfg, grid)
     _write_csv(
         out / "grid.csv",
         ("w_avg_len", "w_len_var", "w_demand", "w_extra", "C"),
@@ -336,7 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an unwritable --out
+        return _fail(EXIT_IO, str(exc))
 
 
 def entry() -> None:

@@ -8,9 +8,11 @@ name however many of the name's tilings want it); the demand shares
 feed the cost of pass 2, which picks each name's cheapest tiling and
 adds its new words to the grown set, which is then orthogonalized and
 fed back in. The from-scratch algorithm (``alg2``) needs no seed: it
-picks the cheapest composition of every name outright and
-orthogonalizes once. The final segmentation picks each name's cheapest
-covering tiling. All three picks go through one chooser,
+picks the cheapest composition of every name outright and runs the same
+grow-and-orthogonalize step, ``_grow_and_prune``, once from an empty
+basis. Both return the basis, a set of plain word strings, and a trace
+of one stats row per round. The final segmentation picks each name's
+cheapest covering tiling. All three picks go through one chooser,
 ``_choose_row``, over a ``SegmentTable`` of the name's candidates
 (cached per length for alg2, built per name from its tilings
 otherwise), so every candidate is one row of sums and one scalar cost,
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, Container, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from . import config as _config
 from .corpus import Corpus, frequency_rank
@@ -43,7 +45,7 @@ from .features import (
 )
 # Unused here, but perfbench's tracer wraps these engine attributes.
 from .features import compute_features, cost_alg1, cost_alg2, demand_shares, select_best
-from .ortho import Basis, BasisWord, make_ortho
+from .ortho import Basis, make_ortho
 from .segmenter import (
     SegmentTable,
     SequenceCandidate,
@@ -202,8 +204,7 @@ def seed_basis(corpus: Corpus, k: float) -> Basis:
         raise ValueError("cannot seed from an empty corpus")
     threshold = k * corpus.max_frequency
     picked = [r for r in ranked if r.frequency >= threshold]
-    basis = Basis(BasisWord(r.surface, "seed") for r in picked)
-    return make_ortho(basis)
+    return make_ortho(Basis(r.surface for r in picked))
 
 
 def _choose_row(
@@ -278,6 +279,32 @@ def _choose_row(
     return SequenceCandidate.from_boundaries(name, table.boundaries(best), existing_spans)
 
 
+def _grow_and_prune(
+    basis: Basis, chosen: Iterable[SequenceCandidate], iteration: int, n_total: int
+) -> tuple[Basis, Basis, IterationStats]:
+    """Add the chosen sequences' new words to ``basis``, orthogonalize.
+
+    Returns the grown basis, the orthogonalized basis and the stats row,
+    whose joins are those of the chosen sequences.
+    """
+    grown = Basis(basis.texts)
+    j_total = 0
+    for seq in chosen:
+        j_total += seq.eta_joins
+        for text, new in zip(seq.texts, seq.new):
+            if new:
+                grown.add(text)
+    pruned = make_ortho(grown)
+    stats = IterationStats(
+        iteration=iteration,
+        b_m_size=len(grown),
+        b_size=len(pruned),
+        j_total=j_total,
+        cost=global_cost(len(pruned), j_total, n_total),
+    )
+    return grown, pruned, stats
+
+
 def run_iteration_alg1(
     corpus: Corpus, basis: Basis, cfg: RunConfig, iteration: int = 1
 ) -> tuple[Basis, Basis, IterationStats, dict[str, SequenceCandidate]]:
@@ -316,23 +343,7 @@ def run_iteration_alg1(
         for name, (spans, tilings) in zip(names, surveyed)
     }
 
-    grown = Basis(basis.word(text) for text in basis)
-    j_total = 0
-    for name in names:
-        seq = chosen[name]
-        j_total += seq.eta_joins
-        for text, new in zip(seq.texts, seq.new):
-            if new:
-                grown.add(BasisWord(text, "mined", demand_count[text]))
-
-    pruned = make_ortho(grown)
-    stats = IterationStats(
-        iteration=iteration,
-        b_m_size=len(grown),
-        b_size=len(pruned),
-        j_total=j_total,
-        cost=global_cost(len(pruned), j_total, n_total),
-    )
+    grown, pruned, stats = _grow_and_prune(basis, chosen.values(), iteration, n_total)
     return grown, pruned, stats, chosen
 
 
@@ -353,38 +364,24 @@ def run_alg1(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, list[IterationStats
     return basis, trace
 
 
-def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, IterationStats]:
-    """Single-shot induction from exhaustive compositions, no seed."""
+def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, list[IterationStats]]:
+    """Single-shot induction from exhaustive compositions, no seed.
+
+    Every segment is new, so one grow/prune round from an empty basis
+    takes all the chosen words; the trace has that one row.
+    """
     names = sorted(corpus)
-    chosen_list = []
+    chosen = []
     capped = 0
     for name in names:
         table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
         capped += len(table.rows) >= cfg.cap
-        chosen_list.append(_choose_row(name, table, frozenset(), None, cfg, composition_cost))
+        chosen.append(_choose_row(name, table, frozenset(), None, cfg, composition_cost))
     logger.info(
         "alg2: %d of %d names reached the candidate cap %d", capped, len(names), cfg.cap
     )
-
-    demand_count: dict[str, int] = {}
-    j_total = 0
-    for seq in chosen_list:
-        j_total += seq.eta_joins
-        for text in sorted(set(seq.texts)):
-            demand_count[text] = demand_count.get(text, 0) + 1
-
-    grown = Basis(
-        BasisWord(text, "mined", demand_count[text]) for text in sorted(demand_count)
-    )
-    pruned = make_ortho(grown)
-    stats = IterationStats(
-        iteration=1,
-        b_m_size=len(grown),
-        b_size=len(pruned),
-        j_total=j_total,
-        cost=global_cost(len(pruned), j_total, corpus.total_unique),
-    )
-    return pruned, stats
+    _, pruned, stats = _grow_and_prune(Basis(), chosen, 1, corpus.total_unique)
+    return pruned, [stats]
 
 
 def segment_corpus(
@@ -456,31 +453,21 @@ def weight_grid(grid_step: float) -> list[WeightSet]:
 
 
 def grid_search_weights(
-    corpus: Corpus,
-    cfg: RunConfig,
-    grid_step: float = 0.1,
-    *,
-    grid: Sequence[WeightSet] | None = None,
+    corpus: Corpus, cfg: RunConfig, grid: Sequence[WeightSet]
 ) -> tuple[WeightSet, list[tuple[WeightSet, float]]]:
-    """Run the configured algorithm once per grid weight set.
+    """Run the configured algorithm once per weight set of ``grid``.
 
-    ``grid`` defaults to ``weight_grid(grid_step)``. Returns the weights
-    minimizing the final global cost (ties prefer the smaller final
-    basis, then the earlier tuple in grid order) and the full
-    (weights, cost) table in grid order.
+    Returns the weights minimizing the final global cost (ties prefer
+    the smaller final basis, then the earlier tuple in grid order) and
+    the full (weights, cost) table in grid order.
     """
-    if grid is None:
-        grid = weight_grid(grid_step)
+    run = run_alg1 if cfg.algorithm == "alg1" else run_alg2
     table: list[tuple[WeightSet, float]] = []
     best: tuple[float, int, int] | None = None
     best_weights: WeightSet | None = None
     for index, weights in enumerate(grid):
-        candidate_cfg = replace(cfg, weights=weights)
-        if cfg.algorithm == "alg1":
-            basis, trace = run_alg1(corpus, candidate_cfg)
-            final = trace[-1]
-        else:
-            basis, final = run_alg2(corpus, candidate_cfg)
+        basis, trace = run(corpus, replace(cfg, weights=weights))
+        final = trace[-1]
         table.append((weights, final.cost))
         key = (final.cost, len(basis), index)
         if best is None or key < best:

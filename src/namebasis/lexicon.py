@@ -90,6 +90,8 @@ def load_transcriptions(path, basis: Iterable[str] | None = None) -> Transcripti
                 f"{path}: line {lineno}: expected word<TAB>darpa<TAB>sapi"
             )
         word, darpa, sapi = (p.strip() for p in parts)
+        if not word:
+            raise LexiconError(f"{path}: line {lineno}: empty word")
         if not darpa or not sapi:
             raise LexiconError(f"{path}: line {lineno}: empty phone field for {word!r}")
         entries.append(TranscriptionEntry(word, darpa, sapi))

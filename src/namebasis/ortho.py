@@ -1,48 +1,36 @@
 """Concatenative independence of the basis.
 
-A basis is orthogonal when no member can be written as a join of other
-members (members may repeat within one join). Constructibility is
-decided exactly by prefix-reachability dynamic programming over the
-word's positions; ``make_ortho`` deletes constructible members in one
-longest-first pass, which leaves the set independent.
+A basis is a set of words, plain strings. It is orthogonal when no
+member can be written as a join of other members (members may repeat
+within one join). Constructibility is decided exactly by
+prefix-reachability dynamic programming over the word's positions;
+``make_ortho`` deletes constructible members in one longest-first pass,
+which leaves the set independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Literal
+from typing import Collection, Iterable, Iterator
 
-Source = Literal["seed", "mined"]
-
-
-@dataclass(frozen=True)
-class BasisWord:
-    text: str
-    source: Source = "seed"
-    demand: int = 0  # number of corpus names that asked for this word
+# A basis word is its text; the name stays for callers that spell it
+# ``Basis(BasisWord(u) for u in words)``, such as perfbench/check.py.
+BasisWord = str
 
 
 class Basis:
-    """A mutable set of basis words keyed by text.
+    """A mutable set of basis words; iteration is sorted."""
 
-    Membership and iteration are over texts; iteration is sorted.
-    """
-
-    def __init__(self, words: Iterable[BasisWord] = ()):
-        self._words: dict[str, BasisWord] = {}
+    def __init__(self, words: Iterable[str] = ()):
+        self._words: set[str] = set()
         self._max_length = 0
         for word in words:
             self.add(word)
 
-    def add(self, word: BasisWord) -> None:
-        if not word.text:
+    def add(self, text: str) -> None:
+        if not text:
             raise ValueError("basis words must be non-empty")
-        if word.text not in self._words:
-            self._words[word.text] = word
-            self._max_length = max(self._max_length, len(word.text))
-
-    def word(self, text: str) -> BasisWord:
-        return self._words[text]
+        self._words.add(text)
+        self._max_length = max(self._max_length, len(text))
 
     @property
     def texts(self) -> frozenset[str]:
@@ -158,4 +146,4 @@ def make_ortho(basis: Basis) -> Basis:
         survivors.discard(text)
         if not is_constructible(text, survivors):
             survivors.add(text)
-    return Basis(basis.word(text) for text in sorted(survivors))
+    return Basis(survivors)

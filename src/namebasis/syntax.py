@@ -16,11 +16,13 @@ merely discouraged; neither rejects.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import Mapping
 
 from .config import ConfigError
 
+_LETTERS = frozenset(string.ascii_lowercase)
 DEFAULT_VOWELS = frozenset("aeiou")
 DEFAULT_DIGRAPHS = frozenset({"sh", "th", "dh"})
 
@@ -34,21 +36,26 @@ class CharClassTable:
     def from_mapping(cls, values: Mapping[str, str]) -> "CharClassTable":
         """Read ``vowels`` / ``digraphs`` overrides from config values.
 
-        Commas and spaces in ``vowels`` are separators. ``digraphs`` is
-        a comma list; empty entries are skipped and every other entry
-        must be two letters.
+        Commas and spaces in ``vowels`` are separators; what is left
+        must be one or more letters a-z. ``digraphs`` is a comma list;
+        empty entries are skipped and every other entry must be two
+        letters a-z. A bad value is a ``ConfigError`` naming the key.
         """
         vowels = DEFAULT_VOWELS
         digraphs = DEFAULT_DIGRAPHS
         if "vowels" in values:
             vowels = frozenset(values["vowels"].replace(",", "").replace(" ", ""))
+            if not vowels or not vowels <= _LETTERS:
+                raise ConfigError(
+                    f"vowels must be one or more letters a-z, got {values['vowels']!r}"
+                )
         if "digraphs" in values:
             digraphs = frozenset(
                 d.strip() for d in values["digraphs"].split(",") if d.strip()
             )
-            bad = sorted(d for d in digraphs if len(d) != 2)
+            bad = sorted(d for d in digraphs if len(d) != 2 or not set(d) <= _LETTERS)
             if bad:
-                raise ConfigError(f"digraphs must be two letters: {bad}")
+                raise ConfigError(f"digraphs must be two letters a-z: {bad}")
         return cls(vowels=vowels, digraphs=digraphs)
 
 

@@ -19,12 +19,12 @@ from namebasis.engine import (
     segment_corpus,
     trivial_case_a,
     trivial_case_b,
+    weight_grid,
 )
 from namebasis.features import compute_features
 from namebasis.lexicon import TranscriptionEntry, TranscriptionTable, compose
 from namebasis.ortho import (
     Basis,
-    BasisWord,
     count_constructions,
     is_constructible,
     is_ortho,
@@ -62,7 +62,7 @@ def test_01_golden_krishna():
     started = time.perf_counter()
     assert is_constructible("krishna", KRISHNA_POOL)
     assert count_constructions("krishna", KRISHNA_POOL) == 4
-    pruned = make_ortho(Basis(BasisWord(t) for t in KRISHNA_POOL | {"krishna"}))
+    pruned = make_ortho(Basis(KRISHNA_POOL | {"krishna"}))
     assert "krishna" not in pruned
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -207,8 +207,8 @@ def test_09_syntax_rules():
 def test_10_grid_search_deterministic():
     planted = make_planted_corpus(n_names=100, n_units=10, seed=99)
     cfg = RunConfig(algorithm="alg1", min_length=2, max_iterations=8)
-    best_first, table_first = grid_search_weights(planted.corpus, cfg, grid_step=0.1)
-    best_again, table_again = grid_search_weights(planted.corpus, cfg, grid_step=0.1)
+    best_first, table_first = grid_search_weights(planted.corpus, cfg, weight_grid(0.1))
+    best_again, table_again = grid_search_weights(planted.corpus, cfg, weight_grid(0.1))
     assert len(table_first) == 286
     assert best_first == best_again
     assert table_first == table_again

@@ -4,6 +4,7 @@ import logging
 
 import pytest
 
+from namebasis import cli
 from namebasis.cli import main, read_basis_file, read_stats_csv
 from namebasis.synthetic import make_planted_corpus, write_corpus
 
@@ -159,6 +160,20 @@ class TestInduce:
         err = capsys.readouterr().err
         assert err == f"error: {setting.split()[0]} must be >= 1, got 0\n"
 
+    def test_malformed_vowels_exit_two(self, tmp_path, capsys):
+        names = tmp_path / "names.txt"
+        names.write_text("rama\n", encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text("vowels = a;e;i\n", encoding="utf-8")
+        code = main(
+            ["induce", "--names", str(names), "--config", str(config),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: vowels must be one or more letters a-z, got 'a;e;i'\n"
+        )
+
     def test_alg2_on_three_letter_corpus(self, tmp_path):
         names = tmp_path / "names.txt"
         names.write_text("ram\nraj\n", encoding="utf-8")
@@ -288,6 +303,19 @@ class TestTranscribe:
         ]
         assert len(out.read_text().splitlines()) == 3  # header and two names
 
+    @pytest.mark.parametrize(
+        "filename, body",
+        [("seg.tsv", "ramakanth\tra  ma kanth\n"), ("table.tsv", "ra\tr a\tr a\n\tx\ty\n")],
+    )
+    def test_empty_word_exits_two(self, files, capsys, filename, body):
+        (files / filename).write_text(body, encoding="utf-8")
+        code, out = self.run(files)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files / filename}: line ")
+        assert "empty word" in err
+        assert not out.exists()
+
     def test_empty_names_exits_one(self, files, capsys):
         (files / "names.txt").write_text("", encoding="utf-8")
         code, _ = self.run(files)
@@ -387,3 +415,43 @@ class TestGridSearch:
         )
         assert code == 2
         assert capsys.readouterr().err == "error: cap must be >= 1, got 0\n"
+
+
+class TestUnusableOut:
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before checking --out")
+
+        for attr in ("run_alg1", "run_alg2", "grid_search_weights"):
+            monkeypatch.setattr(cli, attr, no_work)
+        (tmp_path / "names.txt").write_text("rama\nsita\n", encoding="utf-8")
+        (tmp_path / "basis.txt").write_text("ra\nma\n", encoding="utf-8")
+        (tmp_path / "seg.tsv").write_text("rama\tra ma\n", encoding="utf-8")
+        (tmp_path / "table.tsv").write_text("ra\tr a\tr a\nma\tm a\tm a\n", encoding="utf-8")
+        (tmp_path / "a_file").write_text("", encoding="utf-8")
+        (tmp_path / "a_dir").mkdir()
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["induce", "--names", "names.txt"], "a_file"),
+            (["grid-search", "--names", "names.txt"], "a_file"),
+            (["ortho", "--basis", "basis.txt"], "a_dir"),
+            (
+                ["transcribe", "--names", "names.txt", "--basis", "basis.txt",
+                 "--segmentations", "seg.tsv", "--table", "table.tsv"],
+                "a_dir",
+            ),
+        ],
+    )
+    def test_exits_two_with_one_line(self, inputs, capsys, argv, out):
+        argv = [str(inputs / a) if a.endswith((".txt", ".tsv")) else a for a in argv]
+        code = main([*argv, "--out", str(inputs / out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(inputs / out) in captured.err
+        assert captured.err.count("\n") == 1

@@ -4,6 +4,7 @@ import logging
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from namebasis import engine
 from namebasis.config import ConfigError
 from namebasis.corpus import Corpus
 from namebasis.engine import (
@@ -32,7 +33,7 @@ from namebasis.features import (
     select_best,
     tiling_cost,
 )
-from namebasis.ortho import Basis, BasisWord, is_constructible, is_ortho
+from namebasis.ortho import Basis, is_constructible, is_ortho
 from namebasis.segmenter import (
     basis_tilings,
     candidate_words,
@@ -56,7 +57,7 @@ REFERENCE_TRACE = [
 
 
 def basis_of(*texts):
-    return Basis(BasisWord(t) for t in texts)
+    return Basis(texts)
 
 
 def syntax_bits(seq, cache, table):
@@ -133,11 +134,6 @@ class TestSeedBasis:
         corpus = Corpus({"rama": 10, "ra": 10, "ma": 10})
         assert seed_basis(corpus, 1.0).texts == {"ra", "ma"}
 
-    def test_sources_are_seed(self):
-        corpus = Corpus({"rama": 10})
-        seeded = seed_basis(corpus, 0.4)
-        assert seeded.word("rama").source == "seed"
-
     def test_k_validated(self):
         with pytest.raises(ValueError):
             seed_basis(Corpus({"rama": 1}), 0.0)
@@ -165,15 +161,22 @@ class TestIterationAlg1:
         assert stats.j_total == 1
         assert stats.b_m_size == stats.b_size == 2
 
-    def test_demand_counted_once_per_name(self):
-        # both names demand "xy" through several sequences each
-        corpus = Corpus({"axya": 1, "bxyb": 1})
-        grown, pruned, stats, chosen = run_iteration_alg1(
-            corpus, basis_of("xy"), RunConfig()
-        )
-        for text in ("axya", "bxyb"):
-            if text in grown:
-                assert grown.word(text).demand == 1
+    def test_corpus_demand_counts_a_text_once_per_name(self, monkeypatch):
+        # xaxa places the new texts "a" and "xa" at two offsets each,
+        # xax at one; each still counts once per name
+        seen = []
+
+        def capture(name, table, existing_spans, corpus_freq, cfg, cost_fn):
+            seen.append(corpus_freq)
+            return choose_row(name, table, existing_spans, corpus_freq, cfg, cost_fn)
+
+        choose_row = engine._choose_row
+        monkeypatch.setattr(engine, "_choose_row", capture)
+        run_iteration_alg1(Corpus({"xaxa": 1, "xax": 1}), basis_of("x"), RunConfig())
+        corpus_freq = seen[0]
+        assert corpus_freq["a"] == corpus_freq["xa"] == 1.0
+        assert corpus_freq["axa"] == 0.5
+        assert max(corpus_freq.values()) == 1.0
 
 
 class TestRunAlg1:
@@ -224,11 +227,11 @@ class TestRunAlg1:
 class TestRunAlg2:
     def test_length_dominant_weights_pick_whole_name(self):
         corpus = Corpus({"abab": 1})
-        basis, stats = run_alg2(
+        basis, trace = run_alg2(
             corpus, RunConfig(algorithm="alg2", weights=WeightSet(1, 0, 0, 0))
         )
         assert basis.texts == {"abab"}
-        assert stats.j_total == 0
+        assert trace[-1].j_total == 0
 
     def test_unsplittable_name_kept_whole(self):
         corpus = Corpus({"abc": 1})
@@ -563,8 +566,8 @@ class TestGridSearch:
     def test_deterministic_best_on_tiny_corpus(self):
         planted = make_planted_corpus(n_names=12, n_units=4, seed=2)
         cfg = RunConfig(min_length=2, max_iterations=5)
-        best1, table1 = grid_search_weights(planted.corpus, cfg, grid_step=0.5)
-        best2, table2 = grid_search_weights(planted.corpus, cfg, grid_step=0.5)
+        best1, table1 = grid_search_weights(planted.corpus, cfg, weight_grid(0.5))
+        best2, table2 = grid_search_weights(planted.corpus, cfg, weight_grid(0.5))
         assert best1 == best2
         assert table1 == table2
         assert len(table1) == 10  # compositions of 2 into 4 parts, C(5,3)
@@ -621,6 +624,17 @@ class TestRunConfig:
     def test_short_digraph_rejected(self):
         with pytest.raises(ConfigError, match="two letters"):
             RunConfig.from_mapping({"digraphs": "sh, t, "})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("vowels", ""), ("vowels", "a;e;i"), ("vowels", "1, 2"), ("digraphs", "1a, s-")],
+    )
+    def test_malformed_char_classes_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            RunConfig.from_mapping({key: value})
+
+    def test_empty_digraph_list_allowed(self):
+        assert RunConfig.from_mapping({"digraphs": ""}).char_table.digraphs == frozenset()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="max_iteration"):

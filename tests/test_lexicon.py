@@ -58,6 +58,12 @@ class TestLoadTranscriptions:
         with pytest.raises(LexiconError, match="empty phone field"):
             load_transcriptions(path)
 
+    def test_empty_word(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("ra\tr a\tr a\n\tx\ty\n", encoding="utf-8")
+        with pytest.raises(LexiconError, match=f"^{path}: line 2: empty word$"):
+            load_transcriptions(path)
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("ra r a r a\n", encoding="utf-8")

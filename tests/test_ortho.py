@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 from conftest import brute_constructions
 from namebasis.ortho import (
     Basis,
-    BasisWord,
     count_constructions,
     first_construction,
     is_constructible,
@@ -18,7 +17,7 @@ KRISHNA_POOL = frozenset(
 
 
 def basis_of(*texts):
-    return Basis(BasisWord(t) for t in texts)
+    return Basis(texts)
 
 
 class TestIsConstructible:
@@ -97,20 +96,15 @@ class TestMakeOrtho:
         basis = basis_of("ra", "ma", "na")
         assert make_ortho(basis).texts == basis.texts
 
-    def test_result_flag_and_metadata(self):
-        basis = Basis([BasisWord("rama", "seed", 3), BasisWord("ra", "mined", 7), BasisWord("ma")])
-        pruned = make_ortho(basis)
-        assert pruned.word("ra") == BasisWord("ra", "mined", 7)
-
     @given(st.sets(st.text(alphabet="ab", min_size=1, max_size=4), min_size=1, max_size=8))
     def test_idempotent_and_orthogonal(self, texts):
-        pruned = make_ortho(Basis(BasisWord(t) for t in texts))
+        pruned = make_ortho(Basis(texts))
         assert is_ortho(pruned)[0]
         assert make_ortho(pruned).texts == pruned.texts
 
     @given(st.sets(st.text(alphabet="abc", min_size=1, max_size=4), min_size=1, max_size=8))
     def test_spanning_preserved(self, texts):
-        basis = Basis(BasisWord(t) for t in texts)
+        basis = Basis(texts)
         pruned = make_ortho(basis)
         for text in texts:
             assert is_constructible(text, pruned.texts)
@@ -124,7 +118,7 @@ class TestMakeOrtho:
         words = list(pieces)
         for join in joins:
             words.append("".join(words[i % len(words)] for i in join))
-        pruned = make_ortho(Basis(BasisWord(t) for t in words))
+        pruned = make_ortho(Basis(words))
         assert is_ortho(pruned)[0]
         assert pruned.texts <= set(words)
         for text in set(words) - pruned.texts:
@@ -132,10 +126,5 @@ class TestMakeOrtho:
 
 
 class TestBasisContainer:
-    def test_duplicate_add_keeps_first(self):
-        basis = Basis([BasisWord("ra", "seed", 1)])
-        basis.add(BasisWord("ra", "mined", 9))
-        assert basis.word("ra").source == "seed"
-
     def test_iteration_sorted(self):
         assert list(basis_of("zz", "aa", "mm")) == ["aa", "mm", "zz"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_tilings, spans_of
-from namebasis.ortho import Basis, BasisWord
+from namebasis.ortho import Basis
 from namebasis.segmenter import (
     SequenceCandidate,
     basis_tilings,
@@ -28,7 +28,7 @@ KRISHNA_BASIS = ["krish", "na", "kris", "hna", "kr", "ish", "is", "hn", "ri", "s
 
 
 def basis_of(*texts):
-    return Basis(BasisWord(t) for t in texts)
+    return Basis(texts)
 
 
 class TestCandidateWords:
