@@ -80,6 +80,8 @@ def read_segmentations(path) -> dict[str, tuple[str, ...]]:
         if len(parts) != 2:
             raise CorpusError(f"{path}: line {lineno}: expected name<TAB>words")
         name = parts[0]
+        if not name:
+            raise CorpusError(f"{path}: line {lineno}: empty name")
         if name in set_on:
             raise CorpusError(
                 f"{path}: line {lineno}: {name!r} already segmented on line {set_on[name]}"

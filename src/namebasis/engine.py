@@ -1,20 +1,21 @@
 """Basis induction: seeding, grow/prune iterations, convergence, search.
 
 The seeded algorithm (``alg1``) starts from a frequency seed and
-iterates two passes per round. Pass 1 enumerates every name's tilings
-by the current basis, as boundary tuples, and collects the corpus-wide
-demand for each not-yet-in-basis word (a word counts at most once per
-name however many of the name's tilings want it); the demand shares
-feed the cost of pass 2, which picks each name's cheapest tiling and
-adds its new words to the grown set, which is then orthogonalized and
-fed back in. The from-scratch algorithm (``alg2``) needs no seed: it
-picks the cheapest composition of every name outright and runs the same
-grow-and-orthogonalize step, ``_grow_and_prune``, once from an empty
-basis. Both return the basis, a set of plain word strings, and a trace
-of one stats row per round. The final segmentation picks each name's
-cheapest covering tiling. All three picks go through one chooser,
+iterates two passes per round. Pass 1, ``_survey``, builds every name's
+tiling table by the current basis and collects the corpus-wide demand
+for each not-yet-in-basis word (a word counts at most once per name
+however many of the name's tilings want it). It does not depend on the
+weights, so the grid search keeps one survey per input basis and reuses
+it across weight sets. The demand shares feed the cost of pass 2, which
+picks each name's cheapest tiling and adds its new words to the grown
+set, which is then orthogonalized and fed back in. The from-scratch
+algorithm (``alg2``) needs no seed: it picks the cheapest composition
+of every name outright and runs the same grow-and-orthogonalize step,
+``_grow_and_prune``, once from an empty basis. Both return the basis,
+a set of plain word strings, and a trace of one stats row per round.
+The final segmentation picks each name's cheapest covering tiling. All three picks go through one chooser,
 ``_choose_row``, over a ``SegmentTable`` of the name's candidates
-(cached per length for alg2, built per name from its tilings
+(cached per length for alg2, built per name by the tiling search
 otherwise), so every candidate is one row of sums and one scalar cost,
 and only the winner becomes a ``SequenceCandidate``.
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from . import config as _config
@@ -49,9 +51,9 @@ from .ortho import Basis, make_ortho
 from .segmenter import (
     SegmentTable,
     SequenceCandidate,
-    basis_tilings,
     candidate_words,
     composition_table,
+    occurrence_spans,
     tiling_table,
     enumerate_all,  # unused here, but perfbench's tracer wraps engine.enumerate_all
     enumerate_with_basis,  # unused here, but perfbench's tracer wraps it too
@@ -305,54 +307,85 @@ def _grow_and_prune(
     return grown, pruned, stats
 
 
+# One alg1 pass 1 over a corpus: each name's (occurrence spans, tiling
+# table), in sorted-name order, and the corpus frequency of every new text.
+Survey = tuple[list[tuple[frozenset[tuple[int, int]], SegmentTable]], dict[str, float]]
+
+
+def _survey(corpus: Corpus, basis: Basis, cfg: RunConfig) -> Survey:
+    """Pass 1 of an alg1 round, which does not depend on the weights.
+
+    Tiles every name by the basis, up to ``cfg.cap`` tilings, and counts
+    each new text (a span of some tiling that is not an occurrence) once
+    per name that places it.
+    """
+    surveyed = []
+    demand_count: dict[str, int] = {}
+    for name in sorted(corpus):
+        spans = occurrence_spans(candidate_words(name, basis))
+        table = tiling_table(name, spans, cfg.cap)
+        surveyed.append((spans, table))
+        new = {name[start:end] for start, end in table.spans if (start, end) not in spans}
+        for text in new:
+            demand_count[text] = demand_count.get(text, 0) + 1
+    n_total = corpus.total_unique
+    return surveyed, {text: count / n_total for text, count in demand_count.items()}
+
+
 def run_iteration_alg1(
-    corpus: Corpus, basis: Basis, cfg: RunConfig, iteration: int = 1
+    corpus: Corpus,
+    basis: Basis,
+    cfg: RunConfig,
+    iteration: int = 1,
+    *,
+    surveys: dict[frozenset[str], Survey] | None = None,
 ) -> tuple[Basis, Basis, IterationStats, dict[str, SequenceCandidate]]:
     """One grow/prune round of the seeded algorithm.
 
+    ``surveys``, when given, keeps pass 1 per input basis, so a caller
+    that runs the same basis under other weights costs its rows only.
     Returns the grown basis, the orthogonalized basis, the stats row,
     and each name's chosen sequence.
     """
+    if surveys is None:
+        surveys = {}
+    if basis.texts not in surveys:
+        surveys[basis.texts] = _survey(corpus, basis, cfg)
+    surveyed, corpus_freq = surveys[basis.texts]
     names = sorted(corpus)
-    # Pass 1 keeps each name's spans and (cached) tilings, and collects
-    # the corpus demand for every new text some tiling places.
-    surveyed = [basis_tilings(name, candidate_words(name, basis), cfg.cap) for name in names]
+    n_total = corpus.total_unique
     logger.info(
         "alg1 iteration %d: %d of %d names reached the candidate cap %d; %d tilings costed",
         iteration,
-        sum(len(tilings) >= cfg.cap for _, tilings in surveyed),
+        sum(len(table.rows) >= cfg.cap for _, table in surveyed),
         len(names),
         cfg.cap,
-        sum(len(tilings) for _, tilings in surveyed),
+        sum(len(table.rows) for _, table in surveyed),
     )
-    demand_count: dict[str, int] = {}
-    for name, (spans, tilings) in zip(names, surveyed):
-        n = len(name)
-        placed: set[tuple[int, int]] = set()
-        for cuts in tilings:
-            placed.update(zip((0, *cuts), (*cuts, n)))
-        for text in {name[start:end] for start, end in placed - spans}:
-            demand_count[text] = demand_count.get(text, 0) + 1
-    n_total = corpus.total_unique
-    corpus_freq = {text: count / n_total for text, count in demand_count.items()}
-
     chosen = {
-        name: _choose_row(
-            name, tiling_table(name, spans, tilings), spans, corpus_freq, cfg, tiling_cost
-        )
-        for name, (spans, tilings) in zip(names, surveyed)
+        name: _choose_row(name, table, spans, corpus_freq, cfg, tiling_cost)
+        for name, (spans, table) in zip(names, surveyed)
     }
-
     grown, pruned, stats = _grow_and_prune(basis, chosen.values(), iteration, n_total)
     return grown, pruned, stats, chosen
 
 
-def run_alg1(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, list[IterationStats]]:
-    """Seeded grow/prune induction to a fixed point or iteration cap."""
+def run_alg1(
+    corpus: Corpus,
+    cfg: RunConfig,
+    *,
+    surveys: dict[frozenset[str], Survey] | None = None,
+) -> tuple[Basis, list[IterationStats]]:
+    """Seeded grow/prune induction to a fixed point or iteration cap.
+
+    ``surveys`` is passed to every round (see ``run_iteration_alg1``).
+    """
     basis = seed_basis(corpus, cfg.seed_fraction)
     trace: list[IterationStats] = []
     for iteration in range(1, cfg.max_iterations + 1):
-        _, pruned, stats, _ = run_iteration_alg1(corpus, basis, cfg, iteration)
+        _, pruned, stats, _ = run_iteration_alg1(
+            corpus, basis, cfg, iteration, surveys=surveys
+        )
         trace.append(stats)
         # At an exact fixed point every further round would repeat this row.
         done = stats.b_m_size - stats.b_size < cfg.epsilon or pruned.texts == basis.texts
@@ -400,14 +433,13 @@ def segment_corpus(
     chosen: dict[str, SequenceCandidate] = {}
     capped = costed = 0
     for name in names:
-        words = candidate_words(name, basis)
-        spans, tilings = basis_tilings(name, words, cfg.cap, gaps=False)
-        if not tilings:
+        spans = occurrence_spans(candidate_words(name, basis))
+        table = tiling_table(name, spans, cfg.cap, gaps=False)
+        if not table.rows:
             logger.warning("basis does not span %r; keeping a gapped sequence", name)
-            spans, tilings = basis_tilings(name, words, cfg.cap)
-        capped += len(tilings) >= cfg.cap
-        costed += len(tilings)
-        table = tiling_table(name, spans, tilings)
+            table = tiling_table(name, spans, cfg.cap)
+        capped += len(table.rows) >= cfg.cap
+        costed += len(table.rows)
         chosen[name] = _choose_row(name, table, spans, None, cfg, cost_fn)
     logger.info(
         "segmentation: %d of %d names reached the candidate cap %d; %d tilings costed",
@@ -459,19 +491,29 @@ def grid_search_weights(
 
     Returns the weights minimizing the final global cost (ties prefer
     the smaller final basis, then the earlier tuple in grid order) and
-    the full (weights, cost) table in grid order.
+    the full (weights, cost) table in grid order. alg1 keeps each
+    input basis's pass 1 for the whole grid, since it does not depend
+    on the weights.
     """
-    run = run_alg1 if cfg.algorithm == "alg1" else run_alg2
+    surveys: dict[frozenset[str], Survey] = {}
+    run = partial(run_alg1, surveys=surveys) if cfg.algorithm == "alg1" else run_alg2
     table: list[tuple[WeightSet, float]] = []
     best: tuple[float, int, int] | None = None
     best_weights: WeightSet | None = None
+    rounds = 0
     for index, weights in enumerate(grid):
         basis, trace = run(corpus, replace(cfg, weights=weights))
+        rounds += len(trace)
         final = trace[-1]
         table.append((weights, final.cost))
         key = (final.cost, len(basis), index)
         if best is None or key < best:
             best = key
             best_weights = weights
+    if surveys:
+        logger.info(
+            "grid search: %d alg1 surveys built, %d reused over %d rounds",
+            len(surveys), rounds - len(surveys), rounds,
+        )
     assert best_weights is not None
     return best_weights, table

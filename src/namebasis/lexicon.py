@@ -73,8 +73,9 @@ class Lexicon:
 def load_transcriptions(path, basis: Iterable[str] | None = None) -> TranscriptionTable:
     """Read a tab-separated ``word<TAB>darpa<TAB>sapi`` table.
 
-    ``#`` lines are comments. Entries for words outside ``basis`` (when
-    given) are kept with a warning.
+    ``#`` lines are comments. A word may not be empty or hold
+    whitespace. Entries for words outside ``basis`` (when given) are
+    kept with a warning.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -92,6 +93,9 @@ def load_transcriptions(path, basis: Iterable[str] | None = None) -> Transcripti
         word, darpa, sapi = (p.strip() for p in parts)
         if not word:
             raise LexiconError(f"{path}: line {lineno}: empty word")
+        if any(ch.isspace() for ch in word):
+            # segmentations are split on spaces, so no name could use it
+            raise LexiconError(f"{path}: line {lineno}: whitespace in word {word!r}")
         if not darpa or not sapi:
             raise LexiconError(f"{path}: line {lineno}: empty phone field for {word!r}")
         entries.append(TranscriptionEntry(word, darpa, sapi))

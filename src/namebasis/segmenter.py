@@ -27,12 +27,11 @@ straight from its table and builds a candidate for the winner only.
 
 Compositions depend only on the name's length, so their table is built
 once per (length, minimum part, whole name allowed, cap) and cached by
-``composition_table``. Tilings depend on the basis, so they are cached
-per (name, occurrence spans, cap, gaps) as plain boundary tuples, which
-``basis_tilings`` returns with the spans; ``tiling_table`` turns them
-into a transient table per name. ``enumerate_all`` and
-``enumerate_with_basis`` turn every row or tiling into a candidate and
-serve as the test oracles.
+``composition_table``. Tilings depend on the basis, so ``tiling_table``
+builds a name's table inside the tiling search, uncached; the engine
+decides how long to keep it. ``enumerate_all`` and
+``enumerate_with_basis`` turn every row into a candidate and serve as
+the test oracles.
 
 A candidate is one flat ``SequenceCandidate`` tuple: the interior cut
 offsets, the segment strings, one new-or-existing flag per segment and
@@ -104,14 +103,61 @@ def candidate_words(
     return {word: tuple(offsets) for word, offsets in found.items()}
 
 
-@lru_cache(maxsize=65536)
-def _basis_tilings(
-    name: str, spans: frozenset[tuple[int, int]], cap: int, gaps: bool = True
-) -> tuple[tuple[int, ...], ...]:
-    """Boundary tuples (interior cuts) of the first ``cap`` tilings.
+class SegmentTable(NamedTuple):
+    """Candidate segmentations of a name as rows over one list of spans.
+
+    ``rows[r]`` lists segmentation ``r`` as indices into ``spans``, left
+    to right, in enumeration order (as ``bytes`` in a tiling table whose
+    indices fit in a byte). ``q[r]`` is the sum of the squared segment
+    lengths of row ``r`` and ``eta_new[r]`` its count of new segments;
+    bit ``r`` of ``masks[i]`` is set when row ``r`` contains
+    ``spans[i]``.
+    """
+
+    spans: tuple[tuple[int, int], ...]
+    rows: tuple[Sequence[int], ...]
+    q: tuple[int, ...]
+    masks: tuple[int, ...]
+    eta_new: tuple[int, ...]
+
+    def boundaries(self, row: int) -> tuple[int, ...]:
+        """Interior cut offsets of row ``row``."""
+        return tuple(self.spans[i][1] for i in self.rows[row][:-1])
+
+
+def _table(
+    index: Mapping[tuple[int, int], int],
+    rows: Sequence[Sequence[int]],
+    q: Iterable[int],
+    eta_new: Iterable[int],
+) -> SegmentTable:
+    """A ``SegmentTable`` over the spans of ``index``, in index order,
+    with each span's row bitmask."""
+    # Set the bits in byte arrays: OR-ing into growing ints would copy
+    # each mask once per row.
+    bits = [bytearray((len(rows) + 7) // 8) for _ in index]
+    for r, row in enumerate(rows):
+        byte, bit = r >> 3, 1 << (r & 7)
+        for i in row:
+            bits[i][byte] |= bit
+    masks = tuple(int.from_bytes(b, "little") for b in bits)
+    return SegmentTable(tuple(index), tuple(rows), tuple(q), masks, tuple(eta_new))
+
+
+def occurrence_spans(candidates: Mapping[str, tuple[int, ...]]) -> frozenset[tuple[int, int]]:
+    """The ``(start, end)`` spans of a ``candidate_words`` mapping."""
+    return frozenset(
+        (start, start + len(word)) for word, offsets in candidates.items() for start in offsets
+    )
+
+
+def tiling_table(
+    name: str, spans: Container[tuple[int, int]], cap: int = 5000, *, gaps: bool = True
+) -> SegmentTable:
+    """The table of the first ``cap`` tilings of ``name``.
 
     A tile is either an occurrence span from ``spans`` or, when ``gaps``
-    is true, a new-segment gap; gaps may not be adjacent. Tilings come
+    is true, a new-segment gap; gaps may not be adjacent. Rows come
     fewest tiles first, ties in leftmost-boundary order.
 
     One backward pass builds ``feasible[pos][after_gap]``, a bitmask
@@ -121,16 +167,21 @@ def _basis_tilings(
     whose bit is set at the start, a depth-first pass enters a move only
     when its target can still finish with the tiles left. Every node
     visited leads to a tiling, so no dead prefix is walked, and the
-    search stops at the ``cap``-th tiling.
+    search stops at the ``cap``-th tiling. Each move carries its span
+    and squared length, and a gap is exactly a new segment, so the walk
+    emits each row with its ``q`` and ``eta_new``; a span gets its index
+    when the walk first enters it.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     n = len(name)
     feasible = [(1, 1)] * (n + 1)
-    # moves[pos][after_gap]: (end, is_gap, target mask) for each tile
-    # from pos that some tiling can finish, ascending end
+    # moves[pos][after_gap]: (end, is_gap, target mask, span, square) for
+    # each tile from pos that some tiling can finish, ascending end
     moves: list[tuple[list, list]] = [([], [])] * n
     for pos in range(n - 1, -1, -1):
-        any_move: list[tuple[int, bool, int]] = []
-        span_move: list[tuple[int, bool, int]] = []
+        any_move: list[tuple[int, bool, int, tuple[int, int], int]] = []
+        span_move: list[tuple[int, bool, int, tuple[int, int], int]] = []
         after_any = after_span = 0
         for end in range(pos + 1, n + 1):
             is_gap = (pos, end) not in spans
@@ -139,7 +190,7 @@ def _basis_tilings(
             mask = feasible[end][is_gap]
             if not mask:
                 continue
-            move = (end, is_gap, mask)
+            move = (end, is_gap, mask, (pos, end), (end - pos) * (end - pos))
             any_move.append(move)
             after_any |= mask
             if not is_gap:
@@ -148,46 +199,34 @@ def _basis_tilings(
         moves[pos] = (any_move, span_move)
         feasible[pos] = (after_any << 1, after_span << 1)
 
-    found: list[tuple[int, ...]] = []
+    index: dict[tuple[int, int], int] = {}
+    path: list[int] = []
+    rows: list[Sequence[int]] = []
+    q: list[int] = []
+    eta_new: list[int] = []
 
-    def descend(pos: int, left: int, after_gap: bool, cuts: tuple[int, ...]) -> bool:
-        """Collect the tilings of ``name[pos:]`` in ``left`` tiles; true at the cap."""
+    def descend(pos: int, left: int, after_gap: bool, squares: int, fresh: int) -> bool:
+        """Emit the tilings of ``name[pos:]`` in ``left`` tiles; true at the cap."""
         if pos == n:
-            found.append(cuts)
-            return len(found) >= cap
+            rows.append(tuple(path))
+            q.append(squares)
+            eta_new.append(fresh)
+            return len(rows) >= cap
         bit = 1 << (left - 1)
-        for end, is_gap, mask in moves[pos][after_gap]:
-            if mask & bit and descend(end, left - 1, is_gap, cuts + (end,)):
-                return True
+        for end, is_gap, mask, span, square in moves[pos][after_gap]:
+            if mask & bit:
+                path.append(index.setdefault(span, len(index)))
+                if descend(end, left - 1, is_gap, squares + square, fresh + is_gap):
+                    return True
+                path.pop()
         return False
 
     for tiles in range(1, n + 1):
-        if feasible[0][0] >> tiles & 1 and descend(0, tiles, False, ()):
+        if feasible[0][0] >> tiles & 1 and descend(0, tiles, False, 0, 0):
             break
-    return tuple(cuts[:-1] for cuts in found)
-
-
-def basis_tilings(
-    name: str,
-    candidates: Mapping[str, tuple[int, ...]],
-    cap: int = 5000,
-    *,
-    gaps: bool = True,
-) -> tuple[frozenset[tuple[int, int]], tuple[tuple[int, ...], ...]]:
-    """The occurrence spans of the candidate words in ``name``, and the
-    boundary tuples of its first ``cap`` tilings by them.
-
-    The tuple of tilings is shared with a cache; tilings come fewest
-    segments first, ties in leftmost-boundary order.
-    """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    spans = frozenset(
-        (start, start + len(word))
-        for word, offsets in candidates.items()
-        for start in offsets
-    )
-    return spans, _basis_tilings(name, spans, cap, gaps)
+    if len(index) <= 256:
+        rows = list(map(bytes, rows))  # one byte per index, not a pointer
+    return _table(index, rows, q, eta_new)
 
 
 def enumerate_with_basis(
@@ -205,69 +244,12 @@ def enumerate_with_basis(
     ``gaps=False`` keeps only the tilings made of occurrences alone,
     and may return none.
     """
-    spans, tilings = basis_tilings(name, candidates, cap, gaps=gaps)
-    return [SequenceCandidate.from_boundaries(name, cuts, spans) for cuts in tilings]
-
-
-class SegmentTable(NamedTuple):
-    """Candidate segmentations of a name as rows over one list of spans.
-
-    ``rows[r]`` lists segmentation ``r`` as indices into ``spans``, left
-    to right, in enumeration order. ``q[r]`` is the sum of the squared
-    segment lengths of row ``r`` and ``eta_new[r]`` its count of new
-    segments; bit ``r`` of ``masks[i]`` is set when row ``r`` contains
-    ``spans[i]``.
-    """
-
-    spans: tuple[tuple[int, int], ...]
-    rows: tuple[tuple[int, ...], ...]
-    q: tuple[int, ...]
-    masks: tuple[int, ...]
-    eta_new: tuple[int, ...]
-
-    def boundaries(self, row: int) -> tuple[int, ...]:
-        """Interior cut offsets of row ``row``."""
-        return tuple(self.spans[i][1] for i in self.rows[row][:-1])
-
-
-def _table(
-    index: Mapping[tuple[int, int], int],
-    rows: Sequence[tuple[int, ...]],
-    q: Iterable[int],
-    eta_new: Iterable[int],
-) -> SegmentTable:
-    """A ``SegmentTable`` over the spans of ``index``, in index order,
-    with each span's row bitmask."""
-    # Set the bits in byte arrays: OR-ing into growing ints would copy
-    # each mask once per row.
-    bits = [bytearray((len(rows) + 7) // 8) for _ in index]
-    for r, row in enumerate(rows):
-        byte, bit = r >> 3, 1 << (r & 7)
-        for i in row:
-            bits[i][byte] |= bit
-    masks = tuple(int.from_bytes(b, "little") for b in bits)
-    return SegmentTable(tuple(index), tuple(rows), tuple(q), masks, tuple(eta_new))
-
-
-def tiling_table(
-    name: str, spans: AbstractSet[tuple[int, int]], tilings: Sequence[tuple[int, ...]]
-) -> SegmentTable:
-    """The table of ``name``'s ``tilings`` (boundary tuples); a segment
-    is new unless it is one of the occurrence ``spans``."""
-    n = len(name)
-    index: dict[tuple[int, int], int] = {}
-    rows = [
-        tuple([index.setdefault(span, len(index)) for span in zip((0, *cuts), (*cuts, n))])
-        for cuts in tilings
+    spans = occurrence_spans(candidates)
+    table = tiling_table(name, spans, cap, gaps=gaps)
+    return [
+        SequenceCandidate.from_boundaries(name, table.boundaries(r), spans)
+        for r in range(len(table.rows))
     ]
-    squares = [(end - start) * (end - start) for start, end in index]
-    new = [span not in spans for span in index]
-    return _table(
-        index,
-        rows,
-        (sum(map(squares.__getitem__, row)) for row in rows),
-        (sum(map(new.__getitem__, row)) for row in rows),
-    )
 
 
 @lru_cache(maxsize=1024)

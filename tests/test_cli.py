@@ -316,6 +316,24 @@ class TestTranscribe:
         assert "empty word" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "filename, body, message",
+        [
+            ("seg.tsv", "ramakanth\tra ma kanth\n\tra ma\n", "line 2: empty name"),
+            (
+                "table.tsv",
+                "ra\tr a\tr a\nra ma\tr a\tr a\n",
+                "line 2: whitespace in word 'ra ma'",
+            ),
+        ],
+    )
+    def test_unusable_name_or_word_exits_two(self, files, capsys, filename, body, message):
+        (files / filename).write_text(body, encoding="utf-8")
+        code, out = self.run(files)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {files / filename}: {message}\n"
+        assert not out.exists()
+
     def test_empty_names_exits_one(self, files, capsys):
         (files / "names.txt").write_text("", encoding="utf-8")
         code, _ = self.run(files)

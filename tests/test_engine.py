@@ -35,11 +35,11 @@ from namebasis.features import (
 )
 from namebasis.ortho import Basis, is_constructible, is_ortho
 from namebasis.segmenter import (
-    basis_tilings,
     candidate_words,
     composition_table,
     enumerate_all,
     enumerate_with_basis,
+    occurrence_spans,
     tiling_table,
 )
 from namebasis.syntax import accepts_syntax
@@ -339,8 +339,8 @@ def oracle_demand(seqs_by_name, n_total):
 
 
 def table_tiling(name, basis, corpus_freq, cfg, gaps, flavour):
-    spans, tilings = basis_tilings(name, candidate_words(name, basis), cfg.cap, gaps=gaps)
-    table = tiling_table(name, spans, tilings)
+    spans = occurrence_spans(candidate_words(name, basis))
+    table = tiling_table(name, spans, cfg.cap, gaps=gaps)
     return _choose_row(name, table, spans, corpus_freq, cfg, FLAVOURS[flavour][0])
 
 
@@ -573,6 +573,46 @@ class TestGridSearch:
         assert len(table1) == 10  # compositions of 2 into 4 parts, C(5,3)
         best_cost = min(cost for _, cost in table1)
         assert dict(table1)[best1] == best_cost
+
+
+class TestGridSurveys:
+    """Pass 1 kept per input basis for the whole grid changes nothing."""
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        corpus = make_planted_corpus(n_names=60, n_units=10, seed=3).corpus
+        return corpus, RunConfig(min_length=2, max_iterations=6)
+
+    def test_matches_a_fresh_run_per_weight_set(self, planted):
+        corpus, cfg = planted
+        grid = weight_grid(0.5)
+        best, table = grid_search_weights(corpus, cfg, grid)
+        fresh = [run_alg1(corpus, dataclasses.replace(cfg, weights=w)) for w in grid]
+        assert table == [(w, trace[-1].cost) for w, (_, trace) in zip(grid, fresh)]
+        keys = [(trace[-1].cost, len(basis), i) for i, (basis, trace) in enumerate(fresh)]
+        assert best == grid[min(keys)[2]]
+
+    def test_rounds_logged_and_surveys_counted(self, planted, caplog, monkeypatch):
+        corpus, cfg = planted
+        inputs = []
+        round_ = engine.run_iteration_alg1
+
+        def spy(corpus, basis, *args, **kwargs):
+            inputs.append(basis.texts)
+            return round_(corpus, basis, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_iteration_alg1", spy)
+        with caplog.at_level(logging.INFO, logger="namebasis.engine"):
+            grid_search_weights(corpus, cfg, weight_grid(0.5))
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        rounds, built = len(inputs), len(set(inputs))
+        assert 1 < built < rounds
+        # each round logs its line, whether its survey is built or reused
+        assert sum(m.startswith("alg1 iteration ") for m in messages) == rounds
+        assert messages[-1] == (
+            f"grid search: {built} alg1 surveys built, "
+            f"{rounds - built} reused over {rounds} rounds"
+        )
 
 
 class TestDeterminismAcrossWorkers:

@@ -64,6 +64,12 @@ class TestLoadTranscriptions:
         with pytest.raises(LexiconError, match=f"^{path}: line 2: empty word$"):
             load_transcriptions(path)
 
+    def test_whitespace_in_word(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("ra\tr a\tr a\nra ma\tr a\tr a\n", encoding="utf-8")
+        with pytest.raises(LexiconError, match=f"^{path}: line 2: whitespace in word 'ra ma'$"):
+            load_transcriptions(path)
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("ra r a r a\n", encoding="utf-8")

@@ -7,11 +7,11 @@ from conftest import brute_tilings, spans_of
 from namebasis.ortho import Basis
 from namebasis.segmenter import (
     SequenceCandidate,
-    basis_tilings,
     candidate_words,
     composition_table,
     enumerate_all,
     enumerate_with_basis,
+    occurrence_spans,
     tiling_table,
 )
 
@@ -224,10 +224,15 @@ class TestEnumerateAll:
         else:
             name, words, gaps = tiled
             n = len(name)
-            candidates = candidate_words(name, words)
-            existing, tilings = basis_tilings(name, candidates, cap or 10**9, gaps=gaps)
-            table = tiling_table(name, existing, tilings)
-            assert [table.boundaries(r) for r in range(len(table.rows))] == list(tilings)
+            existing = occurrence_spans(candidate_words(name, words))
+            table = tiling_table(name, existing, cap or 10**9, gaps=gaps)
+            tilings = brute_tilings(name, existing)
+            if not gaps:
+                tilings = {
+                    cuts for cuts in tilings if set(zip((0, *cuts), (*cuts, n))) <= existing
+                }
+            expected = sorted(tilings, key=lambda cuts: (len(cuts), cuts))[:cap]
+            assert [table.boundaries(r) for r in range(len(table.rows))] == expected
         assert len(set(table.spans)) == len(table.spans)
         for r, row in enumerate(table.rows):
             placed = [table.spans[i] for i in row]
