@@ -18,8 +18,10 @@ from namebasis.engine import (
     IterationStats,
     RunConfig,
     check_convergence,
+    global_cost,
     run_alg1,
     run_alg2,
+    segment_corpus,
     trivial_case_a,
     trivial_case_b,
 )
@@ -75,8 +77,10 @@ def main():
         recovered = sorted(basis.texts) == sorted(planted.units)
         print(f"final basis: {len(basis)} words, orthogonal={is_ortho(basis)[0]}, spans={spanning}")
         print(f"planted pool recovered exactly: {recovered}")
-        ratio = trace[-1].cost / planted.planted_cost
-        print(f"final cost {trace[-1].cost:.1f} = {ratio:.2f}x planted")
+        # the objective of the final segmentation, as `induce` writes it
+        joins = sum(seq.eta_joins for seq in segment_corpus(corpus, basis, cfg).values())
+        cost = global_cost(len(basis), joins, corpus.total_unique)
+        print(f"final cost {cost:.1f} = {cost / planted.planted_cost:.2f}x planted")
 
 
 if __name__ == "__main__":

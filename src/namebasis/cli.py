@@ -21,10 +21,13 @@ from .engine import (
     IterationStats,
     RunConfig,
     check_convergence,
+    global_cost,
     grid_search_weights,
     run_alg1,
     run_alg2,
     segment_corpus,
+    trivial_case_a,
+    trivial_case_b,
     weight_grid,
 )
 from .lexicon import (
@@ -55,11 +58,16 @@ def read_basis_file(path) -> Basis:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
-    return Basis(
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    )
+    words = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        word = line.strip()
+        if not word or word.startswith("#"):
+            continue
+        if any(ch.isspace() for ch in word):
+            # segmentations are split on spaces, so no name could use it
+            raise CorpusError(f"{path}: line {lineno}: whitespace in word {word!r}")
+        words.append(word)
+    return Basis(words)
 
 
 def write_basis_file(basis: Basis, path) -> None:
@@ -171,10 +179,17 @@ def _cmd_induce(args) -> int:
         ("iteration", "BmJ"),
         [(s.iteration, s.b_m_times_j) for s in trace],
     )
-    final = trace[-1]
+    # the objective of what was written, not of the last round's choices
+    joins = sum(seq.eta_joins for seq in chosen.values())
+    cost = global_cost(len(basis), joins, corpus.total_unique)
+    trivial = min(trivial_case_a(corpus), trivial_case_b(corpus))
+    if cost >= trivial:
+        logger.warning(
+            "emitted cost %.1f is not below the cheaper trivial basis (%.1f)", cost, trivial
+        )
     print(
-        f"{corpus.total_unique} names -> basis {final.b_size} words, "
-        f"{final.j_total} joins, cost {final.cost:.1f} "
+        f"{corpus.total_unique} names -> basis {len(basis)} words, "
+        f"{joins} joins, cost {cost:.1f} "
         f"({len(trace)} iteration{'s' if len(trace) != 1 else ''})"
     )
     return EXIT_OK

@@ -13,11 +13,13 @@ algorithm (``alg2``) needs no seed: it picks the cheapest composition
 of every name outright and runs the same grow-and-orthogonalize step,
 ``_grow_and_prune``, once from an empty basis. Both return the basis,
 a set of plain word strings, and a trace of one stats row per round.
-The final segmentation picks each name's cheapest covering tiling. All three picks go through one chooser,
-``_choose_row``, over a ``SegmentTable`` of the name's candidates
-(cached per length for alg2, built per name by the tiling search
-otherwise), so every candidate is one row of sums and one scalar cost,
-and only the winner becomes a ``SequenceCandidate``.
+The final segmentation picks each name's cheapest covering tiling. All
+three picks go through one chooser, ``_choose_row``, over a
+``SegmentTable`` of the name's candidates (cached per length for alg2,
+built per name by the tiling search otherwise), so every candidate is
+one row of sums and one scalar cost, the table's ``new`` column says
+which segments are new, and only the winner becomes a
+``SequenceCandidate``.
 
 The global objective for a finished basis is
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import config as _config
 from .corpus import Corpus, frequency_rank
@@ -212,14 +214,13 @@ def seed_basis(corpus: Corpus, k: float) -> Basis:
 def _choose_row(
     name: str,
     table: SegmentTable,
-    existing_spans: Container[tuple[int, int]],
     corpus_freq: Mapping[str, float] | None,
     cfg: RunConfig,
     cost_fn: Callable[..., float],
 ) -> SequenceCandidate:
     """The cheapest row of ``table``, a segmentation table of ``name``.
 
-    A segment is new unless its span is in ``existing_spans``. A text's
+    Which segments are new is the table's ``new`` column. A text's
     demand share is the share of rows containing it: the popcount of
     the OR of its spans' masks, over the row count. Each row's features
     are summed in ``compute_features``' order and costed by ``cost_fn``,
@@ -228,10 +229,11 @@ def _choose_row(
     ``weights.extra > 0``, since the cost ignores them otherwise. Rows
     come fewest segments first, then by boundaries, so the first row of
     least ``(cost, new segments)`` is ``select_best``'s pick; only it
-    becomes a candidate. A table with no rows keeps the name whole.
+    becomes a candidate. A table with no rows (alg2's, for a name with
+    no composition) keeps the name whole, as one new segment.
     """
     if not table.rows:
-        return SequenceCandidate.from_boundaries(name, (), existing_spans)
+        return SequenceCandidate(name, (), (name,), (True,), 1)
     texts = [name[start:end] for start, end in table.spans]
     # demand_shares: a text counts once per row that contains it
     rows_with: dict[str, int] = {}
@@ -239,7 +241,7 @@ def _choose_row(
         rows_with[text] = rows_with.get(text, 0) | mask
     share = {text: mask.bit_count() / len(table.rows) for text, mask in rows_with.items()}
     demand = list(map(share.__getitem__, texts))
-    new = [span not in existing_spans for span in table.spans]
+    new = table.new
 
     weights = cfg.resolved_weights
     scored_new = weights.extra > 0.0
@@ -278,7 +280,7 @@ def _choose_row(
         )
         if best_key is None or (cost, eta_new) < best_key:
             best, best_key = r, (cost, eta_new)
-    return SequenceCandidate.from_boundaries(name, table.boundaries(best), existing_spans)
+    return table.candidate(name, best)
 
 
 def _grow_and_prune(
@@ -307,25 +309,24 @@ def _grow_and_prune(
     return grown, pruned, stats
 
 
-# One alg1 pass 1 over a corpus: each name's (occurrence spans, tiling
-# table), in sorted-name order, and the corpus frequency of every new text.
-Survey = tuple[list[tuple[frozenset[tuple[int, int]], SegmentTable]], dict[str, float]]
+# One alg1 pass 1 over a corpus: each name's tiling table, in sorted-name
+# order, and the corpus frequency of every new text.
+Survey = tuple[list[SegmentTable], dict[str, float]]
 
 
 def _survey(corpus: Corpus, basis: Basis, cfg: RunConfig) -> Survey:
     """Pass 1 of an alg1 round, which does not depend on the weights.
 
     Tiles every name by the basis, up to ``cfg.cap`` tilings, and counts
-    each new text (a span of some tiling that is not an occurrence) once
+    each new text (a span of some tiling that the table marks new) once
     per name that places it.
     """
     surveyed = []
     demand_count: dict[str, int] = {}
     for name in sorted(corpus):
-        spans = occurrence_spans(candidate_words(name, basis))
-        table = tiling_table(name, spans, cfg.cap)
-        surveyed.append((spans, table))
-        new = {name[start:end] for start, end in table.spans if (start, end) not in spans}
+        table = tiling_table(name, occurrence_spans(candidate_words(name, basis)), cfg.cap)
+        surveyed.append(table)
+        new = {name[start:end] for (start, end), is_new in zip(table.spans, table.new) if is_new}
         for text in new:
             demand_count[text] = demand_count.get(text, 0) + 1
     n_total = corpus.total_unique
@@ -357,14 +358,14 @@ def run_iteration_alg1(
     logger.info(
         "alg1 iteration %d: %d of %d names reached the candidate cap %d; %d tilings costed",
         iteration,
-        sum(len(table.rows) >= cfg.cap for _, table in surveyed),
+        sum(len(table.rows) >= cfg.cap for table in surveyed),
         len(names),
         cfg.cap,
-        sum(len(table.rows) for _, table in surveyed),
+        sum(len(table.rows) for table in surveyed),
     )
     chosen = {
-        name: _choose_row(name, table, spans, corpus_freq, cfg, tiling_cost)
-        for name, (spans, table) in zip(names, surveyed)
+        name: _choose_row(name, table, corpus_freq, cfg, tiling_cost)
+        for name, table in zip(names, surveyed)
     }
     grown, pruned, stats = _grow_and_prune(basis, chosen.values(), iteration, n_total)
     return grown, pruned, stats, chosen
@@ -409,7 +410,7 @@ def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, list[IterationStats
     for name in names:
         table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
         capped += len(table.rows) >= cfg.cap
-        chosen.append(_choose_row(name, table, frozenset(), None, cfg, composition_cost))
+        chosen.append(_choose_row(name, table, None, cfg, composition_cost))
     logger.info(
         "alg2: %d of %d names reached the candidate cap %d", capped, len(names), cfg.cap
     )
@@ -440,7 +441,7 @@ def segment_corpus(
             table = tiling_table(name, spans, cfg.cap)
         capped += len(table.rows) >= cfg.cap
         costed += len(table.rows)
-        chosen[name] = _choose_row(name, table, spans, None, cfg, cost_fn)
+        chosen[name] = _choose_row(name, table, None, cfg, cost_fn)
     logger.info(
         "segmentation: %d of %d names reached the candidate cap %d; %d tilings costed",
         capped, len(names), cfg.cap, costed,

@@ -21,9 +21,12 @@ the search skip every dead prefix and stop at the cap.
 
 Both kinds of candidate are scored from one table type,
 ``SegmentTable``: one row of span indices per candidate, each row's sum
-of squared segment lengths and count of new segments, and per span a
-bitmask of the rows containing it. The engine costs a name's rows
-straight from its table and builds a candidate for the winner only.
+of squared segment lengths and count of new segments, and per span
+whether it is new and a bitmask of the rows containing it. The table is
+the one place that decides which segments are new: a tiling's gaps, and
+every part of a composition. The engine costs a name's rows straight
+from its table and builds a candidate for the winner only
+(``SegmentTable.candidate``).
 
 Compositions depend only on the name's length, so their table is built
 once per (length, minimum part, whole name allowed, cap) and cached by
@@ -58,22 +61,6 @@ class SequenceCandidate(NamedTuple):
     new: tuple[bool, ...]
     eta_new: int
 
-    @classmethod
-    def from_boundaries(
-        cls,
-        name: str,
-        boundaries: tuple[int, ...],
-        existing_spans: Container[tuple[int, int]] = frozenset(),
-    ) -> "SequenceCandidate":
-        """Build from interior boundary offsets; kinds follow ``existing_spans``."""
-        cuts = (0, *boundaries, len(name))
-        spans = tuple(zip(cuts, cuts[1:]))
-        if any(start >= end for start, end in spans):
-            raise ValueError(f"bad boundaries {boundaries} for {name!r}")
-        new = tuple(span not in existing_spans for span in spans)
-        texts = tuple(name[start:end] for start, end in spans)
-        return cls(name, tuple(boundaries), texts, new, sum(new))
-
     @property
     def eta_total(self) -> int:
         return len(self.texts)
@@ -106,15 +93,17 @@ def candidate_words(
 class SegmentTable(NamedTuple):
     """Candidate segmentations of a name as rows over one list of spans.
 
-    ``rows[r]`` lists segmentation ``r`` as indices into ``spans``, left
-    to right, in enumeration order (as ``bytes`` in a tiling table whose
-    indices fit in a byte). ``q[r]`` is the sum of the squared segment
-    lengths of row ``r`` and ``eta_new[r]`` its count of new segments;
-    bit ``r`` of ``masks[i]`` is set when row ``r`` contains
-    ``spans[i]``.
+    ``new[i]`` is true when ``spans[i]`` is a new segment, not an
+    occurrence of a basis word. ``rows[r]`` lists segmentation ``r`` as
+    indices into ``spans``, left to right, in enumeration order (as
+    ``bytes`` in a tiling table whose indices fit in a byte). ``q[r]``
+    is the sum of the squared segment lengths of row ``r`` and
+    ``eta_new[r]`` its count of new segments; bit ``r`` of ``masks[i]``
+    is set when row ``r`` contains ``spans[i]``.
     """
 
     spans: tuple[tuple[int, int], ...]
+    new: tuple[bool, ...]
     rows: tuple[Sequence[int], ...]
     q: tuple[int, ...]
     masks: tuple[int, ...]
@@ -124,9 +113,21 @@ class SegmentTable(NamedTuple):
         """Interior cut offsets of row ``row``."""
         return tuple(self.spans[i][1] for i in self.rows[row][:-1])
 
+    def candidate(self, name: str, row: int) -> SequenceCandidate:
+        """Row ``row`` as a candidate segmentation of ``name``."""
+        placed = self.rows[row]
+        return SequenceCandidate(
+            name,
+            self.boundaries(row),
+            tuple(name[start:end] for start, end in map(self.spans.__getitem__, placed)),
+            tuple(map(self.new.__getitem__, placed)),
+            self.eta_new[row],
+        )
+
 
 def _table(
     index: Mapping[tuple[int, int], int],
+    new: Iterable[bool],
     rows: Sequence[Sequence[int]],
     q: Iterable[int],
     eta_new: Iterable[int],
@@ -141,7 +142,7 @@ def _table(
         for i in row:
             bits[i][byte] |= bit
     masks = tuple(int.from_bytes(b, "little") for b in bits)
-    return SegmentTable(tuple(index), tuple(rows), tuple(q), masks, tuple(eta_new))
+    return SegmentTable(tuple(index), tuple(new), tuple(rows), tuple(q), masks, tuple(eta_new))
 
 
 def occurrence_spans(candidates: Mapping[str, tuple[int, ...]]) -> frozenset[tuple[int, int]]:
@@ -226,7 +227,7 @@ def tiling_table(
             break
     if len(index) <= 256:
         rows = list(map(bytes, rows))  # one byte per index, not a pointer
-    return _table(index, rows, q, eta_new)
+    return _table(index, (span not in spans for span in index), rows, q, eta_new)
 
 
 def enumerate_with_basis(
@@ -244,12 +245,8 @@ def enumerate_with_basis(
     ``gaps=False`` keeps only the tilings made of occurrences alone,
     and may return none.
     """
-    spans = occurrence_spans(candidates)
-    table = tiling_table(name, spans, cap, gaps=gaps)
-    return [
-        SequenceCandidate.from_boundaries(name, table.boundaries(r), spans)
-        for r in range(len(table.rows))
-    ]
+    table = tiling_table(name, occurrence_spans(candidates), cap, gaps=gaps)
+    return [table.candidate(name, r) for r in range(len(table.rows))]
 
 
 @lru_cache(maxsize=1024)
@@ -284,7 +281,7 @@ def composition_table(
     for parts in range(1 if include_whole else 2, n // min_part + 1):
         if descend(0, parts, (), 0):
             break
-    return _table(index, rows, q, map(len, rows))
+    return _table(index, (True,) * len(index), rows, q, map(len, rows))
 
 
 def enumerate_all(
@@ -304,7 +301,4 @@ def enumerate_all(
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     table = composition_table(len(name), min_segment, include_whole, cap)
-    return [
-        SequenceCandidate.from_boundaries(name, table.boundaries(r))
-        for r in range(len(table.rows))
-    ]
+    return [table.candidate(name, r) for r in range(len(table.rows))]

@@ -1,11 +1,13 @@
 import csv
 import json
 import logging
+import re
 
 import pytest
 
 from namebasis import cli
 from namebasis.cli import main, read_basis_file, read_stats_csv
+from namebasis.engine import global_cost
 from namebasis.synthetic import make_planted_corpus, write_corpus
 
 TABLE1_CSV = """iteration,B_m,B,J,BmJ,C
@@ -67,6 +69,51 @@ class TestInduce:
             name, words = line.split("\t")
             assert "".join(words.split(" ")) == name
             assert all(word in basis for word in words.split(" "))
+
+    @pytest.mark.parametrize("algo", ["alg1", "alg2"])
+    def test_prints_cost_of_what_it_wrote(self, tmp_path, capsys, caplog, algo):
+        planted = make_planted_corpus(n_names=100, n_units=12, seed=7)
+        names = tmp_path / "names.tsv"
+        write_corpus(planted, names, format="name_freq")
+        config = tmp_path / "run.cfg"
+        config.write_text("min_length = 2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="namebasis.cli"):
+            code = main(
+                ["induce", "--names", str(names), "--input-format", "name_freq",
+                 "--algo", algo, "--config", str(config), "--out", str(out)]
+            )
+        assert code == 0
+        basis = read_basis_file(out / "basis.txt")
+        rows = [
+            line.split("\t")
+            for line in (out / "segmentations.tsv").read_text(encoding="utf-8").splitlines()
+        ]
+        joins = sum(len(words.split(" ")) - 1 for _, words in rows)
+        cost = global_cost(len(basis), joins, len(rows))
+        printed = re.search(
+            r"basis (\d+) words, (\d+) joins, cost (\S+) ", capsys.readouterr().out
+        )
+        assert printed.groups() == (str(len(basis)), str(joins), f"{cost:.1f}")
+        assert not caplog.records  # the planted basis beats both trivial ones
+
+    @pytest.mark.parametrize("algo", ["alg1", "alg2"])
+    def test_warns_when_trivial_basis_is_as_cheap(self, tmp_path, caplog, algo):
+        names = tmp_path / "names.txt"
+        names.write_text("ab\nba\n", encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text("min_length = 2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="namebasis.cli"):
+            code = main(
+                ["induce", "--names", str(names), "--algo", algo,
+                 "--config", str(config), "--out", str(out)]
+            )
+        assert code == 0
+        assert (out / "segmentations.tsv").read_text(encoding="utf-8") == "ab\tab\nba\tba\n"
+        assert [r.getMessage() for r in caplog.records] == [
+            "emitted cost 2.0 is not below the cheaper trivial basis (2.0)"
+        ]
 
     def test_outputs_byte_identical_across_runs(self, tmp_path, planted_files):
         planted, names, config = planted_files
@@ -219,6 +266,12 @@ class TestOrtho:
     def test_unreadable_exits_two(self, tmp_path):
         assert main(["ortho", "--basis", str(tmp_path / "nope"), "--check-only"]) == 2
 
+    def test_word_with_whitespace_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "basis.txt"
+        path.write_text("ra\nma\nra ma\n", encoding="utf-8")
+        assert main(["ortho", "--basis", str(path), "--check-only"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 3: whitespace in word 'ra ma'\n"
+
 
 class TestTranscribe:
     @pytest.fixture
@@ -325,6 +378,7 @@ class TestTranscribe:
                 "ra\tr a\tr a\nra ma\tr a\tr a\n",
                 "line 2: whitespace in word 'ra ma'",
             ),
+            ("basis.txt", "ra\nra ma\nkanth\n", "line 2: whitespace in word 'ra ma'"),
         ],
     )
     def test_unusable_name_or_word_exits_two(self, files, capsys, filename, body, message):

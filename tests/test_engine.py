@@ -166,9 +166,9 @@ class TestIterationAlg1:
         # xax at one; each still counts once per name
         seen = []
 
-        def capture(name, table, existing_spans, corpus_freq, cfg, cost_fn):
+        def capture(name, table, corpus_freq, cfg, cost_fn):
             seen.append(corpus_freq)
-            return choose_row(name, table, existing_spans, corpus_freq, cfg, cost_fn)
+            return choose_row(name, table, corpus_freq, cfg, cost_fn)
 
         choose_row = engine._choose_row
         monkeypatch.setattr(engine, "_choose_row", capture)
@@ -263,7 +263,7 @@ def oracle_composition(name, cfg):
 
 def table_composition(name, cfg):
     table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
-    return _choose_row(name, table, frozenset(), None, cfg, composition_cost)
+    return _choose_row(name, table, None, cfg, composition_cost)
 
 
 class TestCompositionOracle:
@@ -341,7 +341,7 @@ def oracle_demand(seqs_by_name, n_total):
 def table_tiling(name, basis, corpus_freq, cfg, gaps, flavour):
     spans = occurrence_spans(candidate_words(name, basis))
     table = tiling_table(name, spans, cfg.cap, gaps=gaps)
-    return _choose_row(name, table, spans, corpus_freq, cfg, FLAVOURS[flavour][0])
+    return _choose_row(name, table, corpus_freq, cfg, FLAVOURS[flavour][0])
 
 
 class TestTilingOracle:

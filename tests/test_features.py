@@ -129,7 +129,9 @@ class TestComputeFeatures:
     @given(st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=12))
     def test_len_var_equals_pvariance(self, lengths):
         cuts = tuple(accumulate(lengths))
-        seq = SequenceCandidate.from_boundaries("a" * cuts[-1], cuts[:-1])
+        name = "a" * cuts[-1]
+        texts = tuple(name[start:end] for start, end in zip((0, *cuts), cuts))
+        seq = SequenceCandidate(name, cuts[:-1], texts, (True,) * len(texts), len(texts))
         features = compute_features(
             seq,
             {t: 1.0 for t in seq.texts},

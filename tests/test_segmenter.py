@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import brute_tilings, spans_of
 from namebasis.ortho import Basis
 from namebasis.segmenter import (
-    SequenceCandidate,
     candidate_words,
     composition_table,
     enumerate_all,
@@ -234,6 +233,7 @@ class TestEnumerateAll:
             expected = sorted(tilings, key=lambda cuts: (len(cuts), cuts))[:cap]
             assert [table.boundaries(r) for r in range(len(table.rows))] == expected
         assert len(set(table.spans)) == len(table.spans)
+        assert table.new == tuple(span not in existing for span in table.spans)
         for r, row in enumerate(table.rows):
             placed = [table.spans[i] for i in row]
             assert [start for start, _ in placed] == [0] + [end for _, end in placed[:-1]]
@@ -255,8 +255,3 @@ class TestEnumerateAll:
         without = enumerate_all(name, min_segment=1, include_whole=False)
         assert len(with_whole) == 2 ** (n - 1)
         assert len(without) == 2 ** (n - 1) - 1
-
-
-def test_from_boundaries_rejects_bad_cuts():
-    with pytest.raises(ValueError):
-        SequenceCandidate.from_boundaries("abc", (2, 1))
