@@ -19,7 +19,15 @@ three picks go through one chooser, ``_choose_row``, over a
 built per name by the tiling search otherwise), so every candidate is
 one row of sums and one scalar cost, the table's ``new`` column says
 which segments are new, and only the winner becomes a
-``SequenceCandidate``.
+``SequenceCandidate``. The chooser is a branch and bound with the same
+pick as costing every row: rows come fewest segments first, and a
+row's cost is never below ``weights.avg_len / (n / k)``, so the scan
+stops once that term is above the best cost; a row with new segments
+is skipped when it loses even with its corpus frequency and syntax
+averages at 1.0, their cheapest value. This needs corpus frequencies
+to be name shares in [0, 1], as ``_survey`` counts them. At alg2's
+default weights every name stays whole, and the scan mostly stops
+right after the whole-name row.
 
 The global objective for a finished basis is
 
@@ -45,6 +53,7 @@ from .features import (
     ALG2_DEFAULT_WEIGHTS,
     WeightSet,
     composition_cost,
+    left_sum,
     tiling_cost,
 )
 # Unused here, but perfbench's tracer wraps these engine attributes.
@@ -211,6 +220,11 @@ def seed_basis(corpus: Corpus, k: float) -> Basis:
     return make_ortho(Basis(r.surface for r in picked))
 
 
+# Rows _choose_row has costed in full. It returns the winner alone, so it
+# counts here, and each pass logs how far the count moved while it ran.
+_rows_costed = 0
+
+
 def _choose_row(
     name: str,
     table: SegmentTable,
@@ -226,12 +240,27 @@ def _choose_row(
     are summed in ``compute_features``' order and costed by ``cost_fn``,
     which takes ``tiling_cost``'s arguments. The new-word features
     (corpus frequency, syntax bit) are only built when
-    ``weights.extra > 0``, since the cost ignores them otherwise. Rows
+    ``weights.extra > 0``, since the cost ignores them otherwise, and a
+    span's syntax bit only when a row that places it is costed. Rows
     come fewest segments first, then by boundaries, so the first row of
     least ``(cost, new segments)`` is ``select_best``'s pick; only it
     becomes a candidate. A table with no rows (alg2's, for a name with
     no composition) keeps the name whole, as one new segment.
+
+    The scan is a branch and bound that keeps that pick exact, by the
+    cost bodies' contract (see ``features``): every term is >= 0, and
+    the new-word term is least at ``new_freq_avg = syntax_avg = 1.0``.
+    That needs corpus frequencies to be name shares in [0, 1], as
+    ``_survey`` counts them. So a row's first term,
+    ``weights.avg_len / (n / k)``, bounds its cost from below and never
+    falls as ``k`` grows: once it is above the best cost, no later row
+    can win and the scan stops. A row with new segments is first costed
+    at ``(1.0, 1.0)``, and its fresh, frequency and syntax work is
+    skipped when that bound already loses to the best row. Every row
+    that is costed in full goes through the same body with the same
+    arguments as an exhaustive scan, so the pick is the same.
     """
+    global _rows_costed
     if not table.rows:
         return SequenceCandidate(name, (), (name,), (True,), 1)
     texts = [name[start:end] for start, end in table.spans]
@@ -244,43 +273,62 @@ def _choose_row(
     new = table.new
 
     weights = cfg.resolved_weights
+    inverted = cfg.pav_inverted
     scored_new = weights.extra > 0.0
     if scored_new:
-        accepted = [
-            is_new and accepts_syntax(text, name, start, cfg.char_table)
-            for text, (start, _), is_new in zip(texts, table.spans, new)
-        ]
+        accepted: list[bool | None] = [None] * len(texts)
         if corpus_freq is not None:
             freq = [corpus_freq[text] if is_new else 0.0 for text, is_new in zip(texts, new)]
 
     n = len(name)
     best = 0
     best_key: tuple[float, int] | None = None
+    costed = 0
     for r, (row, q, eta_new) in enumerate(zip(table.rows, table.q, table.eta_new)):
         k = len(row)
+        avg_len = n / k
+        if best_key is not None and weights.avg_len / avg_len > best_key[0]:
+            break
+        len_var = (k * q - n * n) / (k * k)
+        demand_avg = left_sum(map(demand.__getitem__, row)) / k
         new_freq_avg = syntax_avg = None
         if scored_new and eta_new:
+            if best_key is not None and (
+                cost_fn(avg_len, len_var, demand_avg, eta_new, 1.0, 1.0, weights, inverted),
+                eta_new,
+            ) >= best_key:
+                continue
             fresh = list(filter(new.__getitem__, row))
             if corpus_freq is not None:
-                new_freq_avg = sum(map(freq.__getitem__, fresh)) / eta_new
+                new_freq_avg = left_sum(map(freq.__getitem__, fresh)) / eta_new
             # a new text placed twice counts only if accepted at both
             bits: dict[str, bool] = {}
             for i in fresh:
+                if accepted[i] is None:
+                    accepted[i] = accepts_syntax(texts[i], name, table.spans[i][0], cfg.char_table)
                 bits[texts[i]] = bits.get(texts[i], True) and accepted[i]
             syntax_avg = sum(bits[texts[i]] for i in fresh) / eta_new
         cost = cost_fn(
-            n / k,
-            (k * q - n * n) / (k * k),
-            sum(map(demand.__getitem__, row)) / k,
-            eta_new,
-            new_freq_avg,
-            syntax_avg,
-            weights,
-            cfg.pav_inverted,
+            avg_len, len_var, demand_avg, eta_new, new_freq_avg, syntax_avg, weights, inverted
         )
+        costed += 1
         if best_key is None or (cost, eta_new) < best_key:
             best, best_key = r, (cost, eta_new)
+    _rows_costed += costed
     return table.candidate(name, best)
+
+
+def _log_pass(label: str, rows: Sequence[int], cap: int, costed: int) -> None:
+    """Log one pass of the chooser over every name's table.
+
+    ``rows`` holds each name's enumerated row count and ``costed`` the
+    rows the chooser costed in full.
+    """
+    logger.info(
+        "%s: %d of %d names reached the candidate cap %d; "
+        "%d rows enumerated, %d costed in full",
+        label, sum(count >= cap for count in rows), len(rows), cap, sum(rows), costed,
+    )
 
 
 def _grow_and_prune(
@@ -355,18 +403,17 @@ def run_iteration_alg1(
     surveyed, corpus_freq = surveys[basis.texts]
     names = sorted(corpus)
     n_total = corpus.total_unique
-    logger.info(
-        "alg1 iteration %d: %d of %d names reached the candidate cap %d; %d tilings costed",
-        iteration,
-        sum(len(table.rows) >= cfg.cap for table in surveyed),
-        len(names),
-        cfg.cap,
-        sum(len(table.rows) for table in surveyed),
-    )
+    costed = _rows_costed
     chosen = {
         name: _choose_row(name, table, corpus_freq, cfg, tiling_cost)
         for name, table in zip(names, surveyed)
     }
+    _log_pass(
+        f"alg1 iteration {iteration}",
+        [len(table.rows) for table in surveyed],
+        cfg.cap,
+        _rows_costed - costed,
+    )
     grown, pruned, stats = _grow_and_prune(basis, chosen.values(), iteration, n_total)
     return grown, pruned, stats, chosen
 
@@ -404,16 +451,14 @@ def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, list[IterationStats
     Every segment is new, so one grow/prune round from an empty basis
     takes all the chosen words; the trace has that one row.
     """
-    names = sorted(corpus)
     chosen = []
-    capped = 0
-    for name in names:
+    rows = []
+    costed = _rows_costed
+    for name in sorted(corpus):
         table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
-        capped += len(table.rows) >= cfg.cap
+        rows.append(len(table.rows))
         chosen.append(_choose_row(name, table, None, cfg, composition_cost))
-    logger.info(
-        "alg2: %d of %d names reached the candidate cap %d", capped, len(names), cfg.cap
-    )
+    _log_pass("alg2", rows, cfg.cap, _rows_costed - costed)
     _, pruned, stats = _grow_and_prune(Basis(), chosen, 1, corpus.total_unique)
     return pruned, [stats]
 
@@ -430,22 +475,18 @@ def segment_corpus(
     ``cfg.cap`` gapped tilings is kept and a warning logged.
     """
     cost_fn = tiling_cost if cfg.algorithm == "alg1" else composition_cost
-    names = sorted(corpus)
     chosen: dict[str, SequenceCandidate] = {}
-    capped = costed = 0
-    for name in names:
+    rows = []
+    costed = _rows_costed
+    for name in sorted(corpus):
         spans = occurrence_spans(candidate_words(name, basis))
         table = tiling_table(name, spans, cfg.cap, gaps=False)
         if not table.rows:
             logger.warning("basis does not span %r; keeping a gapped sequence", name)
             table = tiling_table(name, spans, cfg.cap)
-        capped += len(table.rows) >= cfg.cap
-        costed += len(table.rows)
+        rows.append(len(table.rows))
         chosen[name] = _choose_row(name, table, None, cfg, cost_fn)
-    logger.info(
-        "segmentation: %d of %d names reached the candidate cap %d; %d tilings costed",
-        capped, len(names), cfg.cap, costed,
-    )
+    _log_pass("segmentation", rows, cfg.cap, _rows_costed - costed)
     return chosen
 
 

@@ -34,12 +34,31 @@ A zero in a denominator is replaced by ``ZERO_PENALTY``, a large finite
 stand-in for 1/0, so costs stay totally ordered; with ``w.extra == 0``
 the corresponding term is dropped entirely and never evaluated (the
 chooser then skips the syntax checks as well).
+
+Both bodies keep a contract that lets the engine's chooser stop early
+and skip rows (``engine._choose_row``). For validated weights,
+``avg_len > 0``, ``len_var >= 0`` and ``demand_avg`` a mean of shares
+of a name's rows (so in (0, 1], and at least one over the row count):
+
+  * every term is >= 0, so a body is never below its first term,
+    ``w.avg_len / avg_len``;
+  * with ``eta_new >= 1``, ``new_freq_avg`` None or in [0, 1] and
+    ``syntax_avg`` in [0, 1] (``tiling_cost`` also takes None), a body
+    is never below its value at ``new_freq_avg = syntax_avg = 1.0``.
+    ``_reciprocal`` is at least 1 there: 1/0 is ``ZERO_PENALTY``, and
+    below 1e-6 the true reciprocal exceeds it.
+
+Both hold under floating-point rounding too, because rounding is
+monotone: adding a non-negative value never rounds a sum below its
+other operand, and raising an operand never lowers a rounded sum or a
+product with a non-negative factor. So corpus frequencies must be name
+shares in [0, 1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .segmenter import SequenceCandidate
 
@@ -97,6 +116,18 @@ class FeatureVector:
     name_len: int
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """The sum of ``values``, added left to right, rounding each addition.
+
+    From Python 3.12 on, ``sum`` compensates float rounding, so its
+    result would depend on the interpreter; the costs must not.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def demand_shares(candidates: Sequence[SequenceCandidate]) -> dict[str, float]:
     """Share of the candidate sequences containing each word.
 
@@ -136,12 +167,12 @@ def compute_features(
         except KeyError:
             raise KeyError(f"no {what} entry for segment {text!r} of {seq.name!r}") from None
 
-    demand_avg = sum(look(demand, text, "demand") for text in seq.texts) / k
+    demand_avg = left_sum(look(demand, text, "demand") for text in seq.texts) / k
     new_freq_avg = None
     syntax_avg = None
     if new_texts:
         if corpus_freq is not None:
-            new_freq_avg = sum(
+            new_freq_avg = left_sum(
                 look(corpus_freq, t, "frequency") for t in new_texts
             ) / len(new_texts)
         syntax_avg = sum(bool(look(syntax_ok, t, "syntax")) for t in new_texts) / len(new_texts)

@@ -351,7 +351,9 @@ class TestTilingOracle:
         cap=st.one_of(st.integers(1, 20), st.just(5000)),
         weights=st.sampled_from(weight_grid(0.25)),
         pav_inverted=st.booleans(),
-        n_total=st.one_of(st.none(), st.integers(1, 9)),
+        # at 10**10 names every share is below 1e-6, where _reciprocal
+        # exceeds ZERO_PENALTY
+        n_total=st.one_of(st.none(), st.integers(1, 9), st.just(10**10)),
         flavour=st.sampled_from(sorted(FLAVOURS)),
         gaps=st.booleans(),
     )
@@ -384,6 +386,29 @@ class TestTilingOracle:
         8,
         "alg2",
         True,
+    )
+    # "ee" costs 0.5, and "e e" costs its first term, 0.5 / (2 / 2),
+    # alone: the scan may stop only once that term is above the best.
+    @example(
+        "ee", frozenset({"e"}), 5000, WeightSet(0.5, 0.25, 0.0, 0.25), True, None, "alg2", True
+    )
+    # "aaea ba b" costs exactly its bound at syntax_avg = 1.0, which ties
+    # the earlier "aaea b ab"; it has fewer new segments, so it must be
+    # costed and win.
+    @example(
+        "aaeabab",
+        frozenset({"b", "ba"}),
+        5000,
+        WeightSet(0.25, 0.25, 0.25, 0.25),
+        True,
+        None,
+        "alg2",
+        True,
+    )
+    # With no length weight the first term is 0 and never stops the
+    # scan; the last, three-segment row wins.
+    @example(
+        "aab", frozenset({"a"}), 5000, WeightSet(0.0, 0.0, 1.0, 0.0), True, None, "alg1", True
     )
     @settings(max_examples=400)
     def test_matches_full_scoring(
@@ -495,9 +520,9 @@ class TestSegmentCorpus:
 class TestCapCount:
     def test_names_reaching_cap_logged_once_per_pass(self, caplog):
         # with cap 2, rama and ram have two tilings by "ra" and gopal one,
-        # 5 tilings costed in each pass (none covers, so segmentation
-        # costs the gapped ones); rama and gopal have two or more
-        # compositions into parts >= 2
+        # 5 tilings enumerated and costed in each pass (none covers, so
+        # segmentation costs the gapped ones); rama and gopal have two or
+        # more compositions into parts >= 2
         corpus = Corpus({"rama": 1, "ram": 1, "gopal": 1})
         cfg = RunConfig(cap=2, min_length=2)
         basis = basis_of("ra")
@@ -506,19 +531,37 @@ class TestCapCount:
             run_alg2(corpus, dataclasses.replace(cfg, algorithm="alg2"))
             segment_corpus(corpus, basis, cfg)
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
-            "alg1 iteration 1: 2 of 3 names reached the candidate cap 2; 5 tilings costed",
-            "alg2: 2 of 3 names reached the candidate cap 2",
-            "segmentation: 2 of 3 names reached the candidate cap 2; 5 tilings costed",
+            "alg1 iteration 1: 2 of 3 names reached the candidate cap 2; "
+            "5 rows enumerated, 5 costed in full",
+            "alg2: 2 of 3 names reached the candidate cap 2; 5 rows enumerated, 5 costed in full",
+            "segmentation: 2 of 3 names reached the candidate cap 2; "
+            "5 rows enumerated, 5 costed in full",
         ]
 
     def test_segmentation_counts_covering_tilings_only(self, caplog):
         # rama has 4 covering tilings (ra ma, ra m a, r a ma, r a m a)
-        # and more gapped ones
+        # and more gapped ones; ra ma, the only two-part one, wins, and
+        # the three-part rows' first term alone already costs more
         corpus = Corpus({"rama": 1})
         with caplog.at_level(logging.INFO, logger="namebasis.engine"):
             segment_corpus(corpus, basis_of("ra", "ma", "r", "a", "m"), RunConfig())
         assert [r.getMessage() for r in caplog.records] == [
-            "segmentation: 0 of 1 names reached the candidate cap 5000; 4 tilings costed",
+            "segmentation: 0 of 1 names reached the candidate cap 5000; "
+            "4 rows enumerated, 1 costed in full",
+        ]
+
+    def test_alg2_defaults_cost_few_rows_past_the_whole_name(self, caplog):
+        # At the default weights the whole name wins, at 0.4 / n + 0.3 /
+        # rows. A k-part row costs at least 0.4 k / n, so the scan stops
+        # at the first two-part row, except on the 9 names of 4 letters
+        # and 10 of 5, whose 1 and 2 two-part rows are costed too.
+        corpus = make_planted_corpus(n_names=150, n_units=30, seed=7).corpus
+        with caplog.at_level(logging.INFO, logger="namebasis.engine"):
+            _, [stats] = run_alg2(corpus, RunConfig(algorithm="alg2", min_length=2))
+        assert stats.j_total == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "alg2: 2 of 150 names reached the candidate cap 5000; "
+            f"42398 rows enumerated, {150 + 9 * 1 + 10 * 2} costed in full",
         ]
 
 

@@ -5,15 +5,18 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, strategies as st
 
+from namebasis.engine import weight_grid
 from namebasis.features import (
     ALG1_DEFAULT_WEIGHTS,
     ALG2_DEFAULT_WEIGHTS,
     FeatureVector,
     WeightSet,
+    composition_cost,
     compute_features,
     cost_alg1,
     cost_alg2,
     demand_shares,
+    left_sum,
     select_best,
     tiling_cost,
 )
@@ -67,6 +70,13 @@ class TestDemandShares:
         seqs = enumerate_with_basis("aa", {"a": (0, 1)})
         shares = demand_shares(seqs)
         assert shares["a"] == pytest.approx(1 / 2)  # in the split sequence only
+
+
+class TestLeftSum:
+    def test_rounds_each_addition(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum, such as
+        # sum() from Python 3.12 on, would keep the 1.0
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
 
 
 class TestComputeFeatures:
@@ -222,6 +232,47 @@ class TestCostAlg2:
         assert cost_alg2(vector, weights) == pytest.approx(
             0.2 + 0.1 + 0.2 * 1e6, rel=1e-12
         )
+
+
+# An average over new segments: none, zero, below 1e-6 (where the true
+# reciprocal exceeds ZERO_PENALTY), or a share in (0, 1].
+averages = st.one_of(
+    st.none(),
+    st.just(0.0),
+    st.floats(0.0, 1e-6, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+class TestCostBodyContract:
+    """The bounds ``engine._choose_row`` stops and skips rows by."""
+
+    @given(
+        body=st.sampled_from([tiling_cost, composition_cost]),
+        avg_len=st.floats(0.0, 30.0, exclude_min=True),
+        len_var=st.floats(0.0, 100.0),
+        # a mean of shares of a name's rows, so at least 1 / rows
+        demand_avg=st.floats(1e-12, 1.0),
+        eta_new=st.integers(1, 10),
+        new_freq_avg=averages,
+        syntax_avg=averages,
+        weights=st.sampled_from(weight_grid(0.25)),
+        pav_inverted=st.booleans(),
+    )
+    def test_never_below_first_term_or_value_at_one(
+        self, body, avg_len, len_var, demand_avg, eta_new, new_freq_avg, syntax_avg,
+        weights, pav_inverted,
+    ):
+        cost = body(
+            avg_len, len_var, demand_avg, eta_new, new_freq_avg, syntax_avg,
+            weights, pav_inverted,
+        )
+        assert cost >= weights.avg_len / avg_len
+        at_one = body(avg_len, len_var, demand_avg, eta_new, 1.0, 1.0, weights, pav_inverted)
+        # composition_cost reads syntax_avg None as "nothing is new" and
+        # charges no syntax term; the chooser never bounds such a row
+        if syntax_avg is not None or body is tiling_cost:
+            assert cost >= at_one
 
 
 class TestSelectBest:

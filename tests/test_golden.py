@@ -1,5 +1,5 @@
-"""Golden outputs: ``induce`` on small planted corpora must keep writing
-the same bytes.
+"""Golden outputs: ``induce`` and ``grid-search`` on small planted
+corpora must keep writing the same bytes.
 
 A change that alters any of these files changes behaviour. Regenerate a
 digest only for an intended output change, and record it in CHANGES.md.
@@ -106,3 +106,55 @@ def test_induce_outputs_are_byte_identical(tmp_path, capsys, case):
         for filename in digests
     }
     assert actual == digests
+
+
+GRID_GOLDEN = {
+    # case: (algorithm, names, units, pool seed, extra config, step,
+    #        grid.csv digest, printed summary)
+    # Inverted demand makes the weights change the result: 19 distinct
+    # costs over 35 weight sets.
+    "alg2-pav-inverted": (
+        "alg2",
+        50,
+        12,
+        7,
+        "pav_inverted = true\n",
+        "0.25",
+        "79d6a51e40317ce2154317a50dc0da42d977c2801ed95050ca31a9ad408030e2",
+        "35 weight sets evaluated\nbest weights: 0.0,0.0,0.0,1.0 (cost 12.0000)\n",
+    ),
+    "alg1": (
+        "alg1",
+        40,
+        8,
+        3,
+        "max_iterations = 6\n",
+        "0.25",
+        "c8b2c86154bca6576d44cfe907fc534660b45008ad3dcdb11125b32a9659e962",
+        "35 weight sets evaluated\nbest weights: 0.0,0.25,0.75,0.0 (cost 8.0000)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_GOLDEN))
+def test_grid_search_outputs_are_byte_identical(tmp_path, capsys, case):
+    algorithm, n_names, n_units, seed, extra, step, digest, printed = GRID_GOLDEN[case]
+    planted = make_planted_corpus(n_names=n_names, n_units=n_units, seed=seed)
+    names = tmp_path / "names.tsv"
+    write_corpus(planted, names, format="name_freq")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"algorithm = {algorithm}\nmin_length = 2\n{extra}", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(
+        [
+            "grid-search",
+            "--names", str(names),
+            "--input-format", "name_freq",
+            "--config", str(config),
+            "--step", step,
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert hashlib.sha256((out / "grid.csv").read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().out == printed
