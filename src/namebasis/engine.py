@@ -15,19 +15,20 @@ of every name outright and runs the same grow-and-orthogonalize step,
 a set of plain word strings, and a trace of one stats row per round.
 The final segmentation picks each name's cheapest covering tiling. All
 three picks go through one chooser, ``_choose_row``, over a
-``SegmentTable`` of the name's candidates (cached per length for alg2,
-built per name by the tiling search otherwise), so every candidate is
-one row of sums and one scalar cost, the table's ``new`` column says
-which segments are new, and only the winner becomes a
-``SequenceCandidate``. The chooser is a branch and bound with the same
-pick as costing every row: rows come fewest segments first, and a
-row's cost is never below ``weights.avg_len / (n / k)``, so the scan
-stops once that term is above the best cost; a row with new segments
-is skipped when it loses even with its corpus frequency and syntax
-averages at 1.0, their cheapest value. This needs corpus frequencies
-to be name shares in [0, 1], as ``_survey`` counts them. At alg2's
-default weights every name stays whole, and the scan mostly stops
-right after the whole-name row.
+``SegmentTable`` of the name's candidates (built by the tiling search:
+cached per length for alg2, whose compositions depend on nothing else,
+and built per name otherwise), so every candidate is one row of sums
+and one scalar cost, the table's ``new`` column says which segments
+are new, and only the winner becomes a ``SequenceCandidate``. The
+chooser is a branch and bound with the same pick as costing every
+row: rows come fewest segments first, and a row's cost is never below
+``weights.avg_len / (n / k)``, so the scan stops once that term is
+above the best cost; a row with new segments is skipped when it loses
+even with its corpus frequency and syntax averages at 1.0, their
+cheapest value. This needs corpus frequencies to be name shares in
+[0, 1], as ``_survey`` counts them. At alg2's default weights every
+name stays whole, and the scan mostly stops right after the whole-name
+row.
 
 The global objective for a finished basis is
 
@@ -372,7 +373,7 @@ def _survey(corpus: Corpus, basis: Basis, cfg: RunConfig) -> Survey:
     surveyed = []
     demand_count: dict[str, int] = {}
     for name in sorted(corpus):
-        table = tiling_table(name, occurrence_spans(candidate_words(name, basis)), cfg.cap)
+        table = tiling_table(len(name), occurrence_spans(candidate_words(name, basis)), cfg.cap)
         surveyed.append(table)
         new = {name[start:end] for (start, end), is_new in zip(table.spans, table.new) if is_new}
         for text in new:
@@ -480,10 +481,10 @@ def segment_corpus(
     costed = _rows_costed
     for name in sorted(corpus):
         spans = occurrence_spans(candidate_words(name, basis))
-        table = tiling_table(name, spans, cfg.cap, gaps=False)
+        table = tiling_table(len(name), spans, cfg.cap, gaps=False)
         if not table.rows:
             logger.warning("basis does not span %r; keeping a gapped sequence", name)
-            table = tiling_table(name, spans, cfg.cap)
+            table = tiling_table(len(name), spans, cfg.cap)
         rows.append(len(table.rows))
         chosen[name] = _choose_row(name, table, None, cfg, cost_fn)
     _log_pass("segmentation", rows, cfg.cap, _rows_costed - costed)

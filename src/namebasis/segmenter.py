@@ -1,40 +1,40 @@
 """Candidate segmentations of a name.
 
-Two enumerators produce the per-name sequence candidates:
+One search, ``tiling_table``, lists a name's candidate segmentations:
+the tilings of the name by a set of spans, optionally with gaps. Its
+two uses are
 
-  * ``enumerate_with_basis`` tiles the name with occurrences of current
-    basis words; every maximal uncovered run becomes exactly one
-    not-yet-in-basis ("new") segment, so no two adjacent segments are
-    both new, and the whole name as a single segment is always a
-    candidate. With ``gaps=False`` it lists only the covering tilings,
-    those made of occurrences alone.
-  * ``enumerate_all`` lists every composition of the name into
-    contiguous parts of a minimum length, all parts new (used when
-    there is no basis to start from).
+  * alg1's tilings (``enumerate_with_basis``): the spans are the
+    occurrences of current basis words, and every maximal uncovered run
+    becomes exactly one not-yet-in-basis ("new") segment, so no two
+    adjacent segments are both new, and the whole name as a single
+    segment is always a candidate. With ``gaps=False`` it lists only
+    the covering tilings, those made of occurrences alone.
+  * alg2's compositions (``enumerate_all``): a composition is a tiling
+    by every span of at least ``min_part`` letters, without gaps, and
+    every part is new (there is no basis to start from).
 
-Both enumerate distinct boundary sets exactly once, in ascending
+The search lists distinct boundary sets exactly once, in ascending
 segment-count order with ties in leftmost-boundary lexicographic order.
 When a cap is given, the first ``cap`` candidates in that order are
 kept. Tilings come from one feasibility-pruned pass per segment count:
 a table of which tile counts can still finish from each position lets
 the search skip every dead prefix and stop at the cap.
 
-Both kinds of candidate are scored from one table type,
-``SegmentTable``: one row of span indices per candidate, each row's sum
-of squared segment lengths and count of new segments, and per span
-whether it is new and a bitmask of the rows containing it. The table is
-the one place that decides which segments are new: a tiling's gaps, and
-every part of a composition. The engine costs a name's rows straight
-from its table and builds a candidate for the winner only
-(``SegmentTable.candidate``).
+Every candidate is scored from one table type, ``SegmentTable``: one
+row of span indices per candidate, each row's sum of squared segment
+lengths and count of new segments, and per span whether it is new and
+a bitmask of the rows containing it. The table is the one place that
+decides which segments are new: a tiling's gaps, and every part of a
+composition. The engine costs a name's rows straight from its table
+and builds a candidate for the winner only (``SegmentTable.candidate``).
 
 Compositions depend only on the name's length, so their table is built
 once per (length, minimum part, whole name allowed, cap) and cached by
 ``composition_table``. Tilings depend on the basis, so ``tiling_table``
-builds a name's table inside the tiling search, uncached; the engine
-decides how long to keep it. ``enumerate_all`` and
-``enumerate_with_basis`` turn every row into a candidate and serve as
-the test oracles.
+builds a name's table uncached; the engine decides how long to keep
+it. ``enumerate_all`` and ``enumerate_with_basis`` turn every row into
+a candidate and serve as the test oracles.
 
 A candidate is one flat ``SequenceCandidate`` tuple: the interior cut
 offsets, the segment strings, one new-or-existing flag per segment and
@@ -96,10 +96,10 @@ class SegmentTable(NamedTuple):
     ``new[i]`` is true when ``spans[i]`` is a new segment, not an
     occurrence of a basis word. ``rows[r]`` lists segmentation ``r`` as
     indices into ``spans``, left to right, in enumeration order (as
-    ``bytes`` in a tiling table whose indices fit in a byte). ``q[r]``
-    is the sum of the squared segment lengths of row ``r`` and
-    ``eta_new[r]`` its count of new segments; bit ``r`` of ``masks[i]``
-    is set when row ``r`` contains ``spans[i]``.
+    ``bytes`` when the indices fit in a byte). ``q[r]`` is the sum of
+    the squared segment lengths of row ``r`` and ``eta_new[r]`` its
+    count of new segments; bit ``r`` of ``masks[i]`` is set when row
+    ``r`` contains ``spans[i]``.
     """
 
     spans: tuple[tuple[int, int], ...]
@@ -153,29 +153,30 @@ def occurrence_spans(candidates: Mapping[str, tuple[int, ...]]) -> frozenset[tup
 
 
 def tiling_table(
-    name: str, spans: Container[tuple[int, int]], cap: int = 5000, *, gaps: bool = True
+    n: int, spans: Container[tuple[int, int]], cap: int = 5000, *, gaps: bool = True
 ) -> SegmentTable:
-    """The table of the first ``cap`` tilings of ``name``.
+    """The table of the first ``cap`` tilings of a length-``n`` name.
 
-    A tile is either an occurrence span from ``spans`` or, when ``gaps``
-    is true, a new-segment gap; gaps may not be adjacent. Rows come
-    fewest tiles first, ties in leftmost-boundary order.
+    A tile is either a span from ``spans`` or, when ``gaps`` is true, a
+    new-segment gap; gaps may not be adjacent. Rows come fewest tiles
+    first, ties in leftmost-boundary order.
 
     One backward pass builds ``feasible[pos][after_gap]``, a bitmask
-    whose bit ``t`` is set when ``name[pos:]`` can be tiled with exactly
+    whose bit ``t`` is set when ``[pos, n)`` can be tiled with exactly
     ``t`` more tiles (``after_gap``: the tile ending at ``pos`` was a
     gap, so the next one must be a span). Then, for each tile count
     whose bit is set at the start, a depth-first pass enters a move only
     when its target can still finish with the tiles left. Every node
     visited leads to a tiling, so no dead prefix is walked, and the
-    search stops at the ``cap``-th tiling. Each move carries its span
-    and squared length, and a gap is exactly a new segment, so the walk
-    emits each row with its ``q`` and ``eta_new``; a span gets its index
-    when the walk first enters it.
+    search stops at the ``cap``-th tiling. With one tile left, the only
+    move that finishes ends at ``n``, and moves are kept in ascending
+    end order, so the last tile is the last move, taken without a test.
+    Each move carries its span and squared length, and a gap is exactly
+    a new segment, so the walk emits each row with its ``q`` and
+    ``eta_new``; a span gets its index when the walk first enters it.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    n = len(name)
     feasible = [(1, 1)] * (n + 1)
     # moves[pos][after_gap]: (end, is_gap, target mask, span, square) for
     # each tile from pos that some tiling can finish, ascending end
@@ -207,11 +208,12 @@ def tiling_table(
     eta_new: list[int] = []
 
     def descend(pos: int, left: int, after_gap: bool, squares: int, fresh: int) -> bool:
-        """Emit the tilings of ``name[pos:]`` in ``left`` tiles; true at the cap."""
-        if pos == n:
-            rows.append(tuple(path))
-            q.append(squares)
-            eta_new.append(fresh)
+        """Emit the tilings of ``[pos, n)`` in ``left`` tiles; true at the cap."""
+        if left == 1:
+            _, is_gap, _, span, square = moves[pos][after_gap][-1]
+            rows.append((*path, index.setdefault(span, len(index))))
+            q.append(squares + square)
+            eta_new.append(fresh + is_gap)
             return len(rows) >= cap
         bit = 1 << (left - 1)
         for end, is_gap, mask, span, square in moves[pos][after_gap]:
@@ -245,7 +247,7 @@ def enumerate_with_basis(
     ``gaps=False`` keeps only the tilings made of occurrences alone,
     and may return none.
     """
-    table = tiling_table(name, occurrence_spans(candidates), cap, gaps=gaps)
+    table = tiling_table(len(name), occurrence_spans(candidates), cap, gaps=gaps)
     return [table.candidate(name, r) for r in range(len(table.rows))]
 
 
@@ -256,32 +258,17 @@ def composition_table(
     """Compositions of a length-``n`` name into parts >= ``min_part``,
     every part new.
 
-    Levels of one part count each are walked depth first, leftmost cut
-    first, and the walk stops at the ``cap``-th composition.
+    A composition is a gapless tiling by every span of at least
+    ``min_part`` letters (by the whole name only when ``include_whole``),
+    so ``tiling_table`` lists them and this marks every span new.
+    ``cap=None`` passes ``2 ** n``, more than a length-``n`` name has
+    compositions.
     """
-    index: dict[tuple[int, int], int] = {}
-    rows: list[tuple[int, ...]] = []
-    q: list[int] = []
-
-    def descend(pos: int, left: int, row: tuple[int, ...], squares: int) -> bool:
-        """Collect the compositions of ``[pos, n)`` in ``left`` parts; true at the cap."""
-        ends = (n,) if left == 1 else range(pos + min_part, n - min_part * (left - 1) + 1)
-        for end in ends:
-            span = index.setdefault((pos, end), len(index))
-            square = (end - pos) * (end - pos)
-            if left == 1:
-                rows.append(row + (span,))
-                q.append(squares + square)
-                if cap is not None and len(rows) >= cap:
-                    return True
-            elif descend(end, left - 1, row + (span,), squares + square):
-                return True
-        return False
-
-    for parts in range(1 if include_whole else 2, n // min_part + 1):
-        if descend(0, parts, (), 0):
-            break
-    return _table(index, (True,) * len(index), rows, q, map(len, rows))
+    spans = {(start, end) for start in range(n) for end in range(start + min_part, n + 1)}
+    if not include_whole:
+        spans.discard((0, n))
+    table = tiling_table(n, spans, 2**n if cap is None else cap, gaps=False)
+    return table._replace(new=(True,) * len(table.spans), eta_new=tuple(map(len, table.rows)))
 
 
 def enumerate_all(

@@ -340,7 +340,7 @@ def oracle_demand(seqs_by_name, n_total):
 
 def table_tiling(name, basis, corpus_freq, cfg, gaps, flavour):
     spans = occurrence_spans(candidate_words(name, basis))
-    table = tiling_table(name, spans, cfg.cap, gaps=gaps)
+    table = tiling_table(len(name), spans, cfg.cap, gaps=gaps)
     return _choose_row(name, table, corpus_freq, cfg, FLAVOURS[flavour][0])
 
 

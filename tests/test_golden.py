@@ -66,6 +66,20 @@ GOLDEN = {
             "stats.csv": "e0871530c04dcb73e792f05b33258ef96980903b5d8cdd725205c635adec41e5",
         },
     ),
+    # Whole names left out and one-letter parts allowed: most names have
+    # more than 40 compositions, so this pins which rows the cap keeps.
+    "alg2-split-capped": (
+        "alg2",
+        50,
+        12,
+        7,
+        "include_whole = false\nmin_segment = 1\ncap = 40\n",
+        {
+            "basis.txt": "4f4771334778b56816c35a643da1bccab15b07afdd42aea3848c71e614d80bce",
+            "segmentations.tsv": "f08e1a285539214cb8c20394d81f305219e185b70c3adbb8b988708c37b75479",
+            "stats.csv": "42b8a17ff6114401caf69985c578728d12300ded77d1a4d9918aa49c2f382623",
+        },
+    ),
     # Inverted demand makes names split, so the syntax term decides here.
     "alg2-syntax-pav-inverted": (
         "alg2",

@@ -1,7 +1,7 @@
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_tilings, spans_of
 from namebasis.ortho import Basis
@@ -205,6 +205,7 @@ class TestEnumerateAll:
     @given(
         n=st.integers(1, 12),
         min_segment=st.integers(1, 3),
+        include_whole=st.booleans(),
         cap=st.one_of(st.integers(1, 20), st.none()),
         # a name, its basis words and gaps: tile it instead of composing
         tiled=st.one_of(
@@ -216,22 +217,36 @@ class TestEnumerateAll:
             ),
         ),
     )
-    def test_table_rows_masks_and_squares(self, n, min_segment, cap, tiled):
+    # 300 compositions place more than 256 spans, so rows stay tuples
+    @example(n=25, min_segment=1, include_whole=True, cap=300, tiled=None)
+    def test_table_rows_masks_and_squares(self, n, min_segment, include_whole, cap, tiled):
         if tiled is None:
-            table = composition_table(n, min_segment, True, cap)
+            table = composition_table(n, min_segment, include_whole, cap)
             existing = frozenset()  # every part is new
+            # combinations come in leftmost-boundary order within a cut count
+            expected = list(
+                islice(
+                    (
+                        cuts
+                        for parts in range(0 if include_whole else 1, n)
+                        for cuts in combinations(range(1, n), parts)
+                        if all(b - a >= min_segment for a, b in zip((0, *cuts), (*cuts, n)))
+                    ),
+                    cap,
+                )
+            )
         else:
             name, words, gaps = tiled
             n = len(name)
             existing = occurrence_spans(candidate_words(name, words))
-            table = tiling_table(name, existing, cap or 10**9, gaps=gaps)
+            table = tiling_table(n, existing, cap or 10**9, gaps=gaps)
             tilings = brute_tilings(name, existing)
             if not gaps:
                 tilings = {
                     cuts for cuts in tilings if set(zip((0, *cuts), (*cuts, n))) <= existing
                 }
             expected = sorted(tilings, key=lambda cuts: (len(cuts), cuts))[:cap]
-            assert [table.boundaries(r) for r in range(len(table.rows))] == expected
+        assert [table.boundaries(r) for r in range(len(table.rows))] == expected
         assert len(set(table.spans)) == len(table.spans)
         assert table.new == tuple(span not in existing for span in table.spans)
         for r, row in enumerate(table.rows):
