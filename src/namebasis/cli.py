@@ -232,6 +232,11 @@ def _cmd_transcribe(args) -> int:
     for name, words in segmentations.items():
         if "".join(words) != name:
             return _fail(EXIT_VALIDATION, f"segmentation of {name!r} does not spell it")
+        outside = next((word for word in words if word not in basis), None)
+        if outside is not None:
+            return _fail(
+                EXIT_VALIDATION, f"segmentation of {name!r} uses {outside!r}, not in the basis"
+            )
         if name not in corpus:
             return _fail(EXIT_VALIDATION, f"{name!r} is not in the names corpus")
     missing = [name for name in sorted(corpus) if name not in segmentations]

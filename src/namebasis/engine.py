@@ -19,16 +19,18 @@ three picks go through one chooser, ``_choose_row``, over a
 cached per length for alg2, whose compositions depend on nothing else,
 and built per name otherwise), so every candidate is one row of sums
 and one scalar cost, the table's ``new`` column says which segments
-are new, and only the winner becomes a ``SequenceCandidate``. The
-chooser is a branch and bound with the same pick as costing every
-row: rows come fewest segments first, and a row's cost is never below
-``weights.avg_len / (n / k)``, so the scan stops once that term is
-above the best cost; a row with new segments is skipped when it loses
-even with its corpus frequency and syntax averages at 1.0, their
-cheapest value. This needs corpus frequencies to be name shares in
-[0, 1], as ``_survey`` counts them. At alg2's default weights every
+are new, its counts give each text's demand share without listing a
+row, and only the winner becomes a ``SequenceCandidate``. The chooser
+is a branch and bound with the same pick as costing every row: rows
+come fewest segments first, one level (segment count ``k``) at a
+time, and a row's cost is never below ``weights.avg_len / (n / k)``,
+so the scan stops, before the table lists the level, once that term
+is above the best cost; a row with new segments is skipped when it
+loses even with its corpus frequency and syntax averages at 1.0,
+their cheapest value. This needs corpus frequencies to be name shares
+in [0, 1], as ``_survey`` counts them. At alg2's default weights every
 name stays whole, and the scan mostly stops right after the whole-name
-row.
+row, so the rest of the name's compositions are counted, never listed.
 
 The global objective for a finished basis is
 
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import config as _config
+from . import config as _config, segmenter
 from .corpus import Corpus, frequency_rank
 from .features import (
     ALG1_DEFAULT_WEIGHTS,
@@ -236,8 +238,8 @@ def _choose_row(
     """The cheapest row of ``table``, a segmentation table of ``name``.
 
     Which segments are new is the table's ``new`` column. A text's
-    demand share is the share of rows containing it: the popcount of
-    the OR of its spans' masks, over the row count. Each row's features
+    demand share is the share of rows containing it: the table's count
+    of rows placing the text, over its row total. Each row's features
     are summed in ``compute_features``' order and costed by ``cost_fn``,
     which takes ``tiling_cost``'s arguments. The new-word features
     (corpus frequency, syntax bit) are only built when
@@ -255,22 +257,20 @@ def _choose_row(
     ``_survey`` counts them. So a row's first term,
     ``weights.avg_len / (n / k)``, bounds its cost from below and never
     falls as ``k`` grows: once it is above the best cost, no later row
-    can win and the scan stops. A row with new segments is first costed
+    can win and the scan stops. The bound is the same for every row of
+    a level, and a row of the level can only lower the best cost to a
+    value at or above it, so it is checked once per level, before the
+    table lists that level's rows. A row with new segments is first costed
     at ``(1.0, 1.0)``, and its fresh, frequency and syntax work is
     skipped when that bound already loses to the best row. Every row
     that is costed in full goes through the same body with the same
     arguments as an exhaustive scan, so the pick is the same.
     """
     global _rows_costed
-    if not table.rows:
+    if not table.total:
         return SequenceCandidate(name, (), (name,), (True,), 1)
-    texts = [name[start:end] for start, end in table.spans]
-    # demand_shares: a text counts once per row that contains it
-    rows_with: dict[str, int] = {}
-    for text, mask in zip(texts, table.masks):
-        rows_with[text] = rows_with.get(text, 0) | mask
-    share = {text: mask.bit_count() / len(table.rows) for text, mask in rows_with.items()}
-    demand = list(map(share.__getitem__, texts))
+    texts, text_rows = table.text_rows(name)
+    demand = [count / table.total for count in text_rows]
     new = table.new
 
     weights = cfg.resolved_weights
@@ -282,53 +282,59 @@ def _choose_row(
             freq = [corpus_freq[text] if is_new else 0.0 for text, is_new in zip(texts, new)]
 
     n = len(name)
-    best = 0
+    best = (0, 0)
     best_key: tuple[float, int] | None = None
     costed = 0
-    for r, (row, q, eta_new) in enumerate(zip(table.rows, table.q, table.eta_new)):
-        k = len(row)
+    for k, count in enumerate(table.levels):
+        if not count:
+            continue
         avg_len = n / k
         if best_key is not None and weights.avg_len / avg_len > best_key[0]:
             break
-        len_var = (k * q - n * n) / (k * k)
-        demand_avg = left_sum(map(demand.__getitem__, row)) / k
-        new_freq_avg = syntax_avg = None
-        if scored_new and eta_new:
-            if best_key is not None and (
-                cost_fn(avg_len, len_var, demand_avg, eta_new, 1.0, 1.0, weights, inverted),
-                eta_new,
-            ) >= best_key:
-                continue
-            fresh = list(filter(new.__getitem__, row))
-            if corpus_freq is not None:
-                new_freq_avg = left_sum(map(freq.__getitem__, fresh)) / eta_new
-            # a new text placed twice counts only if accepted at both
-            bits: dict[str, bool] = {}
-            for i in fresh:
-                if accepted[i] is None:
-                    accepted[i] = accepts_syntax(texts[i], name, table.spans[i][0], cfg.char_table)
-                bits[texts[i]] = bits.get(texts[i], True) and accepted[i]
-            syntax_avg = sum(bits[texts[i]] for i in fresh) / eta_new
-        cost = cost_fn(
-            avg_len, len_var, demand_avg, eta_new, new_freq_avg, syntax_avg, weights, inverted
-        )
-        costed += 1
-        if best_key is None or (cost, eta_new) < best_key:
-            best, best_key = r, (cost, eta_new)
+        for j, (row, q, eta_new) in enumerate(zip(*table.level(k))):
+            len_var = (k * q - n * n) / (k * k)
+            demand_avg = left_sum(map(demand.__getitem__, row)) / k
+            new_freq_avg = syntax_avg = None
+            if scored_new and eta_new:
+                if best_key is not None and (
+                    cost_fn(avg_len, len_var, demand_avg, eta_new, 1.0, 1.0, weights, inverted),
+                    eta_new,
+                ) >= best_key:
+                    continue
+                fresh = list(filter(new.__getitem__, row))
+                if corpus_freq is not None:
+                    new_freq_avg = left_sum(map(freq.__getitem__, fresh)) / eta_new
+                # a new text placed twice counts only if accepted at both
+                bits: dict[str, bool] = {}
+                for i in fresh:
+                    if accepted[i] is None:
+                        accepted[i] = accepts_syntax(
+                            texts[i], name, table.spans[i][0], cfg.char_table
+                        )
+                    bits[texts[i]] = bits.get(texts[i], True) and accepted[i]
+                syntax_avg = sum(bits[texts[i]] for i in fresh) / eta_new
+            cost = cost_fn(
+                avg_len, len_var, demand_avg, eta_new, new_freq_avg, syntax_avg, weights, inverted
+            )
+            costed += 1
+            if best_key is None or (cost, eta_new) < best_key:
+                best, best_key = (k, j), (cost, eta_new)
     _rows_costed += costed
-    return table.candidate(name, best)
+    return table.candidate(name, *best)
 
 
-def _log_pass(label: str, rows: Sequence[int], cap: int, costed: int) -> None:
+def _log_pass(label: str, rows: Sequence[int], cap: int, listed: int, costed: int) -> None:
     """Log one pass of the chooser over every name's table.
 
-    ``rows`` holds each name's enumerated row count and ``costed`` the
-    rows the chooser costed in full.
+    ``rows`` holds each name's row count, ``listed`` the rows the pass
+    listed (tables list theirs one level at a time, as the chooser asks,
+    and cached tables only once) and ``costed`` the rows the chooser
+    costed in full.
     """
     logger.info(
         "%s: %d of %d names reached the candidate cap %d; "
-        "%d rows enumerated, %d costed in full",
-        label, sum(count >= cap for count in rows), len(rows), cap, sum(rows), costed,
+        "%d rows enumerated, %d listed, %d costed in full",
+        label, sum(count >= cap for count in rows), len(rows), cap, sum(rows), listed, costed,
     )
 
 
@@ -366,9 +372,10 @@ Survey = tuple[list[SegmentTable], dict[str, float]]
 def _survey(corpus: Corpus, basis: Basis, cfg: RunConfig) -> Survey:
     """Pass 1 of an alg1 round, which does not depend on the weights.
 
-    Tiles every name by the basis, up to ``cfg.cap`` tilings, and counts
-    each new text (a span of some tiling that the table marks new) once
-    per name that places it.
+    Counts every name's tilings by the basis, up to ``cfg.cap``, and
+    each new text (a span the table marks new; every span of a table is
+    placed by some row) once per name that places it. Rows are listed
+    later, as pass 2 reads them.
     """
     surveyed = []
     demand_count: dict[str, int] = {}
@@ -399,20 +406,21 @@ def run_iteration_alg1(
     """
     if surveys is None:
         surveys = {}
+    listed, costed = segmenter._rows_listed, _rows_costed
     if basis.texts not in surveys:
         surveys[basis.texts] = _survey(corpus, basis, cfg)
     surveyed, corpus_freq = surveys[basis.texts]
     names = sorted(corpus)
     n_total = corpus.total_unique
-    costed = _rows_costed
     chosen = {
         name: _choose_row(name, table, corpus_freq, cfg, tiling_cost)
         for name, table in zip(names, surveyed)
     }
     _log_pass(
         f"alg1 iteration {iteration}",
-        [len(table.rows) for table in surveyed],
+        [table.total for table in surveyed],
         cfg.cap,
+        segmenter._rows_listed - listed,
         _rows_costed - costed,
     )
     grown, pruned, stats = _grow_and_prune(basis, chosen.values(), iteration, n_total)
@@ -454,12 +462,12 @@ def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, list[IterationStats
     """
     chosen = []
     rows = []
-    costed = _rows_costed
+    listed, costed = segmenter._rows_listed, _rows_costed
     for name in sorted(corpus):
         table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
-        rows.append(len(table.rows))
+        rows.append(table.total)
         chosen.append(_choose_row(name, table, None, cfg, composition_cost))
-    _log_pass("alg2", rows, cfg.cap, _rows_costed - costed)
+    _log_pass("alg2", rows, cfg.cap, segmenter._rows_listed - listed, _rows_costed - costed)
     _, pruned, stats = _grow_and_prune(Basis(), chosen, 1, corpus.total_unique)
     return pruned, [stats]
 
@@ -478,16 +486,18 @@ def segment_corpus(
     cost_fn = tiling_cost if cfg.algorithm == "alg1" else composition_cost
     chosen: dict[str, SequenceCandidate] = {}
     rows = []
-    costed = _rows_costed
+    listed, costed = segmenter._rows_listed, _rows_costed
     for name in sorted(corpus):
         spans = occurrence_spans(candidate_words(name, basis))
         table = tiling_table(len(name), spans, cfg.cap, gaps=False)
-        if not table.rows:
+        if not table.total:
             logger.warning("basis does not span %r; keeping a gapped sequence", name)
             table = tiling_table(len(name), spans, cfg.cap)
-        rows.append(len(table.rows))
+        rows.append(table.total)
         chosen[name] = _choose_row(name, table, None, cfg, cost_fn)
-    _log_pass("segmentation", rows, cfg.cap, _rows_costed - costed)
+    _log_pass(
+        "segmentation", rows, cfg.cap, segmenter._rows_listed - listed, _rows_costed - costed
+    )
     return chosen
 
 

@@ -1,8 +1,8 @@
 """Candidate segmentations of a name.
 
-One search, ``tiling_table``, lists a name's candidate segmentations:
-the tilings of the name by a set of spans, optionally with gaps. Its
-two uses are
+One search, ``SegmentTable`` (built by ``tiling_table``), counts and
+lists a name's candidate segmentations: the tilings of the name by a
+set of spans, optionally with gaps. Its two uses are
 
   * alg1's tilings (``enumerate_with_basis``): the spans are the
     occurrences of current basis words, and every maximal uncovered run
@@ -14,20 +14,23 @@ two uses are
     by every span of at least ``min_part`` letters, without gaps, and
     every part is new (there is no basis to start from).
 
-The search lists distinct boundary sets exactly once, in ascending
-segment-count order with ties in leftmost-boundary lexicographic order.
+The search orders distinct boundary sets in ascending segment-count
+order ("levels"), with ties in leftmost-boundary lexicographic order.
 When a cap is given, the first ``cap`` candidates in that order are
-kept. Tilings come from one feasibility-pruned pass per segment count:
-a table of which tile counts can still finish from each position lets
-the search skip every dead prefix and stop at the cap.
+kept. A backward and a forward pass count, without listing a row, the
+rows of every level and the rows that place each span, so a span's
+demand share is a count over the row total. Rows are listed one level
+at a time, only when asked for, by a depth-first pass that enters a
+move only when the tiles left can still finish, and stops at the cap.
 
-Every candidate is scored from one table type, ``SegmentTable``: one
-row of span indices per candidate, each row's sum of squared segment
-lengths and count of new segments, and per span whether it is new and
-a bitmask of the rows containing it. The table is the one place that
-decides which segments are new: a tiling's gaps, and every part of a
-composition. The engine costs a name's rows straight from its table
-and builds a candidate for the winner only (``SegmentTable.candidate``).
+Every candidate is scored from one table type, ``SegmentTable``: the
+counts above, per span whether it is new, and per listed row its span
+indices, its sum of squared segment lengths and its count of new
+segments. The table is the one place that decides which segments are
+new: a tiling's gaps, and every part of a composition. The engine
+costs a name's rows level by level straight from its table, asks for
+a level only while its rows can still win, and builds a candidate for
+the winner only (``SegmentTable.candidate``).
 
 Compositions depend only on the name's length, so their table is built
 once per (length, minimum part, whole name allowed, cap) and cached by
@@ -43,8 +46,9 @@ the count of new segments, all computed once when it is built.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from typing import AbstractSet, Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 
 class SequenceCandidate(NamedTuple):
@@ -90,61 +94,6 @@ def candidate_words(
     return {word: tuple(offsets) for word, offsets in found.items()}
 
 
-class SegmentTable(NamedTuple):
-    """Candidate segmentations of a name as rows over one list of spans.
-
-    ``new[i]`` is true when ``spans[i]`` is a new segment, not an
-    occurrence of a basis word. ``rows[r]`` lists segmentation ``r`` as
-    indices into ``spans``, left to right, in enumeration order (as
-    ``bytes`` when the indices fit in a byte). ``q[r]`` is the sum of
-    the squared segment lengths of row ``r`` and ``eta_new[r]`` its
-    count of new segments; bit ``r`` of ``masks[i]`` is set when row
-    ``r`` contains ``spans[i]``.
-    """
-
-    spans: tuple[tuple[int, int], ...]
-    new: tuple[bool, ...]
-    rows: tuple[Sequence[int], ...]
-    q: tuple[int, ...]
-    masks: tuple[int, ...]
-    eta_new: tuple[int, ...]
-
-    def boundaries(self, row: int) -> tuple[int, ...]:
-        """Interior cut offsets of row ``row``."""
-        return tuple(self.spans[i][1] for i in self.rows[row][:-1])
-
-    def candidate(self, name: str, row: int) -> SequenceCandidate:
-        """Row ``row`` as a candidate segmentation of ``name``."""
-        placed = self.rows[row]
-        return SequenceCandidate(
-            name,
-            self.boundaries(row),
-            tuple(name[start:end] for start, end in map(self.spans.__getitem__, placed)),
-            tuple(map(self.new.__getitem__, placed)),
-            self.eta_new[row],
-        )
-
-
-def _table(
-    index: Mapping[tuple[int, int], int],
-    new: Iterable[bool],
-    rows: Sequence[Sequence[int]],
-    q: Iterable[int],
-    eta_new: Iterable[int],
-) -> SegmentTable:
-    """A ``SegmentTable`` over the spans of ``index``, in index order,
-    with each span's row bitmask."""
-    # Set the bits in byte arrays: OR-ing into growing ints would copy
-    # each mask once per row.
-    bits = [bytearray((len(rows) + 7) // 8) for _ in index]
-    for r, row in enumerate(rows):
-        byte, bit = r >> 3, 1 << (r & 7)
-        for i in row:
-            bits[i][byte] |= bit
-    masks = tuple(int.from_bytes(b, "little") for b in bits)
-    return SegmentTable(tuple(index), tuple(new), tuple(rows), tuple(q), masks, tuple(eta_new))
-
-
 def occurrence_spans(candidates: Mapping[str, tuple[int, ...]]) -> frozenset[tuple[int, int]]:
     """The ``(start, end)`` spans of a ``candidate_words`` mapping."""
     return frozenset(
@@ -152,84 +101,343 @@ def occurrence_spans(candidates: Mapping[str, tuple[int, ...]]) -> frozenset[tup
     )
 
 
+# One listed level of a SegmentTable: its rows, each as its span indices
+# left to right; each row's sum of squared segment lengths; and each
+# row's count of new segments.
+Level = tuple[Sequence[Sequence[int]], Sequence[int], Sequence[int]]
+
+# A move of the tiling search: the tile's end, whether it is a gap, the
+# packed counts of the ways to finish after it, its span index, its
+# squared length and whether it is new.
+Move = tuple[int, bool, int, int, int, bool]
+
+
+@lru_cache(maxsize=64)
+def _fields(width: int) -> tuple[int, ...]:
+    """The masks of the ``width``-bit fields of a packed count, by
+    field: ``t`` tiles left to place is field ``t``."""
+    return tuple(((1 << width) - 1) << (width * t) for t in range(width))
+
+
+def _row(spans: int) -> Callable[[Iterable[int]], Sequence[int]]:
+    """How a row of indices into ``spans`` spans is kept: one byte an
+    index when the indices fit, not a pointer each."""
+    return bytes if spans <= 256 else tuple
+
+
+# Rows listed by every SegmentTable so far. Tables list their rows one
+# level at a time, on demand, so the engine logs how far this moved in
+# each pass.
+_rows_listed = 0
+
+
+class SegmentTable:
+    """The first ``cap`` tilings of a length-``n`` name, counted in full
+    and listed one level at a time.
+
+    A tile is either a span from ``spans`` or, when ``gaps`` is true, a
+    gap: a new segment, never next to another gap. Rows come fewest
+    tiles first, ties in leftmost-boundary order, and level ``k`` holds
+    the rows of ``k`` tiles.
+
+    One backward pass packs, for each position and whether the tile
+    ending there was a gap, the number of ways to finish with each tile
+    count into one int, one ``n + 1``-bit field per count: adding a tile
+    shifts a target's counts up one field, and a position sums its
+    moves' shifted counts. A length-``n`` name has at most
+    ``2 ** (n - 1)`` tilings, so no field overflows, and a packed count
+    taken mod ``2 ** (n + 1) - 1`` is the sum of its fields. A matching
+    forward pass counts the ways to reach each position, so a tile's
+    rows, per level, are one product of the counts on either side of
+    it. From these the table knows, without listing a row:
+
+      * ``levels[k]``, the rows of level ``k`` (after the cap) and
+        ``total``, their sum;
+      * ``spans``, every tile some kept row places, with ``new[i]``
+        true when ``spans[i]`` is a new segment and ``counts[i]`` the
+        rows that place it.
+
+    ``level(k)`` lists level ``k`` on first use and keeps it: its rows
+    as indices into ``spans``, left to right, one byte each when they
+    fit, each row's sum of squared tile lengths and its count of new
+    tiles. The level the cap cuts is listed when the table is built,
+    since the counts of its first rows come from listing them. The walk
+    enters a move only when its target can still finish with the tiles
+    left, so every node visited leads to a row, and with one tile left
+    the only move that finishes ends at ``n``: moves are kept in
+    ascending end order, so it is the last one. Once every level is
+    listed, the moves are dropped.
+
+    ``text_rows(name)`` gives, for each span, the rows placing its text
+    at least once: the span's own count for a text placed at one
+    offset, and otherwise the rows left after one more backward pass
+    that avoids all of the text's spans. They are kept per name, so a
+    table re-read under other weights counts them once.
+    """
+
+    __slots__ = (
+        "spans", "new", "counts", "levels", "total",
+        "_width", "_moves", "_rows", "_q", "_eta_new", "_at", "_cut", "_full", "_text_rows",
+    )
+
+    def __init__(
+        self, n: int, spans: Container[tuple[int, int]], cap: int, gaps: bool, all_new: bool
+    ):
+        if cap < 1:
+            raise ValueError(f"cap must be >= 1, got {cap}")
+        self._width = width = n + 1
+        # back[pos][after_gap]: ways to tile [pos, n), one field per tile
+        # count; after_gap: the tile ending at pos was a gap, so the next
+        # must be a span. steps[pos]: (end, is_gap, target counts) for
+        # each tile from pos that some tiling can finish, ascending end.
+        back = [(1, 1)] * (n + 1)
+        steps: list[list[tuple[int, bool, int]]] = [[]] * n
+        for pos in range(n - 1, -1, -1):
+            step: list[tuple[int, bool, int]] = []
+            to_any = to_span = 0
+            for end in range(pos + 1, n + 1):
+                is_gap = (pos, end) not in spans
+                if is_gap and not gaps:
+                    continue
+                count = back[end][is_gap]
+                if not count:
+                    continue
+                step.append((end, is_gap, count))
+                to_any += count
+                if not is_gap:
+                    to_span += count
+            steps[pos] = step
+            back[pos] = (to_any << width, to_span << width)
+
+        field = (1 << width) - 1
+        levels = [0]
+        kept = cut = 0
+        rest = back[0][0] >> width  # field k - 1: the rows of level k
+        while rest and kept < cap:
+            count = rest & field
+            rest >>= width
+            if kept + count > cap:
+                count = cap - kept
+                cut = len(levels)
+            levels.append(count)
+            kept += count
+        self.levels = tuple(levels)
+        self.total = sum(levels)
+        self._cut = cut
+        self._full = len(levels) - 1 - bool(cut)  # the last level kept in full
+
+        # A product of forward and backward counts has the rows of level
+        # t + 1 in field t, and counts mod 2**width - 1 is the sum of their
+        # fields (at most the name's 2**(n - 1) tilings, so exact). When
+        # the cap drops rows, tiles that no kept row places are left out,
+        # along with the prefixes through them, and a tile's rows are its
+        # product summed over the full levels; otherwise they are the
+        # product of the two sums.
+        capped = bool(cut or rest)
+        last = (1 << (width * (len(levels) - 1))) - 1
+        full = (1 << (width * self._full)) - 1
+        sums = [(to_any % field, to_span % field) for to_any, to_span in back]
+        fwd = [0] * (n + 1)  # ways to reach pos, the last tile a span
+        fwd_gap = [0] * (n + 1)  # ... the last tile a gap
+        fwd[0] = 1
+        tiles: list[tuple[int, int]] = []
+        new: list[bool] = []
+        counts: list[int] = []
+        # moves[after_gap][pos]: (end, is_gap, target counts, span index,
+        # square, new) for each kept tile from pos, ascending end
+        moves: tuple[list[tuple[Move, ...]], list[tuple[Move, ...]]] = ([()] * n, [()] * n)
+        for pos in range(n):
+            reach = fwd[pos]  # only these may go on with a gap
+            reach_any = reach + fwd_gap[pos]
+            if not reach_any:
+                continue
+            ways, ways_any = reach % field, reach_any % field
+            any_move: list[Move] = []
+            span_move: list[Move] = []
+            for end, is_gap, count in steps[pos]:
+                before = reach if is_gap else reach_any
+                if not before:
+                    continue
+                if capped:
+                    rows = before * count
+                    if not rows & last:
+                        continue
+                    placed = (rows & full) % field
+                else:
+                    placed = (ways if is_gap else ways_any) * sums[end][is_gap]
+                if is_gap:
+                    fwd_gap[end] += before << width
+                else:
+                    fwd[end] += before << width
+                move = (end, is_gap, count, len(tiles), (end - pos) * (end - pos), all_new or is_gap)
+                tiles.append((pos, end))
+                new.append(move[5])
+                counts.append(placed)
+                any_move.append(move)
+                if not is_gap:
+                    span_move.append(move)
+            moves[False][pos] = tuple(any_move)
+            moves[True][pos] = tuple(span_move)
+        self._moves = moves
+        self.spans = tuple(tiles)
+        self.new = tuple(new)
+        # Every listed row, level after level in the order they are
+        # listed: its span indices, its sum of squared tile lengths and
+        # its count of new tiles. _at[k] is the first row of level k, once
+        # listed; an empty level is listed already.
+        self._rows: list[Sequence[int]] = []
+        self._q = array("I")
+        self._eta_new = array("I")
+        self._at: list[int | None] = [None if count else 0 for count in levels]
+        self._text_rows: dict[str, tuple[int, ...]] = {}
+        if cut:
+            self._walk(cut)
+            for row in self._rows:
+                for i in row:
+                    counts[i] += 1
+            if not all(counts):
+                # drop the tiles that only the cut level's unlisted rows place
+                number = {i: j for j, i in enumerate(i for i, c in enumerate(counts) if c)}
+                if self._moves is not None:
+                    self._moves = tuple(
+                        [
+                            tuple((*m[:3], number[m[3]], *m[4:]) for m in side if m[3] in number)
+                            for side in state
+                        ]
+                        for state in moves
+                    )
+                self.spans, self.new, counts = [
+                    tuple(value for value, placed in zip(column, counts) if placed)
+                    for column in (self.spans, self.new, counts)
+                ]
+                pack = _row(len(self.spans))
+                self._rows = [pack(map(number.__getitem__, row)) for row in self._rows]
+        self.counts = tuple(counts)
+
+    def level(self, k: int) -> Level:
+        """The rows of level ``k``, each as its span indices left to right;
+        each row's sum of squared tile lengths; and each row's count of
+        new tiles. The level is listed on first use."""
+        if self._at[k] is None:
+            self._walk(k)
+        start = self._at[k]
+        stop = start + self.levels[k]
+        return self._rows[start:stop], self._q[start:stop], self._eta_new[start:stop]
+
+    def _walk(self, k: int) -> None:
+        """List the first ``levels[k]`` rows of ``k`` tiles, depth first,
+        after the rows listed so far."""
+        global _rows_listed
+        moves = self._moves
+        finish = _fields(self._width)
+        limit = len(self._q) + self.levels[k]
+        self._at[k] = len(self._q)
+        pack = _row(len(self.spans))
+        path: list[int] = []
+        rows, q, eta_new = self._rows, self._q, self._eta_new
+
+        def descend(pos: int, left: int, after_gap: bool, squares: int, fresh: int) -> bool:
+            """List the rows of ``[pos, n)`` in ``left`` tiles; true at the limit."""
+            if left == 1:
+                _, _, _, i, square, is_new = moves[after_gap][pos][-1]
+                rows.append(pack((*path, i)))
+                q.append(squares + square)
+                eta_new.append(fresh + is_new)
+                return len(q) >= limit
+            field = finish[left - 1]
+            for end, is_gap, count, i, square, is_new in moves[after_gap][pos]:
+                if count & field:
+                    path.append(i)
+                    if descend(end, left - 1, is_gap, squares + square, fresh + is_new):
+                        return True
+                    path.pop()
+            return False
+
+        descend(0, k, False, 0, 0)
+        del descend  # it refers to itself: free it now, not at the next collection
+        _rows_listed += self.levels[k]
+        if None not in self._at:
+            self._moves = None  # every level is listed
+
+    def candidate(self, name: str, k: int, j: int) -> SequenceCandidate:
+        """Row ``j`` of level ``k`` as a candidate segmentation of ``name``."""
+        if self._at[k] is None:
+            self._walk(k)
+        row = self._at[k] + j
+        placed = self._rows[row]
+        spans = list(map(self.spans.__getitem__, placed))
+        return SequenceCandidate(
+            name,
+            tuple(end for _, end in spans[:-1]),
+            tuple(name[start:end] for start, end in spans),
+            tuple(map(self.new.__getitem__, placed)),
+            self._eta_new[row],
+        )
+
+    def candidates(self, name: str) -> list[SequenceCandidate]:
+        """Every row, level by level, as a candidate segmentation of ``name``."""
+        return [
+            self.candidate(name, k, j) for k, count in enumerate(self.levels) for j in range(count)
+        ]
+
+    def text_rows(self, name: str) -> tuple[list[str], tuple[int, ...]]:
+        """Each span's text in ``name``, and the rows placing that text at
+        least once. The counts are kept per name."""
+        texts = [name[start:end] for start, end in self.spans]
+        kept = self._text_rows.get(name)
+        if kept is None:
+            if len(set(texts)) == len(texts):
+                kept = self.counts  # each text at one offset: its span's count
+            else:
+                placed: dict[str, list[int]] = {}
+                for i, text in enumerate(texts):
+                    placed.setdefault(text, []).append(i)
+                rows = [0] * len(texts)
+                for spans in placed.values():
+                    count = self.counts[spans[0]]
+                    if len(spans) > 1:
+                        count = self._rows_placing(set(spans))
+                    for i in spans:
+                        rows[i] = count
+                kept = tuple(rows)
+            self._text_rows[name] = kept
+        return texts, kept
+
+    def _rows_placing(self, spans: AbstractSet[int]) -> int:
+        """Rows placing any of the span indices ``spans``: the rows of the
+        levels kept in full, less those one backward pass counts without
+        ``spans``, plus the listed rows of the cut level that place one.
+        Once every level is listed, the rows are scanned instead."""
+        if self._moves is None:
+            return sum(not spans.isdisjoint(row) for row in self._rows)
+        width = self._width
+        moves = self._moves[False]
+        n = len(moves)
+        back = [(1, 1)] * (n + 1)
+        for pos in range(n - 1, -1, -1):
+            to_span = to_gap = 0
+            for end, is_gap, _, i, _, _ in moves[pos]:
+                if i not in spans:
+                    if is_gap:
+                        to_gap += back[end][True]
+                    else:
+                        to_span += back[end][False]
+            back[pos] = ((to_span + to_gap) << width, to_span << width)
+        # the rows of the full levels, summed as in the table's own count
+        avoiding = (back[0][0] >> width & (1 << (width * self._full)) - 1) % ((1 << width) - 1)
+        placing = sum(self.levels[: self._full + 1]) - avoiding
+        if self._cut:
+            placing += sum(not spans.isdisjoint(row) for row in self.level(self._cut)[0])
+        return placing
+
+
 def tiling_table(
     n: int, spans: Container[tuple[int, int]], cap: int = 5000, *, gaps: bool = True
 ) -> SegmentTable:
-    """The table of the first ``cap`` tilings of a length-``n`` name.
-
-    A tile is either a span from ``spans`` or, when ``gaps`` is true, a
-    new-segment gap; gaps may not be adjacent. Rows come fewest tiles
-    first, ties in leftmost-boundary order.
-
-    One backward pass builds ``feasible[pos][after_gap]``, a bitmask
-    whose bit ``t`` is set when ``[pos, n)`` can be tiled with exactly
-    ``t`` more tiles (``after_gap``: the tile ending at ``pos`` was a
-    gap, so the next one must be a span). Then, for each tile count
-    whose bit is set at the start, a depth-first pass enters a move only
-    when its target can still finish with the tiles left. Every node
-    visited leads to a tiling, so no dead prefix is walked, and the
-    search stops at the ``cap``-th tiling. With one tile left, the only
-    move that finishes ends at ``n``, and moves are kept in ascending
-    end order, so the last tile is the last move, taken without a test.
-    Each move carries its span and squared length, and a gap is exactly
-    a new segment, so the walk emits each row with its ``q`` and
-    ``eta_new``; a span gets its index when the walk first enters it.
-    """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    feasible = [(1, 1)] * (n + 1)
-    # moves[pos][after_gap]: (end, is_gap, target mask, span, square) for
-    # each tile from pos that some tiling can finish, ascending end
-    moves: list[tuple[list, list]] = [([], [])] * n
-    for pos in range(n - 1, -1, -1):
-        any_move: list[tuple[int, bool, int, tuple[int, int], int]] = []
-        span_move: list[tuple[int, bool, int, tuple[int, int], int]] = []
-        after_any = after_span = 0
-        for end in range(pos + 1, n + 1):
-            is_gap = (pos, end) not in spans
-            if is_gap and not gaps:
-                continue
-            mask = feasible[end][is_gap]
-            if not mask:
-                continue
-            move = (end, is_gap, mask, (pos, end), (end - pos) * (end - pos))
-            any_move.append(move)
-            after_any |= mask
-            if not is_gap:
-                span_move.append(move)
-                after_span |= mask
-        moves[pos] = (any_move, span_move)
-        feasible[pos] = (after_any << 1, after_span << 1)
-
-    index: dict[tuple[int, int], int] = {}
-    path: list[int] = []
-    rows: list[Sequence[int]] = []
-    q: list[int] = []
-    eta_new: list[int] = []
-
-    def descend(pos: int, left: int, after_gap: bool, squares: int, fresh: int) -> bool:
-        """Emit the tilings of ``[pos, n)`` in ``left`` tiles; true at the cap."""
-        if left == 1:
-            _, is_gap, _, span, square = moves[pos][after_gap][-1]
-            rows.append((*path, index.setdefault(span, len(index))))
-            q.append(squares + square)
-            eta_new.append(fresh + is_gap)
-            return len(rows) >= cap
-        bit = 1 << (left - 1)
-        for end, is_gap, mask, span, square in moves[pos][after_gap]:
-            if mask & bit:
-                path.append(index.setdefault(span, len(index)))
-                if descend(end, left - 1, is_gap, squares + square, fresh + is_gap):
-                    return True
-                path.pop()
-        return False
-
-    for tiles in range(1, n + 1):
-        if feasible[0][0] >> tiles & 1 and descend(0, tiles, False, 0, 0):
-            break
-    if len(index) <= 256:
-        rows = list(map(bytes, rows))  # one byte per index, not a pointer
-    return _table(index, (span not in spans for span in index), rows, q, eta_new)
+    """The table of the first ``cap`` tilings of a length-``n`` name by
+    ``spans`` and, with ``gaps``, new-segment gaps; a gap is exactly a
+    new segment."""
+    return SegmentTable(n, spans, cap, gaps, all_new=False)
 
 
 def enumerate_with_basis(
@@ -247,8 +455,7 @@ def enumerate_with_basis(
     ``gaps=False`` keeps only the tilings made of occurrences alone,
     and may return none.
     """
-    table = tiling_table(len(name), occurrence_spans(candidates), cap, gaps=gaps)
-    return [table.candidate(name, r) for r in range(len(table.rows))]
+    return tiling_table(len(name), occurrence_spans(candidates), cap, gaps=gaps).candidates(name)
 
 
 @lru_cache(maxsize=1024)
@@ -260,15 +467,13 @@ def composition_table(
 
     A composition is a gapless tiling by every span of at least
     ``min_part`` letters (by the whole name only when ``include_whole``),
-    so ``tiling_table`` lists them and this marks every span new.
-    ``cap=None`` passes ``2 ** n``, more than a length-``n`` name has
-    compositions.
+    so the tiling search lists them, with every span new. ``cap=None``
+    passes ``2 ** n``, more than a length-``n`` name has compositions.
     """
     spans = {(start, end) for start in range(n) for end in range(start + min_part, n + 1)}
     if not include_whole:
         spans.discard((0, n))
-    table = tiling_table(n, spans, 2**n if cap is None else cap, gaps=False)
-    return table._replace(new=(True,) * len(table.spans), eta_new=tuple(map(len, table.rows)))
+    return SegmentTable(n, spans, 2**n if cap is None else cap, False, all_new=True)
 
 
 def enumerate_all(
@@ -287,5 +492,4 @@ def enumerate_all(
         raise ValueError(f"min_segment must be >= 1, got {min_segment}")
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    table = composition_table(len(name), min_segment, include_whole, cap)
-    return [table.candidate(name, r) for r in range(len(table.rows))]
+    return composition_table(len(name), min_segment, include_whole, cap).candidates(name)

@@ -327,6 +327,21 @@ class TestTranscribe:
         assert code == 1
         assert "does not spell" in capsys.readouterr().err
 
+    def test_word_outside_basis_rejected(self, files, capsys):
+        # the table has a row for rama, but the basis has only ra and ma
+        (files / "names.txt").write_text("rama\n", encoding="utf-8")
+        (files / "basis.txt").write_text("ra\nma\n", encoding="utf-8")
+        (files / "seg.tsv").write_text("rama\trama\n", encoding="utf-8")
+        (files / "table.tsv").write_text(
+            "ra\tr a\tr a\nma\tm aa\tm A\nrama\tr aa m a\tr A m a\n", encoding="utf-8"
+        )
+        code, out = self.run(files)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: segmentation of 'rama' uses 'rama', not in the basis\n"
+        )
+        assert not out.exists()
+
     def test_empty_segmentations_empty_lexicon(self, files):
         (files / "seg.tsv").write_text("", encoding="utf-8")
         code, out = self.run(files)

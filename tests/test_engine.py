@@ -520,9 +520,11 @@ class TestSegmentCorpus:
 class TestCapCount:
     def test_names_reaching_cap_logged_once_per_pass(self, caplog):
         # with cap 2, rama and ram have two tilings by "ra" and gopal one,
-        # 5 tilings enumerated and costed in each pass (none covers, so
-        # segmentation costs the gapped ones); rama and gopal have two or
-        # more compositions into parts >= 2
+        # 5 tilings enumerated, listed and costed in each pass (none
+        # covers, so segmentation costs the gapped ones); rama and gopal
+        # have two or more compositions into parts >= 2. Composition
+        # tables are cached, and a cached table lists nothing again.
+        composition_table.cache_clear()
         corpus = Corpus({"rama": 1, "ram": 1, "gopal": 1})
         cfg = RunConfig(cap=2, min_length=2)
         basis = basis_of("ra")
@@ -532,22 +534,24 @@ class TestCapCount:
             segment_corpus(corpus, basis, cfg)
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
             "alg1 iteration 1: 2 of 3 names reached the candidate cap 2; "
-            "5 rows enumerated, 5 costed in full",
-            "alg2: 2 of 3 names reached the candidate cap 2; 5 rows enumerated, 5 costed in full",
+            "5 rows enumerated, 5 listed, 5 costed in full",
+            "alg2: 2 of 3 names reached the candidate cap 2; "
+            "5 rows enumerated, 5 listed, 5 costed in full",
             "segmentation: 2 of 3 names reached the candidate cap 2; "
-            "5 rows enumerated, 5 costed in full",
+            "5 rows enumerated, 5 listed, 5 costed in full",
         ]
 
     def test_segmentation_counts_covering_tilings_only(self, caplog):
         # rama has 4 covering tilings (ra ma, ra m a, r a ma, r a m a)
         # and more gapped ones; ra ma, the only two-part one, wins, and
-        # the three-part rows' first term alone already costs more
+        # the three-part rows' first term alone already costs more, so
+        # they are counted but never listed
         corpus = Corpus({"rama": 1})
         with caplog.at_level(logging.INFO, logger="namebasis.engine"):
             segment_corpus(corpus, basis_of("ra", "ma", "r", "a", "m"), RunConfig())
         assert [r.getMessage() for r in caplog.records] == [
             "segmentation: 0 of 1 names reached the candidate cap 5000; "
-            "4 rows enumerated, 1 costed in full",
+            "4 rows enumerated, 1 listed, 1 costed in full",
         ]
 
     def test_alg2_defaults_cost_few_rows_past_the_whole_name(self, caplog):
@@ -555,13 +559,20 @@ class TestCapCount:
         # rows. A k-part row costs at least 0.4 k / n, so the scan stops
         # at the first two-part row, except on the 9 names of 4 letters
         # and 10 of 5, whose 1 and 2 two-part rows are costed too.
+        # Listed: the whole-name row of each of the 20 name lengths, the
+        # two-part rows of lengths 4 and 5, and the cut six-part levels
+        # of the two capped names: 2,327 rows of 22 letters and 1,612 of
+        # 23 (5,000 less the 2,673 and 3,388 rows of their first five
+        # levels).
+        composition_table.cache_clear()
         corpus = make_planted_corpus(n_names=150, n_units=30, seed=7).corpus
         with caplog.at_level(logging.INFO, logger="namebasis.engine"):
             _, [stats] = run_alg2(corpus, RunConfig(algorithm="alg2", min_length=2))
         assert stats.j_total == 0
         assert [r.getMessage() for r in caplog.records] == [
             "alg2: 2 of 150 names reached the candidate cap 5000; "
-            f"42398 rows enumerated, {150 + 9 * 1 + 10 * 2} costed in full",
+            f"42398 rows enumerated, {20 + 1 + 2 + 2327 + 1612} listed, "
+            f"{150 + 9 * 1 + 10 * 2} costed in full",
         ]
 
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_tilings, spans_of
+from namebasis.corpus import Corpus
+from namebasis.engine import RunConfig, _survey
 from namebasis.ortho import Basis
 from namebasis.segmenter import (
     candidate_words,
@@ -217,9 +219,9 @@ class TestEnumerateAll:
             ),
         ),
     )
-    # 300 compositions place more than 256 spans, so rows stay tuples
+    # 300 compositions place more than 256 spans, too many for one byte an index
     @example(n=25, min_segment=1, include_whole=True, cap=300, tiled=None)
-    def test_table_rows_masks_and_squares(self, n, min_segment, include_whole, cap, tiled):
+    def test_table_rows_counts_and_squares(self, n, min_segment, include_whole, cap, tiled):
         if tiled is None:
             table = composition_table(n, min_segment, include_whole, cap)
             existing = frozenset()  # every part is new
@@ -246,17 +248,25 @@ class TestEnumerateAll:
                     cuts for cuts in tilings if set(zip((0, *cuts), (*cuts, n))) <= existing
                 }
             expected = sorted(tilings, key=lambda cuts: (len(cuts), cuts))[:cap]
-        assert [table.boundaries(r) for r in range(len(table.rows))] == expected
+        rows = [
+            (k, row, q, eta_new)
+            for k in range(len(table.levels))
+            for row, q, eta_new in zip(*table.level(k))
+        ]
+        assert table.total == len(rows)
+        assert [tuple(table.spans[i][1] for i in row[:-1]) for _, row, _, _ in rows] == expected
         assert len(set(table.spans)) == len(table.spans)
         assert table.new == tuple(span not in existing for span in table.spans)
-        for r, row in enumerate(table.rows):
+        for k, row, q, eta_new in rows:
             placed = [table.spans[i] for i in row]
+            assert len(placed) == k
             assert [start for start, _ in placed] == [0] + [end for _, end in placed[:-1]]
             assert placed[-1][1] == n
-            assert table.q[r] == sum((end - start) ** 2 for start, end in placed)
-            assert table.eta_new[r] == sum(span not in existing for span in placed)
-        for i, mask in enumerate(table.masks):
-            assert mask == sum(1 << r for r, row in enumerate(table.rows) if i in row)
+            assert q == sum((end - start) ** 2 for start, end in placed)
+            assert eta_new == sum(span not in existing for span in placed)
+        # every span is placed by some row, and counted once per row
+        for i, count in enumerate(table.counts):
+            assert count == sum(i in row for _, row, _, _ in rows) > 0
 
     def test_cap(self):
         seqs = enumerate_all("abcdef", min_segment=1, include_whole=True, cap=4)
@@ -270,3 +280,74 @@ class TestEnumerateAll:
         without = enumerate_all(name, min_segment=1, include_whole=False)
         assert len(with_whole) == 2 ** (n - 1)
         assert len(without) == 2 ** (n - 1) - 1
+
+
+class TestCountingOracle:
+    """The table's counts against a listing of every row it keeps."""
+
+    @given(
+        name=st.one_of(
+            st.text(alphabet="ab", min_size=1, max_size=10),
+            # texts placed at more than one offset
+            st.sampled_from(["abab", "aaaa", "abcabc", "aaaaaaaaa", "abababab", "baaab"]),
+        ),
+        # a basis and gaps, or a minimum part and include_whole
+        tiled=st.one_of(
+            st.tuples(
+                st.sets(st.text(alphabet="abc", min_size=1, max_size=3), max_size=6),
+                st.booleans(),
+            ),
+            st.tuples(st.integers(1, 3), st.booleans()),
+        ),
+        cap=st.one_of(st.integers(1, 20), st.none()),
+        data=st.data(),
+    )
+    @settings(max_examples=400)
+    def test_counts_match_listing(self, name, tiled, cap, data):
+        n = len(name)
+        if isinstance(tiled[0], int):
+            min_segment, include_whole = tiled
+            seqs = enumerate_all(name, min_segment, include_whole, cap)
+            # an uncached table, so its levels are listed below
+            table = composition_table.__wrapped__(n, min_segment, include_whole, cap)
+        else:
+            words, gaps = tiled
+            candidates = candidate_words(name, words)
+            seqs = enumerate_with_basis(name, candidates, cap or 10**9, gaps=gaps)
+            table = tiling_table(n, occurrence_spans(candidates), cap or 10**9, gaps=gaps)
+            if gaps:
+                # pass 1 of alg1 counts a text new for a name when a row
+                # places it as a new segment
+                (_, corpus_freq) = _survey(
+                    Corpus({name: 1}), Basis(words), RunConfig(cap=cap or 10**9)
+                )
+                assert set(corpus_freq) == {
+                    text for seq in seqs for text, new in zip(seq.texts, seq.new) if new
+                }
+
+        assert table.total == len(seqs)
+        assert list(table.levels[1:]) == [
+            sum(seq.eta_total == k for seq in seqs) for k in range(1, len(table.levels))
+        ]
+        texts, text_rows = table.text_rows(name)
+        for text, count in zip(texts, text_rows):
+            assert count == sum(text in seq.texts for seq in seqs)
+        assert set(texts) == {text for seq in seqs for text in seq.texts}
+        for span, count in zip(table.spans, table.counts):
+            assert count == sum(
+                span in zip((0, *seq.boundaries), (*seq.boundaries, n)) for seq in seqs
+            )
+
+        # levels listed on demand, in any order, join into the listing
+        order = data.draw(st.permutations(range(len(table.levels))))
+        for k in order:
+            table.level(k)
+        assert table.candidates(name) == seqs
+        # the counts serve any name of the table's length (a composition
+        # table is shared by all of them); once every level is listed, a
+        # new name's texts are counted from the listed rows
+        other = name[::-1]
+        texts, text_rows = table.text_rows(other)
+        rows = table.candidates(other)
+        for text, count in zip(texts, text_rows):
+            assert count == sum(text in row.texts for row in rows)
