@@ -15,8 +15,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import ConfigError, read_kv
-from .corpus import CorpusError, EmptyCorpusError, load_names, normalize
+from .config import ConfigError, data_lines, read_kv, read_text
+from .corpus import Corpus, CorpusError, EmptyCorpusError, load_names, normalize
 from .engine import (
     IterationStats,
     RunConfig,
@@ -54,15 +54,9 @@ def _fail(code: int, message: str) -> int:
 
 
 def read_basis_file(path) -> Basis:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
     words = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in data_lines(read_text(path, CorpusError)):
         word = line.strip()
-        if not word or word.startswith("#"):
-            continue
         if any(ch.isspace() for ch in word):
             # segmentations are split on spaces, so no name could use it
             raise CorpusError(f"{path}: line {lineno}: whitespace in word {word!r}")
@@ -75,15 +69,9 @@ def write_basis_file(basis: Basis, path) -> None:
 
 
 def read_segmentations(path) -> dict[str, tuple[str, ...]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
     rows: dict[str, tuple[str, ...]] = {}
     set_on: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(read_text(path, CorpusError)):
         parts = line.split("\t")
         if len(parts) != 2:
             raise CorpusError(f"{path}: line {lineno}: expected name<TAB>words")
@@ -119,13 +107,8 @@ def write_stats(trace: list[IterationStats], csv_path, json_path) -> None:
 
 
 def read_stats_csv(path) -> list[IterationStats]:
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            rows = list(csv.DictReader(handle))
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
     trace = []
-    for row in rows:
+    for row in csv.DictReader(read_text(path, CorpusError).splitlines()):
         try:
             trace.append(
                 IterationStats(
@@ -138,27 +121,26 @@ def read_stats_csv(path) -> list[IterationStats]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{path}: malformed stats row {row!r}: {exc}") from exc
+    if not trace:
+        raise CorpusError(f"{path}: no stats rows")
     return trace
 
 
-def _load_config(path: str | None, algo: str | None) -> RunConfig:
-    mapping = dict(read_kv(path)) if path else {}
-    if algo:
-        mapping["algorithm"] = algo  # flags win over the config file
-    return RunConfig.from_mapping(mapping)
+def _load_run(args) -> tuple[RunConfig, Corpus, Path]:
+    """The run configuration, the normalized corpus and the created output
+    directory of an ``induce`` or ``grid-search`` run."""
+    mapping = read_kv(args.config) if args.config else {}
+    if args.algo:
+        mapping["algorithm"] = args.algo  # flags win over the config file
+    cfg = RunConfig.from_mapping(mapping)
+    corpus = normalize(load_names(args.names, args.input_format), cfg.min_length)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, corpus, out
 
 
 def _cmd_induce(args) -> int:
-    out = Path(args.out)
-    try:
-        cfg = _load_config(args.config, args.algo)
-        corpus = normalize(load_names(args.names, args.input_format), cfg.min_length)
-        out.mkdir(parents=True, exist_ok=True)
-    except EmptyCorpusError as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
-    except (ConfigError, CorpusError) as exc:
-        return _fail(EXIT_IO, str(exc))
-
+    cfg, corpus, out = _load_run(args)
     run = run_alg1 if cfg.algorithm == "alg1" else run_alg2
     basis, trace = run(corpus, cfg)
     chosen = segment_corpus(corpus, basis, cfg)
@@ -196,10 +178,7 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_ortho(args) -> int:
-    try:
-        basis = read_basis_file(args.basis)
-    except CorpusError as exc:
-        return _fail(EXIT_IO, str(exc))
+    basis = read_basis_file(args.basis)
     if args.check_only:
         ok, witnesses = is_ortho(basis)
         joiner = f" {JOIN_MARK} "
@@ -220,15 +199,10 @@ def _cmd_ortho(args) -> int:
 
 
 def _cmd_transcribe(args) -> int:
-    try:
-        corpus = normalize(load_names(args.names, "plain"), min_length=1)
-        basis = read_basis_file(args.basis)
-        segmentations = read_segmentations(args.segmentations)
-        table = load_transcriptions(args.table, basis=basis.texts)
-    except EmptyCorpusError as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
-    except (CorpusError, LexiconError) as exc:
-        return _fail(EXIT_IO, str(exc))
+    corpus = normalize(load_names(args.names, "plain"), min_length=1)
+    basis = read_basis_file(args.basis)
+    segmentations = read_segmentations(args.segmentations)
+    table = load_transcriptions(args.table, basis=basis.texts)
     for name, words in segmentations.items():
         if "".join(words) != name:
             return _fail(EXIT_VALIDATION, f"segmentation of {name!r} does not spell it")
@@ -256,10 +230,7 @@ def _cmd_transcribe(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        trace = read_stats_csv(args.stats)
-    except CorpusError as exc:
-        return _fail(EXIT_IO, str(exc))
+    trace = read_stats_csv(args.stats)
     header = IterationStats.CSV_HEADER
     print(" ".join(f"{h:>12}" for h in header))
     for stats in trace:
@@ -281,16 +252,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_grid_search(args) -> int:
-    out = Path(args.out)
     try:
         grid = weight_grid(args.step)
-        cfg = _load_config(args.config, args.algo)
-        corpus = normalize(load_names(args.names, args.input_format), cfg.min_length)
-        out.mkdir(parents=True, exist_ok=True)
-    except EmptyCorpusError as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
-    except (ConfigError, CorpusError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_IO, str(exc))
+    cfg, corpus, out = _load_run(args)
     best, table = grid_search_weights(corpus, cfg, grid)
     _write_csv(
         out / "grid.csv",
@@ -313,15 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
         "compose its pronunciation lexicon.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # what induce and grid-search read
+    run.add_argument("--names", required=True, help="corpus file")
+    run.add_argument("--algo", choices=("alg1", "alg2"), default=None)
+    run.add_argument("--config", default=None, help="key=value run configuration")
+    run.add_argument("--out", required=True, help="output directory")
+    run.add_argument("--input-format", choices=("plain", "name_freq"), default="plain")
 
-    induce = sub.add_parser("induce", help="run basis induction and write reports")
-    induce.add_argument("--names", required=True, help="corpus file")
-    induce.add_argument("--algo", choices=("alg1", "alg2"), default=None)
-    induce.add_argument("--config", default=None, help="key=value run configuration")
-    induce.add_argument("--out", required=True, help="output directory")
-    induce.add_argument(
-        "--input-format", choices=("plain", "name_freq"), default="plain"
-    )
+    induce = sub.add_parser("induce", parents=[run], help="run basis induction and write reports")
     induce.set_defaults(func=_cmd_induce)
 
     ortho = sub.add_parser("ortho", help="check or enforce basis orthogonality")
@@ -343,15 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--stats", required=True, help="stats.csv from induce")
     report.set_defaults(func=_cmd_report)
 
-    grid = sub.add_parser("grid-search", help="search the weight simplex")
-    grid.add_argument("--names", required=True)
-    grid.add_argument("--algo", choices=("alg1", "alg2"), default=None)
-    grid.add_argument("--config", default=None)
+    grid = sub.add_parser("grid-search", parents=[run], help="search the weight simplex")
     grid.add_argument("--step", type=float, default=0.1)
-    grid.add_argument("--out", required=True)
-    grid.add_argument(
-        "--input-format", choices=("plain", "name_freq"), default="plain"
-    )
     grid.set_defaults(func=_cmd_grid_search)
     return parser
 
@@ -361,8 +319,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # an unwritable --out
-        return _fail(EXIT_IO, str(exc))
+    except EmptyCorpusError as exc:
+        return _fail(EXIT_VALIDATION, str(exc))
+    except (ConfigError, CorpusError, LexiconError, OSError) as exc:
+        return _fail(EXIT_IO, str(exc))  # OSError: an unwritable --out
 
 
 def entry() -> None:

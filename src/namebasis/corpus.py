@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
+
+from .config import read_text
+
+logger = logging.getLogger(__name__)
 
 
 class CorpusError(Exception):
@@ -89,14 +94,9 @@ def load_names(path: str | Path, format: str = "plain") -> Corpus:
     """
     if format not in ("plain", "name_freq"):
         raise ValueError(f"unknown corpus format {format!r}")
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-
     corpus = Corpus()
     sep: str | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, CorpusError).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -129,18 +129,29 @@ def normalize(raw: Corpus, min_length: int = 3) -> Corpus:
     """Canonicalize a raw corpus.
 
     Lowercases, splits multi-part names on whitespace into separate
-    records, strips any non-letter characters (digits, hyphens,
-    apostrophes are removed rather than treated as separators), drops
-    names shorter than ``min_length`` and merges duplicates.
+    records, strips every character outside a-z (digits, hyphens,
+    apostrophes and letters such as ``é`` are removed rather than
+    treated as separators), drops names shorter than ``min_length`` and
+    merges duplicates. One warning names the surfaces that lost a
+    letter.
     """
     if min_length < 1:
         raise ValueError(f"min_length must be >= 1, got {min_length}")
     out = Corpus()
+    lost: list[str] = []
     for record in raw.records():
-        for part in record.surface.lower().split():
+        lowered = record.surface.lower()
+        if any(ch.isalpha() and not "a" <= ch <= "z" for ch in lowered):
+            lost.append(record.surface)
+        for part in lowered.split():
             cleaned = _NON_LETTERS.sub("", part)
             if len(cleaned) >= min_length:
                 out.add(cleaned, record.frequency)
+    if lost:
+        shown = ", ".join(map(repr, lost[:5])) + (", ..." if len(lost) > 5 else "")
+        logger.warning(
+            "%d of %d names lost letters outside a-z: %s", len(lost), raw.total_unique, shown
+        )
     if len(out) == 0:
         raise EmptyCorpusError("empty corpus after normalization")
     return out

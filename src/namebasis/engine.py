@@ -45,9 +45,10 @@ letters-only basis costs 0.52 times the planted basis.
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import config as _config, segmenter
 from .corpus import Corpus, frequency_rank
@@ -170,7 +171,7 @@ class RunConfig:
             "workers": int,
         }
         for key in values:
-            if key not in parsers and key not in ("vowels", "digraphs"):
+            if key not in parsers and key not in CharClassTable.KEYS:
                 raise _config.ConfigError(f"unknown config key {key!r}")
         for key, parse in parsers.items():
             if key in values:
@@ -323,18 +324,23 @@ def _choose_row(
     return table.candidate(name, *best)
 
 
-def _log_pass(label: str, rows: Sequence[int], cap: int, listed: int, costed: int) -> None:
+@contextmanager
+def _pass(label: str, cap: int) -> Iterator[list[int]]:
     """Log one pass of the chooser over every name's table.
 
-    ``rows`` holds each name's row count, ``listed`` the rows the pass
-    listed (tables list theirs one level at a time, as the chooser asks,
-    and cached tables only once) and ``costed`` the rows the chooser
-    costed in full.
+    The caller adds each name's row count to the list this yields. The
+    log line gives them, the rows the pass listed (tables list theirs
+    one level at a time, as the chooser asks, and cached tables only
+    once) and the rows the chooser costed in full.
     """
+    listed, costed = segmenter._rows_listed, _rows_costed
+    rows: list[int] = []
+    yield rows
     logger.info(
         "%s: %d of %d names reached the candidate cap %d; "
         "%d rows enumerated, %d listed, %d costed in full",
-        label, sum(count >= cap for count in rows), len(rows), cap, sum(rows), listed, costed,
+        label, sum(count >= cap for count in rows), len(rows), cap, sum(rows),
+        segmenter._rows_listed - listed, _rows_costed - costed,
     )
 
 
@@ -406,24 +412,16 @@ def run_iteration_alg1(
     """
     if surveys is None:
         surveys = {}
-    listed, costed = segmenter._rows_listed, _rows_costed
-    if basis.texts not in surveys:
-        surveys[basis.texts] = _survey(corpus, basis, cfg)
-    surveyed, corpus_freq = surveys[basis.texts]
-    names = sorted(corpus)
-    n_total = corpus.total_unique
-    chosen = {
-        name: _choose_row(name, table, corpus_freq, cfg, tiling_cost)
-        for name, table in zip(names, surveyed)
-    }
-    _log_pass(
-        f"alg1 iteration {iteration}",
-        [table.total for table in surveyed],
-        cfg.cap,
-        segmenter._rows_listed - listed,
-        _rows_costed - costed,
-    )
-    grown, pruned, stats = _grow_and_prune(basis, chosen.values(), iteration, n_total)
+    with _pass(f"alg1 iteration {iteration}", cfg.cap) as rows:
+        if basis.texts not in surveys:
+            surveys[basis.texts] = _survey(corpus, basis, cfg)
+        surveyed, corpus_freq = surveys[basis.texts]
+        chosen = {
+            name: _choose_row(name, table, corpus_freq, cfg, tiling_cost)
+            for name, table in zip(sorted(corpus), surveyed)
+        }
+        rows.extend(table.total for table in surveyed)
+    grown, pruned, stats = _grow_and_prune(basis, chosen.values(), iteration, corpus.total_unique)
     return grown, pruned, stats, chosen
 
 
@@ -461,13 +459,11 @@ def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, list[IterationStats
     takes all the chosen words; the trace has that one row.
     """
     chosen = []
-    rows = []
-    listed, costed = segmenter._rows_listed, _rows_costed
-    for name in sorted(corpus):
-        table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
-        rows.append(table.total)
-        chosen.append(_choose_row(name, table, None, cfg, composition_cost))
-    _log_pass("alg2", rows, cfg.cap, segmenter._rows_listed - listed, _rows_costed - costed)
+    with _pass("alg2", cfg.cap) as rows:
+        for name in sorted(corpus):
+            table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
+            rows.append(table.total)
+            chosen.append(_choose_row(name, table, None, cfg, composition_cost))
     _, pruned, stats = _grow_and_prune(Basis(), chosen, 1, corpus.total_unique)
     return pruned, [stats]
 
@@ -485,19 +481,15 @@ def segment_corpus(
     """
     cost_fn = tiling_cost if cfg.algorithm == "alg1" else composition_cost
     chosen: dict[str, SequenceCandidate] = {}
-    rows = []
-    listed, costed = segmenter._rows_listed, _rows_costed
-    for name in sorted(corpus):
-        spans = occurrence_spans(candidate_words(name, basis))
-        table = tiling_table(len(name), spans, cfg.cap, gaps=False)
-        if not table.total:
-            logger.warning("basis does not span %r; keeping a gapped sequence", name)
-            table = tiling_table(len(name), spans, cfg.cap)
-        rows.append(table.total)
-        chosen[name] = _choose_row(name, table, None, cfg, cost_fn)
-    _log_pass(
-        "segmentation", rows, cfg.cap, segmenter._rows_listed - listed, _rows_costed - costed
-    )
+    with _pass("segmentation", cfg.cap) as rows:
+        for name in sorted(corpus):
+            spans = occurrence_spans(candidate_words(name, basis))
+            table = tiling_table(len(name), spans, cfg.cap, gaps=False)
+            if not table.total:
+                logger.warning("basis does not span %r; keeping a gapped sequence", name)
+                table = tiling_table(len(name), spans, cfg.cap)
+            rows.append(table.total)
+            chosen[name] = _choose_row(name, table, None, cfg, cost_fn)
     return chosen
 
 

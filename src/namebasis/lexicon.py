@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .config import data_lines, read_text
+
 logger = logging.getLogger(__name__)
 
 LEXICON_FORMATS = ("tsv", "festival_like", "sapi_like")
@@ -77,14 +79,8 @@ def load_transcriptions(path, basis: Iterable[str] | None = None) -> Transcripti
     whitespace. Entries for words outside ``basis`` (when given) are
     kept with a warning.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LexiconError(f"cannot read {path}: {exc}") from exc
     entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in data_lines(read_text(path, LexiconError)):
         parts = line.split("\t")
         if len(parts) != 3:
             raise LexiconError(
@@ -170,14 +166,8 @@ def emit_lexicon(lexicon: Lexicon, format: str, path) -> None:
 
 def read_lexicon_tsv(path) -> Lexicon:
     """Parse a file produced by ``render_lexicon(..., "tsv")``."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LexiconError(f"cannot read {path}: {exc}") from exc
     entries: dict[str, LexiconEntry] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(read_text(path, LexiconError)):
         parts = line.split("\t")
         if len(parts) != 4:
             raise LexiconError(f"{path}: line {lineno}: expected 4 tab-separated fields")

@@ -228,15 +228,12 @@ class SegmentTable:
 
         # A product of forward and backward counts has the rows of level
         # t + 1 in field t, and counts mod 2**width - 1 is the sum of their
-        # fields (at most the name's 2**(n - 1) tilings, so exact). When
+        # fields (at most the name's 2**(n - 1) tilings, so exact). A
+        # tile's rows are its product summed over the full levels; when
         # the cap drops rows, tiles that no kept row places are left out,
-        # along with the prefixes through them, and a tile's rows are its
-        # product summed over the full levels; otherwise they are the
-        # product of the two sums.
-        capped = bool(cut or rest)
+        # along with the prefixes through them.
         last = (1 << (width * (len(levels) - 1))) - 1
         full = (1 << (width * self._full)) - 1
-        sums = [(to_any % field, to_span % field) for to_any, to_span in back]
         fwd = [0] * (n + 1)  # ways to reach pos, the last tile a span
         fwd_gap = [0] * (n + 1)  # ... the last tile a gap
         fwd[0] = 1
@@ -251,20 +248,15 @@ class SegmentTable:
             reach_any = reach + fwd_gap[pos]
             if not reach_any:
                 continue
-            ways, ways_any = reach % field, reach_any % field
             any_move: list[Move] = []
             span_move: list[Move] = []
             for end, is_gap, count in steps[pos]:
                 before = reach if is_gap else reach_any
                 if not before:
                     continue
-                if capped:
-                    rows = before * count
-                    if not rows & last:
-                        continue
-                    placed = (rows & full) % field
-                else:
-                    placed = (ways if is_gap else ways_any) * sums[end][is_gap]
+                rows = before * count
+                if not rows & last:
+                    continue
                 if is_gap:
                     fwd_gap[end] += before << width
                 else:
@@ -272,7 +264,7 @@ class SegmentTable:
                 move = (end, is_gap, count, len(tiles), (end - pos) * (end - pos), all_new or is_gap)
                 tiles.append((pos, end))
                 new.append(move[5])
-                counts.append(placed)
+                counts.append((rows & full) % field)
                 any_move.append(move)
                 if not is_gap:
                     span_move.append(move)
@@ -361,17 +353,14 @@ class SegmentTable:
 
     def candidate(self, name: str, k: int, j: int) -> SequenceCandidate:
         """Row ``j`` of level ``k`` as a candidate segmentation of ``name``."""
-        if self._at[k] is None:
-            self._walk(k)
-        row = self._at[k] + j
-        placed = self._rows[row]
-        spans = list(map(self.spans.__getitem__, placed))
+        rows, _, eta_new = self.level(k)
+        spans = list(map(self.spans.__getitem__, rows[j]))
         return SequenceCandidate(
             name,
             tuple(end for _, end in spans[:-1]),
             tuple(name[start:end] for start, end in spans),
-            tuple(map(self.new.__getitem__, placed)),
-            self._eta_new[row],
+            tuple(map(self.new.__getitem__, rows[j])),
+            eta_new[j],
         )
 
     def candidates(self, name: str) -> list[SequenceCandidate]:
@@ -490,6 +479,4 @@ def enumerate_all(
     """
     if min_segment < 1:
         raise ValueError(f"min_segment must be >= 1, got {min_segment}")
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
     return composition_table(len(name), min_segment, include_whole, cap).candidates(name)

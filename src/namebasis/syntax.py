@@ -32,6 +32,8 @@ class CharClassTable:
     vowels: frozenset[str] = DEFAULT_VOWELS
     digraphs: frozenset[str] = DEFAULT_DIGRAPHS
 
+    KEYS = ("vowels", "digraphs")  # the config keys ``from_mapping`` reads
+
     @classmethod
     def from_mapping(cls, values: Mapping[str, str]) -> "CharClassTable":
         """Read ``vowels`` / ``digraphs`` overrides from config values.

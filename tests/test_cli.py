@@ -403,6 +403,16 @@ class TestTranscribe:
         assert capsys.readouterr().err == f"error: {files / filename}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("filename", ["seg.tsv", "table.tsv"])
+    def test_indented_comment_skipped(self, files, filename):
+        _, out = self.run(files)
+        expected = out.read_text()
+        path = files / filename
+        path.write_text("  # a note\n" + path.read_text(), encoding="utf-8")
+        code, out = self.run(files)
+        assert code == 0
+        assert out.read_text() == expected
+
     def test_empty_names_exits_one(self, files, capsys):
         (files / "names.txt").write_text("", encoding="utf-8")
         code, _ = self.run(files)
@@ -440,6 +450,17 @@ class TestReport:
         stats = tmp_path / "stats.csv"
         stats.write_text("iteration,B_m\n1,x\n", encoding="utf-8")
         assert main(["report", "--stats", str(stats)]) == 2
+
+    @pytest.mark.parametrize(
+        "body", ["", "iteration,B_m,B,J,BmJ,C\n"], ids=["empty", "header_only"]
+    )
+    def test_no_rows_exits_two(self, tmp_path, capsys, body):
+        stats = tmp_path / "stats.csv"
+        stats.write_text(body, encoding="utf-8")
+        assert main(["report", "--stats", str(stats)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {stats}: no stats rows\n"
 
 
 class TestGridSearch:
@@ -541,4 +562,58 @@ class TestUnusableOut:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert str(inputs / out) in captured.err
+        assert captured.err.count("\n") == 1
+
+
+# Every input file each command reads, by flag
+COMMAND_INPUTS = {
+    "induce": {"--names": "names.txt", "--config": "run.cfg"},
+    "grid-search": {"--names": "names.txt", "--config": "run.cfg"},
+    "ortho": {"--basis": "basis.txt"},
+    "transcribe": {
+        "--names": "names.txt",
+        "--basis": "basis.txt",
+        "--segmentations": "seg.tsv",
+        "--table": "table.tsv",
+    },
+    "report": {"--stats": "stats.csv"},
+}
+
+
+class TestUndecodableInput:
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before reading every input")
+
+        for attr in ("run_alg1", "run_alg2", "grid_search_weights"):
+            monkeypatch.setattr(cli, attr, no_work)
+        (tmp_path / "names.txt").write_text("rama\nsita\n", encoding="utf-8")
+        (tmp_path / "run.cfg").write_text("min_length = 2\n", encoding="utf-8")
+        (tmp_path / "basis.txt").write_text("ra\nma\n", encoding="utf-8")
+        (tmp_path / "seg.tsv").write_text("rama\tra ma\n", encoding="utf-8")
+        (tmp_path / "table.tsv").write_text("ra\tr a\tr a\nma\tm a\tm a\n", encoding="utf-8")
+        (tmp_path / "stats.csv").write_text(
+            "iteration,B_m,B,J,BmJ,C\n1,10,5,4,40,7.0\n", encoding="utf-8"
+        )
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, files in COMMAND_INPUTS.items() for flag in files],
+    )
+    def test_exits_two_naming_the_file(self, inputs, capsys, command, flag):
+        files = COMMAND_INPUTS[command]
+        bad = inputs / files[flag]
+        bad.write_bytes(b"jos\xe9\n")  # Latin-1, not UTF-8
+        argv = [command]
+        for name, filename in files.items():
+            argv += [name, str(inputs / filename)]
+        if command != "report":
+            argv += ["--out", str(inputs / "out")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {bad}: ")
         assert captured.err.count("\n") == 1

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,6 +75,20 @@ class TestNormalize:
     def test_non_letters_stripped_not_split(self):
         out = normalize(Corpus({"o'neil": 2, "anne-marie": 1, "jo3se": 1}))
         assert out.counts() == {"oneil": 2, "annemarie": 1, "jose": 1}
+
+    def test_lost_letters_warned_once(self, caplog):
+        raw = Corpus({"José": 2, "Zoë Ann": 1, "o'neil": 1, "rama": 1})
+        with caplog.at_level(logging.WARNING, logger="namebasis.corpus"):
+            out = normalize(raw)
+        assert out.counts() == {"jos": 2, "ann": 1, "oneil": 1, "rama": 1}
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 of 4 names lost letters outside a-z: 'José', 'Zoë Ann'"
+        ]
+
+    def test_stripped_non_letters_not_warned(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="namebasis.corpus"):
+            normalize(Corpus({"o'neil": 2, "anne-marie": 1, "jo3se": 1}))
+        assert caplog.records == []
 
     def test_empty_after_normalization(self):
         with pytest.raises(CorpusError, match="empty corpus"):

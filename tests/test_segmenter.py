@@ -1,4 +1,5 @@
 from itertools import combinations, islice
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -300,10 +301,17 @@ class TestCountingOracle:
             st.tuples(st.integers(1, 3), st.booleans()),
         ),
         cap=st.one_of(st.integers(1, 20), st.none()),
-        data=st.data(),
+        shuffle=st.randoms(use_true_random=False),
     )
     @settings(max_examples=400)
-    def test_counts_match_listing(self, name, tiled, cap, data):
+    # an uncapped gapped tiling, with texts placed at two offsets
+    @example(name="abcabc", tiled=({"ab", "bc", "ca"}, True), cap=None, shuffle=Random(0))
+    # the cap cuts level 2 after 4 of its 8 rows, so the tiles (0, 5)...(0, 8)
+    # and (5, 9)...(8, 9), placed only by its unlisted rows, are dropped
+    @example(name="a" * 9, tiled=(1, True), cap=5, shuffle=Random(0))
+    # 300 compositions place 276 spans, too many for one byte an index
+    @example(name="a" * 23, tiled=(1, True), cap=300, shuffle=Random(0))
+    def test_counts_match_listing(self, name, tiled, cap, shuffle):
         n = len(name)
         if isinstance(tiled[0], int):
             min_segment, include_whole = tiled
@@ -339,7 +347,8 @@ class TestCountingOracle:
             )
 
         # levels listed on demand, in any order, join into the listing
-        order = data.draw(st.permutations(range(len(table.levels))))
+        order = list(range(len(table.levels)))
+        shuffle.shuffle(order)
         for k in order:
             table.level(k)
         assert table.candidates(name) == seqs
