@@ -1,9 +1,9 @@
 """Input files: reading them, and key=value configuration files.
 
-Every input file is read as UTF-8 through ``read_text``; a file that
-cannot be opened or decoded is one error naming it. ``data_lines``
-numbers a file's lines from 1 and skips blank lines and comments, lines
-whose first non-blank character is ``#``. The config, basis,
+Every input file is read as UTF-8 through ``read_text``, less a leading
+byte-order mark; a file that cannot be opened or decoded is one error
+naming it. ``data_lines`` numbers a file's lines from 1 and skips blank
+lines and comments, lines whose first non-blank character is ``#``. The config, basis,
 segmentation, transcription-table and lexicon readers use it; names
 files and stats CSVs have no comments.
 
@@ -23,10 +23,10 @@ class ConfigError(Exception):
 
 
 def read_text(path: str | Path, error: Callable[[str], Exception]) -> str:
-    """The UTF-8 text of ``path``; raises ``error`` naming the file when it
-    cannot be read or decoded."""
+    """The UTF-8 text of ``path``, without a leading byte-order mark;
+    raises ``error`` naming the file when it cannot be read or decoded."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
 

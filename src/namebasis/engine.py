@@ -22,15 +22,19 @@ and one scalar cost, the table's ``new`` column says which segments
 are new, its counts give each text's demand share without listing a
 row, and only the winner becomes a ``SequenceCandidate``. The chooser
 is a branch and bound with the same pick as costing every row: rows
-come fewest segments first, one level (segment count ``k``) at a
-time, and a row's cost is never below ``weights.avg_len / (n / k)``,
-so the scan stops, before the table lists the level, once that term
-is above the best cost; a row with new segments is skipped when it
-loses even with its corpus frequency and syntax averages at 1.0,
-their cheapest value. This needs corpus frequencies to be name shares
-in [0, 1], as ``_survey`` counts them. At alg2's default weights every
-name stays whole, and the scan mostly stops right after the whole-name
-row, so the rest of the name's compositions are counted, never listed.
+come one cell (segment count ``k``, new-segment count ``e``) at a
+time, fewest new segments first, then fewest segments. A row's cost is
+never below its cell's bound, the cost at ``n / k`` letters a segment,
+no length variance, the cheapest demand and, for ``e > 0``, corpus
+frequency and syntax averages at 1.0, their cheapest value; so each
+new segment adds at least ``2 * weights.extra`` to an alg1 row. The
+bound grows with ``k``, so the scan of an ``e`` stops, before the
+table lists the cell, once the bound cannot beat the best row, and a
+row with new segments is skipped when it loses even at those averages.
+This needs corpus frequencies to be name shares in [0, 1], as
+``_survey`` counts them. At alg2's default weights every name stays
+whole, and the scan lists little past the whole-name row, so the rest
+of the name's compositions are counted, never listed.
 
 The global objective for a finished basis is
 
@@ -45,6 +49,7 @@ letters-only basis costs 0.52 times the planted basis.
 from __future__ import annotations
 
 import logging
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -246,26 +251,30 @@ def _choose_row(
     (corpus frequency, syntax bit) are only built when
     ``weights.extra > 0``, since the cost ignores them otherwise, and a
     span's syntax bit only when a row that places it is costed. Rows
-    come fewest segments first, then by boundaries, so the first row of
-    least ``(cost, new segments)`` is ``select_best``'s pick; only it
-    becomes a candidate. A table with no rows (alg2's, for a name with
-    no composition) keeps the name whole, as one new segment.
+    come one cell (segment count ``k``, new-segment count ``e``) at a
+    time, ``e`` ascending, then ``k`` ascending, and by boundaries within
+    a cell. That is ``select_best``'s tie order (fewer new segments, then
+    fewer joins, then leftmost boundaries), so the first row of least
+    cost is its pick; only it becomes a candidate. A table with no rows
+    (alg2's, for a name with no composition) keeps the name whole, as
+    one new segment.
 
     The scan is a branch and bound that keeps that pick exact, by the
     cost bodies' contract (see ``features``): every term is >= 0, and
     the new-word term is least at ``new_freq_avg = syntax_avg = 1.0``.
     That needs corpus frequencies to be name shares in [0, 1], as
-    ``_survey`` counts them. So a row's first term,
-    ``weights.avg_len / (n / k)``, bounds its cost from below and never
-    falls as ``k`` grows: once it is above the best cost, no later row
-    can win and the scan stops. The bound is the same for every row of
-    a level, and a row of the level can only lower the best cost to a
-    value at or above it, so it is checked once per level, before the
-    table lists that level's rows. A row with new segments is first costed
-    at ``(1.0, 1.0)``, and its fresh, frequency and syntax work is
-    skipped when that bound already loses to the best row. Every row
-    that is costed in full goes through the same body with the same
-    arguments as an exhaustive scan, so the pick is the same.
+    ``_survey`` counts them. A demand average is a mean of shares in
+    (0, 1], so its term is least at 0.0, or at 1.0 when inverted. So
+    ``cost_fn(n / k, 0.0, least demand, e, 1.0, 1.0)`` (``None`` for
+    the two averages when ``e`` is 0) bounds the cost of every row of
+    cell ``(k, e)`` from below, and never falls as ``k`` grows: once it
+    is no longer below the best cost, no later cell of that ``e`` can
+    win, and the scan goes on to the next ``e`` before the table lists
+    the cell. A row with new segments is first costed at ``(1.0, 1.0)``,
+    and its fresh, frequency and syntax work is skipped when that bound
+    already loses to the best row. Every row that is costed in full goes
+    through the same body with the same arguments as an exhaustive scan,
+    so the pick is the same.
     """
     global _rows_costed
     if not table.total:
@@ -283,45 +292,51 @@ def _choose_row(
             freq = [corpus_freq[text] if is_new else 0.0 for text, is_new in zip(texts, new)]
 
     n = len(name)
-    best = (0, 0)
-    best_key: tuple[float, int] | None = None
+    # the cheapest demand average: a share of at most 1, inverted or not
+    least_demand = 1.0 if inverted else 0.0
+    best: Sequence[int] = ()
+    best_cost = math.inf
     costed = 0
-    for k, count in enumerate(table.levels):
-        if not count:
-            continue
-        avg_len = n / k
-        if best_key is not None and weights.avg_len / avg_len > best_key[0]:
-            break
-        for j, (row, q, eta_new) in enumerate(zip(*table.level(k))):
-            len_var = (k * q - n * n) / (k * k)
-            demand_avg = left_sum(map(demand.__getitem__, row)) / k
-            new_freq_avg = syntax_avg = None
-            if scored_new and eta_new:
-                if best_key is not None and (
-                    cost_fn(avg_len, len_var, demand_avg, eta_new, 1.0, 1.0, weights, inverted),
-                    eta_new,
-                ) >= best_key:
-                    continue
-                fresh = list(filter(new.__getitem__, row))
-                if corpus_freq is not None:
-                    new_freq_avg = left_sum(map(freq.__getitem__, fresh)) / eta_new
-                # a new text placed twice counts only if accepted at both
-                bits: dict[str, bool] = {}
-                for i in fresh:
-                    if accepted[i] is None:
-                        accepted[i] = accepts_syntax(
-                            texts[i], name, table.spans[i][0], cfg.char_table
-                        )
-                    bits[texts[i]] = bits.get(texts[i], True) and accepted[i]
-                syntax_avg = sum(bits[texts[i]] for i in fresh) / eta_new
-            cost = cost_fn(
-                avg_len, len_var, demand_avg, eta_new, new_freq_avg, syntax_avg, weights, inverted
-            )
-            costed += 1
-            if best_key is None or (cost, eta_new) < best_key:
-                best, best_key = (k, j), (cost, eta_new)
+    for eta_new, levels in enumerate(table.cells):
+        least_new = (1.0, 1.0) if eta_new else (None, None)
+        for k in levels:
+            avg_len = n / k
+            if (
+                cost_fn(avg_len, 0.0, least_demand, eta_new, *least_new, weights, inverted)
+                >= best_cost
+            ):
+                break
+            for row, q in zip(*table.cell(k, eta_new)):
+                len_var = (k * q - n * n) / (k * k)
+                demand_avg = left_sum(map(demand.__getitem__, row)) / k
+                new_freq_avg = syntax_avg = None
+                if scored_new and eta_new:
+                    if (
+                        cost_fn(avg_len, len_var, demand_avg, eta_new, 1.0, 1.0, weights, inverted)
+                        >= best_cost
+                    ):
+                        continue
+                    fresh = list(filter(new.__getitem__, row))
+                    if corpus_freq is not None:
+                        new_freq_avg = left_sum(map(freq.__getitem__, fresh)) / eta_new
+                    # a new text placed twice counts only if accepted at both
+                    bits: dict[str, bool] = {}
+                    for i in fresh:
+                        if accepted[i] is None:
+                            accepted[i] = accepts_syntax(
+                                texts[i], name, table.spans[i][0], cfg.char_table
+                            )
+                        bits[texts[i]] = bits.get(texts[i], True) and accepted[i]
+                    syntax_avg = sum(bits[texts[i]] for i in fresh) / eta_new
+                cost = cost_fn(
+                    avg_len, len_var, demand_avg, eta_new, new_freq_avg, syntax_avg, weights,
+                    inverted,
+                )
+                costed += 1
+                if cost < best_cost:
+                    best, best_cost = row, cost
     _rows_costed += costed
-    return table.candidate(name, *best)
+    return table.candidate(name, best)
 
 
 @contextmanager
@@ -385,8 +400,11 @@ def _survey(corpus: Corpus, basis: Basis, cfg: RunConfig) -> Survey:
     """
     surveyed = []
     demand_count: dict[str, int] = {}
+    words = basis.texts
+    lengths = sorted({len(word) for word in words})
     for name in sorted(corpus):
-        table = tiling_table(len(name), occurrence_spans(candidate_words(name, basis)), cfg.cap)
+        spans = occurrence_spans(candidate_words(name, words, lengths))
+        table = tiling_table(len(name), spans, cfg.cap)
         surveyed.append(table)
         new = {name[start:end] for (start, end), is_new in zip(table.spans, table.new) if is_new}
         for text in new:
@@ -481,9 +499,11 @@ def segment_corpus(
     """
     cost_fn = tiling_cost if cfg.algorithm == "alg1" else composition_cost
     chosen: dict[str, SequenceCandidate] = {}
+    words = basis.texts
+    lengths = sorted({len(word) for word in words})
     with _pass("segmentation", cfg.cap) as rows:
         for name in sorted(corpus):
-            spans = occurrence_spans(candidate_words(name, basis))
+            spans = occurrence_spans(candidate_words(name, words, lengths))
             table = tiling_table(len(name), spans, cfg.cap, gaps=False)
             if not table.total:
                 logger.warning("basis does not span %r; keeping a gapped sequence", name)

@@ -41,7 +41,9 @@ and skip rows (``engine._choose_row``). For validated weights,
 of a name's rows (so in (0, 1], and at least one over the row count):
 
   * every term is >= 0, so a body is never below its first term,
-    ``w.avg_len / avg_len``;
+    ``w.avg_len / avg_len``, nor below its value at ``len_var = 0``
+    and ``demand_avg = 0.0`` (``1.0`` when inverted, where the term is
+    ``w.demand / demand_avg``);
   * with ``eta_new >= 1``, ``new_freq_avg`` None or in [0, 1] and
     ``syntax_avg`` in [0, 1] (``tiling_cost`` also takes None), a body
     is never below its value at ``new_freq_avg = syntax_avg = 1.0``.

@@ -22,7 +22,6 @@ class Basis:
 
     def __init__(self, words: Iterable[str] = ()):
         self._words: set[str] = set()
-        self._max_length = 0
         for word in words:
             self.add(word)
 
@@ -30,15 +29,10 @@ class Basis:
         if not text:
             raise ValueError("basis words must be non-empty")
         self._words.add(text)
-        self._max_length = max(self._max_length, len(text))
 
     @property
     def texts(self) -> frozenset[str]:
         return frozenset(self._words)
-
-    @property
-    def max_length(self) -> int:
-        return self._max_length
 
     def __contains__(self, text: object) -> bool:
         return text in self._words

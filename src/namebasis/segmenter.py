@@ -19,18 +19,22 @@ order ("levels"), with ties in leftmost-boundary lexicographic order.
 When a cap is given, the first ``cap`` candidates in that order are
 kept. A backward and a forward pass count, without listing a row, the
 rows of every level and the rows that place each span, so a span's
-demand share is a count over the row total. Rows are listed one level
-at a time, only when asked for, by a depth-first pass that enters a
-move only when the tiles left can still finish, and stops at the cap.
+demand share is a count over the row total. The backward pass also
+marks which (segment count, new-segment count) pairs, the "cells",
+have rows. Rows are listed one cell at a time, only when asked for, by
+a depth-first pass that enters a move only when the segments and new
+segments left can still finish; the level the cap cuts is listed at
+once, up to the cap, and split into its cells.
 
 Every candidate is scored from one table type, ``SegmentTable``: the
 counts above, per span whether it is new, and per listed row its span
-indices, its sum of squared segment lengths and its count of new
-segments. The table is the one place that decides which segments are
-new: a tiling's gaps, and every part of a composition. The engine
-costs a name's rows level by level straight from its table, asks for
-a level only while its rows can still win, and builds a candidate for
-the winner only (``SegmentTable.candidate``).
+indices and its sum of squared segment lengths. The table is the one
+place that decides which segments are new: a tiling's gaps, and every
+part of a composition, so a composition table's cells are its levels
+and a gapless tiling table's have no new segment. The engine costs a
+name's rows cell by cell straight from its table, fewest new segments
+first, asks for a cell only while its rows can still win, and builds
+a candidate for the winner only (``SegmentTable.candidate``).
 
 Compositions depend only on the name's length, so their table is built
 once per (length, minimum part, whole name allowed, cap) and cached by
@@ -75,21 +79,27 @@ class SequenceCandidate(NamedTuple):
 
 
 def candidate_words(
-    name: str, basis: AbstractSet[str] | Container[str]
+    name: str, words: Container[str], lengths: Iterable[int] | None = None
 ) -> dict[str, tuple[int, ...]]:
     """Basis words occurring as substrings of ``name``, with all offsets.
 
-    The name itself is included when it is a basis member. ``basis``
-    needs only membership testing; a ``max_length`` attribute, when
-    present, bounds the substring scan.
+    The name itself is included when it is a basis member. Only the
+    substrings of ``lengths``, the distinct word lengths in ascending
+    order, are tested against ``words``; when None, they are read from
+    ``words``, which must then be iterable. A caller scanning many names
+    builds a frozenset of the words and their lengths once.
     """
+    if lengths is None:
+        lengths = sorted({len(word) for word in words})  # type: ignore[attr-defined]
     n = len(name)
-    longest = getattr(basis, "max_length", n)
     found: dict[str, list[int]] = {}
     for start in range(n):
-        for end in range(start + 1, min(n, start + longest) + 1):
+        for length in lengths:
+            end = start + length
+            if end > n:
+                break
             piece = name[start:end]
-            if piece in basis:
+            if piece in words:
                 found.setdefault(piece, []).append(start)
     return {word: tuple(offsets) for word, offsets in found.items()}
 
@@ -106,9 +116,13 @@ def occurrence_spans(candidates: Mapping[str, tuple[int, ...]]) -> frozenset[tup
 # row's count of new segments.
 Level = tuple[Sequence[Sequence[int]], Sequence[int], Sequence[int]]
 
+# One listed cell of a SegmentTable, the rows of one level with one count
+# of new segments: its rows and each row's sum of squared segment lengths.
+Cell = tuple[Sequence[Sequence[int]], Sequence[int]]
+
 # A move of the tiling search: the tile's end, whether it is a gap, the
-# packed counts of the ways to finish after it, its span index, its
-# squared length and whether it is new.
+# mask of the (tiles, new tiles) counts that can finish after it, its span
+# index, its squared length and whether it is new.
 Move = tuple[int, bool, int, int, int, bool]
 
 
@@ -126,19 +140,20 @@ def _row(spans: int) -> Callable[[Iterable[int]], Sequence[int]]:
 
 
 # Rows listed by every SegmentTable so far. Tables list their rows one
-# level at a time, on demand, so the engine logs how far this moved in
+# cell at a time, on demand, so the engine logs how far this moved in
 # each pass.
 _rows_listed = 0
 
 
 class SegmentTable:
     """The first ``cap`` tilings of a length-``n`` name, counted in full
-    and listed one level at a time.
+    and listed one cell at a time.
 
     A tile is either a span from ``spans`` or, when ``gaps`` is true, a
     gap: a new segment, never next to another gap. Rows come fewest
     tiles first, ties in leftmost-boundary order, and level ``k`` holds
-    the rows of ``k`` tiles.
+    the rows of ``k`` tiles. Cell ``(k, e)`` holds the rows of level
+    ``k`` with ``e`` new tiles, in the same order.
 
     One backward pass packs, for each position and whether the tile
     ending there was a gap, the number of ways to finish with each tile
@@ -146,27 +161,35 @@ class SegmentTable:
     shifts a target's counts up one field, and a position sums its
     moves' shifted counts. A length-``n`` name has at most
     ``2 ** (n - 1)`` tilings, so no field overflows, and a packed count
-    taken mod ``2 ** (n + 1) - 1`` is the sum of its fields. A matching
-    forward pass counts the ways to reach each position, so a tile's
-    rows, per level, are one product of the counts on either side of
-    it. From these the table knows, without listing a row:
+    taken mod ``2 ** (n + 1) - 1`` is the sum of its fields. The same
+    pass keeps a mask of the ``(tiles, new tiles)`` pairs that can finish,
+    bit ``e`` of field ``t``: adding a tile shifts it up one field, and
+    one bit more when the tile is new, and a position ORs its moves'
+    shifted masks. A matching forward pass counts the ways to reach each
+    position, so a tile's rows, per level, are one product of the counts
+    on either side of it. From these the table knows, without listing a
+    row:
 
       * ``levels[k]``, the rows of level ``k`` (after the cap) and
         ``total``, their sum;
+      * ``cells[e]``, the levels ``k``, ascending, whose cell ``(k, e)``
+        has rows, for each ``e`` up to the last level;
       * ``spans``, every tile some kept row places, with ``new[i]``
         true when ``spans[i]`` is a new segment and ``counts[i]`` the
         rows that place it.
 
-    ``level(k)`` lists level ``k`` on first use and keeps it: its rows
-    as indices into ``spans``, left to right, one byte each when they
-    fit, each row's sum of squared tile lengths and its count of new
-    tiles. The level the cap cuts is listed when the table is built,
-    since the counts of its first rows come from listing them. The walk
-    enters a move only when its target can still finish with the tiles
-    left, so every node visited leads to a row, and with one tile left
-    the only move that finishes ends at ``n``: moves are kept in
-    ascending end order, so it is the last one. Once every level is
-    listed, the moves are dropped.
+    ``cell(k, e)`` lists cell ``(k, e)`` on first use and keeps it: its
+    rows as indices into ``spans``, left to right, one byte each when
+    they fit, and each row's sum of squared tile lengths. The walk
+    enters a move only when its target can still finish with exactly
+    the tiles and new tiles left, so every node visited leads to a row,
+    and with one tile left the only move that finishes ends at ``n``:
+    moves are kept in ascending end order, so it is the last one. The
+    level the cap cuts is listed when the table is built, in level
+    order, since the counts of its first rows come from listing them,
+    and its rows are filed under their cells. Once every cell is
+    listed, the moves are dropped. ``level(k)`` merges level ``k``'s
+    cells back into level order.
 
     ``text_rows(name)`` gives, for each span, the rows placing its text
     at least once: the span's own count for a text placed at one
@@ -176,8 +199,8 @@ class SegmentTable:
     """
 
     __slots__ = (
-        "spans", "new", "counts", "levels", "total",
-        "_width", "_moves", "_rows", "_q", "_eta_new", "_at", "_cut", "_full", "_text_rows",
+        "spans", "new", "counts", "levels", "total", "cells",
+        "_width", "_moves", "_cells", "_unlisted", "_cut", "_full", "_text_rows",
     )
 
     def __init__(
@@ -188,13 +211,16 @@ class SegmentTable:
         self._width = width = n + 1
         # back[pos][after_gap]: ways to tile [pos, n), one field per tile
         # count; after_gap: the tile ending at pos was a gap, so the next
-        # must be a span. steps[pos]: (end, is_gap, target counts) for
-        # each tile from pos that some tiling can finish, ascending end.
+        # must be a span. finish[pos][after_gap]: the (tiles, new tiles)
+        # pairs that can tile [pos, n), bit new tiles of field tiles.
+        # steps[pos]: (end, is_gap, target counts, target mask) for each
+        # tile from pos that some tiling can finish, ascending end.
         back = [(1, 1)] * (n + 1)
-        steps: list[list[tuple[int, bool, int]]] = [[]] * n
+        finish = [(1, 1)] * (n + 1)
+        steps: list[list[tuple[int, bool, int, int]]] = [[]] * n
         for pos in range(n - 1, -1, -1):
-            step: list[tuple[int, bool, int]] = []
-            to_any = to_span = 0
+            step: list[tuple[int, bool, int, int]] = []
+            to_any = to_span = any_mask = span_mask = 0
             for end in range(pos + 1, n + 1):
                 is_gap = (pos, end) not in spans
                 if is_gap and not gaps:
@@ -202,12 +228,16 @@ class SegmentTable:
                 count = back[end][is_gap]
                 if not count:
                     continue
-                step.append((end, is_gap, count))
+                mask = finish[end][is_gap]
+                step.append((end, is_gap, count, mask))
                 to_any += count
+                any_mask |= mask << (all_new or is_gap)
                 if not is_gap:
                     to_span += count
+                    span_mask |= mask << all_new
             steps[pos] = step
             back[pos] = (to_any << width, to_span << width)
+            finish[pos] = (any_mask << width, span_mask << width)
 
         field = (1 << width) - 1
         levels = [0]
@@ -240,7 +270,7 @@ class SegmentTable:
         tiles: list[tuple[int, int]] = []
         new: list[bool] = []
         counts: list[int] = []
-        # moves[after_gap][pos]: (end, is_gap, target counts, span index,
+        # moves[after_gap][pos]: (end, is_gap, target mask, span index,
         # square, new) for each kept tile from pos, ascending end
         moves: tuple[list[tuple[Move, ...]], list[tuple[Move, ...]]] = ([()] * n, [()] * n)
         for pos in range(n):
@@ -250,7 +280,7 @@ class SegmentTable:
                 continue
             any_move: list[Move] = []
             span_move: list[Move] = []
-            for end, is_gap, count in steps[pos]:
+            for end, is_gap, count, mask in steps[pos]:
                 before = reach if is_gap else reach_any
                 if not before:
                     continue
@@ -261,7 +291,7 @@ class SegmentTable:
                     fwd_gap[end] += before << width
                 else:
                     fwd[end] += before << width
-                move = (end, is_gap, count, len(tiles), (end - pos) * (end - pos), all_new or is_gap)
+                move = (end, is_gap, mask, len(tiles), (end - pos) * (end - pos), all_new or is_gap)
                 tiles.append((pos, end))
                 new.append(move[5])
                 counts.append((rows & full) % field)
@@ -270,63 +300,98 @@ class SegmentTable:
                     span_move.append(move)
             moves[False][pos] = tuple(any_move)
             moves[True][pos] = tuple(span_move)
-        self._moves = moves
+        self._moves: tuple[list[tuple[Move, ...]], list[tuple[Move, ...]]] | None = moves
         self.spans = tuple(tiles)
         self.new = tuple(new)
-        # Every listed row, level after level in the order they are
-        # listed: its span indices, its sum of squared tile lengths and
-        # its count of new tiles. _at[k] is the first row of level k, once
-        # listed; an empty level is listed already.
-        self._rows: list[Sequence[int]] = []
-        self._q = array("I")
-        self._eta_new = array("I")
-        self._at: list[int | None] = [None if count else 0 for count in levels]
+        # _cells[k, e]: the listed rows of cell (k, e) and each row's sum
+        # of squared tile lengths, or None while the cell is unlisted; only
+        # cells with rows are keys. The cells of the full levels come from
+        # the mask, those of the cut level from listing its first rows.
+        self._cells: dict[tuple[int, int], Cell | None] = {}
+        for k in range(1, self._full + 1):
+            fresh = finish[0][False] >> (width * k) & field
+            while fresh:
+                self._cells[k, (fresh & -fresh).bit_length() - 1] = None
+                fresh &= fresh - 1
+        self._unlisted = len(self._cells)
         self._text_rows: dict[str, tuple[int, ...]] = {}
         if cut:
-            self._walk(cut)
-            for row in self._rows:
+            rows, q, eta_new = self._walk(cut, None)
+            for row in rows:
                 for i in row:
                     counts[i] += 1
             if not all(counts):
                 # drop the tiles that only the cut level's unlisted rows place
                 number = {i: j for j, i in enumerate(i for i, c in enumerate(counts) if c)}
-                if self._moves is not None:
-                    self._moves = tuple(
-                        [
-                            tuple((*m[:3], number[m[3]], *m[4:]) for m in side if m[3] in number)
-                            for side in state
-                        ]
-                        for state in moves
-                    )
+                moves = self._moves = tuple(
+                    [
+                        tuple((*m[:3], number[m[3]], *m[4:]) for m in side if m[3] in number)
+                        for side in state
+                    ]
+                    for state in moves
+                )
                 self.spans, self.new, counts = [
                     tuple(value for value, placed in zip(column, counts) if placed)
                     for column in (self.spans, self.new, counts)
                 ]
                 pack = _row(len(self.spans))
-                self._rows = [pack(map(number.__getitem__, row)) for row in self._rows]
+                rows = [pack(map(number.__getitem__, row)) for row in rows]
+            for row, square, fresh in zip(rows, q, eta_new):
+                listed = self._cells.get((cut, fresh))
+                if listed is None:
+                    listed = self._cells[cut, fresh] = ([], array("I"))
+                listed[0].append(row)
+                listed[1].append(square)
+        if not self._unlisted:
+            self._moves = None  # every cell is listed
         self.counts = tuple(counts)
+        by_new: list[list[int]] = [[] for _ in levels]  # e <= k < len(levels)
+        for k, e in sorted(self._cells):
+            by_new[e].append(k)
+        self.cells = tuple(map(tuple, by_new))
+
+    def cell(self, k: int, e: int) -> Cell:
+        """The rows of level ``k`` with ``e`` new tiles, each as its span
+        indices left to right, and each row's sum of squared tile lengths.
+        The cell must have rows (``k in cells[e]``); it is listed on first
+        use."""
+        listed = self._cells[k, e]
+        if listed is None:
+            rows, q, _ = self._walk(k, e)
+            listed = self._cells[k, e] = (rows, q)
+            self._unlisted -= 1
+            if not self._unlisted:
+                self._moves = None  # every cell is listed
+        return listed
 
     def level(self, k: int) -> Level:
         """The rows of level ``k``, each as its span indices left to right;
         each row's sum of squared tile lengths; and each row's count of
-        new tiles. The level is listed on first use."""
-        if self._at[k] is None:
-            self._walk(k)
-        start = self._at[k]
-        stop = start + self.levels[k]
-        return self._rows[start:stop], self._q[start:stop], self._eta_new[start:stop]
+        new tiles. Its cells are merged back into leftmost-boundary order,
+        which is the order of the rows' span indices, since spans are
+        numbered by start, then end."""
+        merged = sorted(
+            (row, square, e)
+            for e in range(k + 1)
+            if (k, e) in self._cells
+            for row, square in zip(*self.cell(k, e))
+        )
+        return tuple(zip(*merged)) or ((), (), ())  # type: ignore[return-value]
 
-    def _walk(self, k: int) -> None:
-        """List the first ``levels[k]`` rows of ``k`` tiles, depth first,
-        after the rows listed so far."""
+    def _walk(self, k: int, e: int | None) -> tuple[list[Sequence[int]], array, array]:
+        """List, depth first, the rows of cell ``(k, e)``, or with ``e``
+        None the first ``levels[k]`` rows of level ``k``: each row, its sum
+        of squared tile lengths and its count of new tiles."""
         global _rows_listed
         moves = self._moves
-        finish = _fields(self._width)
-        limit = len(self._q) + self.levels[k]
-        self._at[k] = len(self._q)
+        assert moves is not None
+        width = self._width
+        fields = _fields(width)
+        limit = self.levels[k]
         pack = _row(len(self.spans))
         path: list[int] = []
-        rows, q, eta_new = self._rows, self._q, self._eta_new
+        rows: list[Sequence[int]] = []
+        q, eta_new = array("I"), array("I")
 
         def descend(pos: int, left: int, after_gap: bool, squares: int, fresh: int) -> bool:
             """List the rows of ``[pos, n)`` in ``left`` tiles; true at the limit."""
@@ -336,9 +401,14 @@ class SegmentTable:
                 q.append(squares + square)
                 eta_new.append(fresh + is_new)
                 return len(q) >= limit
-            field = finish[left - 1]
-            for end, is_gap, count, i, square, is_new in moves[after_gap][pos]:
-                if count & field:
+            # the target bits a move needs: one more new tile is one bit lower
+            if e is None:
+                old = new = fields[left - 1]
+            else:
+                old = 1 << (width * (left - 1) + e - fresh)
+                new = old >> 1 if fresh < e else 0
+            for end, is_gap, mask, i, square, is_new in moves[after_gap][pos]:
+                if mask & (new if is_new else old):
                     path.append(i)
                     if descend(end, left - 1, is_gap, squares + square, fresh + is_new):
                         return True
@@ -347,26 +417,25 @@ class SegmentTable:
 
         descend(0, k, False, 0, 0)
         del descend  # it refers to itself: free it now, not at the next collection
-        _rows_listed += self.levels[k]
-        if None not in self._at:
-            self._moves = None  # every level is listed
+        _rows_listed += len(q)
+        return rows, q, eta_new
 
-    def candidate(self, name: str, k: int, j: int) -> SequenceCandidate:
-        """Row ``j`` of level ``k`` as a candidate segmentation of ``name``."""
-        rows, _, eta_new = self.level(k)
-        spans = list(map(self.spans.__getitem__, rows[j]))
+    def candidate(self, name: str, row: Sequence[int]) -> SequenceCandidate:
+        """A row, as its span indices, as a candidate segmentation of ``name``."""
+        spans = list(map(self.spans.__getitem__, row))
+        new = tuple(map(self.new.__getitem__, row))
         return SequenceCandidate(
             name,
             tuple(end for _, end in spans[:-1]),
             tuple(name[start:end] for start, end in spans),
-            tuple(map(self.new.__getitem__, rows[j])),
-            eta_new[j],
+            new,
+            sum(new),
         )
 
     def candidates(self, name: str) -> list[SequenceCandidate]:
         """Every row, level by level, as a candidate segmentation of ``name``."""
         return [
-            self.candidate(name, k, j) for k, count in enumerate(self.levels) for j in range(count)
+            self.candidate(name, row) for k in range(len(self.levels)) for row in self.level(k)[0]
         ]
 
     def text_rows(self, name: str) -> tuple[list[str], tuple[int, ...]]:
@@ -396,9 +465,11 @@ class SegmentTable:
         """Rows placing any of the span indices ``spans``: the rows of the
         levels kept in full, less those one backward pass counts without
         ``spans``, plus the listed rows of the cut level that place one.
-        Once every level is listed, the rows are scanned instead."""
+        Once every cell is listed, the rows are scanned instead."""
         if self._moves is None:
-            return sum(not spans.isdisjoint(row) for row in self._rows)
+            return sum(
+                not spans.isdisjoint(row) for rows, _ in self._cells.values() for row in rows
+            )
         width = self._width
         moves = self._moves[False]
         n = len(moves)
@@ -416,7 +487,12 @@ class SegmentTable:
         avoiding = (back[0][0] >> width & (1 << (width * self._full)) - 1) % ((1 << width) - 1)
         placing = sum(self.levels[: self._full + 1]) - avoiding
         if self._cut:
-            placing += sum(not spans.isdisjoint(row) for row in self.level(self._cut)[0])
+            placing += sum(
+                not spans.isdisjoint(row)
+                for (k, _), listed in self._cells.items()
+                if k == self._cut
+                for row in listed[0]  # type: ignore[index]
+            )
         return placing
 
 

@@ -419,6 +419,17 @@ class TestTranscribe:
         assert code == 1
         assert "empty corpus" in capsys.readouterr().err
 
+    def test_byte_order_mark_dropped(self, files, capsys):
+        # a basis saved with a UTF-8 byte-order mark starts with the word ra
+        (files / "names.txt").write_text("rama\n", encoding="utf-8")
+        (files / "basis.txt").write_bytes(b"\xef\xbb\xbfra\nma\n")
+        (files / "seg.tsv").write_text("rama\tra ma\n", encoding="utf-8")
+        assert main(["ortho", "--basis", str(files / "basis.txt")]) == 0
+        assert capsys.readouterr().out == "ma\nra\n"
+        code, out = self.run(files)
+        assert code == 0
+        assert "rama\tra ma\tr a m aa\tr a m A\n" in out.read_text()
+
 
 class TestReport:
     def test_reference_trace_flags_and_exit(self, tmp_path, capsys):

@@ -410,6 +410,38 @@ class TestTilingOracle:
     @example(
         "aab", frozenset({"a"}), 5000, WeightSet(0.0, 0.0, 1.0, 0.0), True, None, "alg1", True
     )
+    # "e e b e" cannot beat "e e be" (0.486): its bound is 0.5. That ends
+    # the scan of the rows with no new segment only; "eebe", one new
+    # segment, costs 0.125 and wins.
+    @example(
+        "eebe", frozenset({"b", "e", "be"}), 5000, WeightSet(0.5, 0.5, 0.0, 0.0), False, None,
+        "alg1", True,
+    )
+    # The scan costs the one covering row, of seven letters, first; "b
+    # ebbaeb", two segments, one new, still wins.
+    @example(
+        "bebbaeb",
+        frozenset({"a", "b", "e", "ebe"}),
+        5000,
+        WeightSet(0.75, 0.0, 0.0, 0.25),
+        False,
+        3,
+        "alg1",
+        True,
+    )
+    # With no new-word weight and inverted demand, a cell's bound is its
+    # first term plus the demand weight; "b b abb", one new segment, beats
+    # the covering rows of three to five segments, costed before it.
+    @example(
+        "bbabb",
+        frozenset({"a", "b", "bb", "e"}),
+        5000,
+        WeightSet(0.5, 0.0, 0.5, 0.0),
+        True,
+        None,
+        "alg1",
+        True,
+    )
     @settings(max_examples=400)
     def test_matches_full_scoring(
         self, name, basis, cap, weights, pav_inverted, n_total, flavour, gaps
@@ -552,6 +584,21 @@ class TestCapCount:
         assert [r.getMessage() for r in caplog.records] == [
             "segmentation: 0 of 1 names reached the candidate cap 5000; "
             "4 rows enumerated, 1 listed, 1 costed in full",
+        ]
+
+    def test_alg1_lists_and_costs_cells_that_can_win(self, caplog):
+        # Rows are costed fewest new segments first, and a cell is listed
+        # only while its bound can still win; at the default weights each
+        # new segment adds at least 2 * 0.3 to it. A scan by level alone
+        # lists 301 and 316 rows and costs 264 and 276 of them.
+        corpus = make_planted_corpus(n_names=60, n_units=12, seed=7).corpus
+        with caplog.at_level(logging.INFO, logger="namebasis.engine"):
+            run_alg1(corpus, RunConfig(min_length=2))
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
+            "alg1 iteration 1: 0 of 60 names reached the candidate cap 5000; "
+            "303 rows enumerated, 135 listed, 96 costed in full",
+            "alg1 iteration 2: 0 of 60 names reached the candidate cap 5000; "
+            "318 rows enumerated, 112 listed, 72 costed in full",
         ]
 
     def test_alg2_defaults_cost_few_rows_past_the_whole_name(self, caplog):

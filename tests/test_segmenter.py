@@ -360,3 +360,82 @@ class TestCountingOracle:
         rows = table.candidates(other)
         for text, count in zip(texts, text_rows):
             assert count == sum(text in row.texts for row in rows)
+
+
+class TestCellOracle:
+    """Each cell of a table against a brute-force listing of its level."""
+
+    @given(
+        name=st.one_of(
+            st.text(alphabet="ab", min_size=1, max_size=10),
+            # texts placed at more than one offset
+            st.sampled_from(["abab", "aaaa", "abcabc", "aaaaaaaaa", "abababab", "baaab"]),
+        ),
+        # a basis and gaps, or a minimum part and include_whole
+        tiled=st.one_of(
+            st.tuples(
+                st.sets(st.text(alphabet="abc", min_size=1, max_size=3), max_size=6),
+                st.booleans(),
+            ),
+            st.tuples(st.integers(1, 3), st.booleans()),
+        ),
+        cap=st.one_of(st.integers(1, 20), st.none()),
+        shuffle=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=400)
+    # the cap cuts level 3 of a gapped tiling after 2 rows, one with two
+    # new segments and one with none, so levels 1 and 2 are walked by cell
+    @example(name="abcabc", tiled=({"ab", "bc", "ca"}, True), cap=5, shuffle=Random(0))
+    # the cap cuts level 2 of the compositions after 4 of its 8 rows
+    @example(name="a" * 9, tiled=(1, True), cap=5, shuffle=Random(0))
+    def test_cells_split_levels_by_new_count(self, name, tiled, cap, shuffle):
+        n = len(name)
+        if isinstance(tiled[0], int):
+            min_part, include_whole = tiled
+            # an uncached table, so its cells are listed below
+            table = composition_table.__wrapped__(n, min_part, include_whole, cap)
+            spans = frozenset()  # every part is new
+            tilings = {
+                cuts
+                for parts in range(0 if include_whole else 1, n)
+                for cuts in combinations(range(1, n), parts)
+                if all(b - a >= min_part for a, b in zip((0, *cuts), (*cuts, n)))
+            }
+        else:
+            words, gaps = tiled
+            spans = occurrence_spans(candidate_words(name, words))
+            table = tiling_table(n, spans, cap or 10**9, gaps=gaps)
+            tilings = brute_tilings(name, spans)
+            if not gaps:
+                tilings = {
+                    cuts for cuts in tilings if set(zip((0, *cuts), (*cuts, n))) <= spans
+                }
+        # the kept rows in level order, filed under their cells
+        expected: dict[tuple[int, int], list] = {}
+        for cuts in sorted(tilings, key=lambda cuts: (len(cuts), cuts))[:cap]:
+            placed = list(zip((0, *cuts), (*cuts, n)))
+            fresh = sum(span not in spans for span in placed)
+            square = sum((end - start) ** 2 for start, end in placed)
+            expected.setdefault((len(placed), fresh), []).append((cuts, square))
+
+        # cells with rows, as the table knows them before listing any
+        assert {(k, e) for e, levels in enumerate(table.cells) for k in levels} == set(expected)
+        assert all(list(levels) == sorted(levels) for levels in table.cells)
+        order = sorted(expected)
+        shuffle.shuffle(order)
+        for k, e in order:
+            rows, q = table.cell(k, e)
+            listed = [
+                (tuple(table.spans[i][1] for i in row[:-1]), square)
+                for row, square in zip(rows, q)
+            ]
+            assert listed == expected[k, e]
+            assert all(sum(map(table.new.__getitem__, row)) == e for row in rows)
+        # a text's rows, counted once every cell is listed
+        texts, text_rows = table.text_rows(name)
+        for text, count in zip(texts, text_rows):
+            assert count == sum(
+                text in {name[a:b] for a, b in zip((0, *cuts), (*cuts, n))}
+                for rows in expected.values()
+                for cuts, _ in rows
+            )
