@@ -26,6 +26,20 @@ GOLDEN = {
             "stats.csv": "b9a32ec36a0bc6a2c2d8cf3860cd8cac82848086105721447b00128dd2587eba",
         },
     ),
+    # A cap of 10 on gapped tilings: 13 names reach it in round 1 and 18
+    # in round 2, so this pins which rows the cap keeps for alg1.
+    "alg1-capped": (
+        "alg1",
+        120,
+        20,
+        7,
+        "cap = 10\n",
+        {
+            "basis.txt": "809abf7df94d616876b13bdde32faf1880cb0d5eb7f051e1b6bc2062b7f660bc",
+            "segmentations.tsv": "945ad96af1acd8d861240c3b345529f6d5e43935583679d475c2a2382a69b8b2",
+            "stats.csv": "375013d988f29e88233eb056cc6082ca1a1e45274cef257d1b40a6068c68b0ea",
+        },
+    ),
     "alg2": (
         "alg2",
         50,
