@@ -345,7 +345,7 @@ def _pass(label: str, cap: int) -> Iterator[list[int]]:
 
     The caller adds each name's row count to the list this yields. The
     log line gives them, the rows the pass listed (tables list theirs
-    one level at a time, as the chooser asks, and cached tables only
+    one cell at a time, as the chooser asks, and cached tables only
     once) and the rows the chooser costed in full.
     """
     listed, costed = segmenter._rows_listed, _rows_costed

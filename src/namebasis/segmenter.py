@@ -23,8 +23,8 @@ demand share is a count over the row total. The backward pass also
 marks which (segment count, new-segment count) pairs, the "cells",
 have rows. Rows are listed one cell at a time, only when asked for, by
 a depth-first pass that enters a move only when the segments and new
-segments left can still finish; the level the cap cuts is listed at
-once, up to the cap, and split into its cells.
+segments left can still finish. The level the cap cuts is counted the
+same way, along the path of its last kept row, and never listed whole.
 
 Every candidate is scored from one table type, ``SegmentTable``: the
 counts above, per span whether it is new, and per listed row its span
@@ -126,13 +126,6 @@ Cell = tuple[Sequence[Sequence[int]], Sequence[int]]
 Move = tuple[int, bool, int, int, int, bool]
 
 
-@lru_cache(maxsize=64)
-def _fields(width: int) -> tuple[int, ...]:
-    """The masks of the ``width``-bit fields of a packed count, by
-    field: ``t`` tiles left to place is field ``t``."""
-    return tuple(((1 << width) - 1) << (width * t) for t in range(width))
-
-
 def _row(spans: int) -> Callable[[Iterable[int]], Sequence[int]]:
     """How a row of indices into ``spans`` spans is kept: one byte an
     index when the indices fit, not a pointer each."""
@@ -182,14 +175,18 @@ class SegmentTable:
     rows as indices into ``spans``, left to right, one byte each when
     they fit, and each row's sum of squared tile lengths. The walk
     enters a move only when its target can still finish with exactly
-    the tiles and new tiles left, so every node visited leads to a row,
-    and with one tile left the only move that finishes ends at ``n``:
-    moves are kept in ascending end order, so it is the last one. The
-    level the cap cuts is listed when the table is built, in level
-    order, since the counts of its first rows come from listing them,
-    and its rows are filed under their cells. Once every cell is
-    listed, the moves are dropped. ``level(k)`` merges level ``k``'s
-    cells back into level order.
+    the tiles and new tiles left, and with one tile left the only move
+    that finishes ends at ``n``: moves are kept in ascending end order,
+    so it is the last one. Once every cell is listed, the moves are
+    dropped. ``level(k)`` merges level ``k``'s cells back into level
+    order.
+
+    A level's rows come depth first over moves in ascending end order,
+    so the kept rows of the level the cap cuts are those whose tile ends
+    come, left to right, no later than its last kept row's: the path,
+    found by rank. Each earlier sibling of a path tile roots a subtree
+    of kept rows, counted as a full level is, and a walk on the path
+    stops at a move that ends past the path's tile.
 
     ``text_rows(name)`` gives, for each span, the rows placing its text
     at least once: the span's own count for a text placed at one
@@ -200,7 +197,7 @@ class SegmentTable:
 
     __slots__ = (
         "spans", "new", "counts", "levels", "total", "cells",
-        "_width", "_moves", "_cells", "_unlisted", "_cut", "_full", "_text_rows",
+        "_width", "_moves", "_cells", "_unlisted", "_cut", "_full", "_path", "_text_rows",
     )
 
     def __init__(
@@ -256,13 +253,47 @@ class SegmentTable:
         self._cut = cut
         self._full = len(levels) - 1 - bool(cut)  # the last level kept in full
 
+        # Down the path by rank, each sibling passed over seeds a forward
+        # count of the cut level's kept rows at its end, and its finish mask
+        # marks their cells. cut_rows[pos, end]: those rows placing the tile.
+        self._path: list[int] = []  # the tile ends of the cut level's last kept row
+        cut_rows: dict[tuple[int, int], int] = {}
+        cut_cells = 0
+        if cut:
+            cut_fwd = ([0] * (n + 1), [0] * (n + 1))  # [after_gap][pos], by tiles so far
+            rank, pos, after_gap, fresh = levels[cut], 0, False, 0
+            for depth in range(cut):
+                left = cut - depth - 1  # tiles after this one
+                for end, is_gap, count, mask in steps[pos]:
+                    rows = count >> (width * left) & field
+                    if not rows or is_gap and after_gap:
+                        continue
+                    is_new = all_new or is_gap
+                    if rank <= rows:
+                        break
+                    rank -= rows
+                    cut_rows[pos, end] = rows
+                    cut_fwd[is_gap][end] += 1 << (width * (depth + 1))
+                    cut_cells |= (mask >> (width * left) & field) << (fresh + is_new)
+                cut_rows[pos, end] = rank  # the path tile: the rank left below it
+                self._path.append(end)
+                pos, after_gap, fresh = end, is_gap, fresh + is_new
+            cut_cells |= 1 << fresh
+            for pos in range(n):
+                reach, reach_gap = cut_fwd[False][pos], cut_fwd[True][pos]
+                for end, is_gap, count, _ in steps[pos]:
+                    before = reach if is_gap else reach + reach_gap
+                    if before:
+                        cut_fwd[is_gap][end] += before << width
+                        rows = before * count >> (width * (cut - 1)) & field
+                        cut_rows[pos, end] = cut_rows.get((pos, end), 0) + rows
+
         # A product of forward and backward counts has the rows of level
         # t + 1 in field t, and counts mod 2**width - 1 is the sum of their
         # fields (at most the name's 2**(n - 1) tilings, so exact). A
-        # tile's rows are its product summed over the full levels; when
-        # the cap drops rows, tiles that no kept row places are left out,
-        # along with the prefixes through them.
-        last = (1 << (width * (len(levels) - 1))) - 1
+        # tile's rows are its product summed over the full levels, plus
+        # its kept rows of the cut level; tiles that no kept row places
+        # are left out, along with the prefixes through them.
         full = (1 << (width * self._full)) - 1
         fwd = [0] * (n + 1)  # ways to reach pos, the last tile a span
         fwd_gap = [0] * (n + 1)  # ... the last tile a gap
@@ -284,8 +315,8 @@ class SegmentTable:
                 before = reach if is_gap else reach_any
                 if not before:
                     continue
-                rows = before * count
-                if not rows & last:
+                rows = (before * count & full) % field + (cut and cut_rows.get((pos, end), 0))
+                if not rows:
                     continue
                 if is_gap:
                     fwd_gap[end] += before << width
@@ -294,7 +325,7 @@ class SegmentTable:
                 move = (end, is_gap, mask, len(tiles), (end - pos) * (end - pos), all_new or is_gap)
                 tiles.append((pos, end))
                 new.append(move[5])
-                counts.append((rows & full) % field)
+                counts.append(rows)
                 any_move.append(move)
                 if not is_gap:
                     span_move.append(move)
@@ -303,51 +334,21 @@ class SegmentTable:
         self._moves: tuple[list[tuple[Move, ...]], list[tuple[Move, ...]]] | None = moves
         self.spans = tuple(tiles)
         self.new = tuple(new)
+        self.counts = tuple(counts)
         # _cells[k, e]: the listed rows of cell (k, e) and each row's sum
         # of squared tile lengths, or None while the cell is unlisted; only
-        # cells with rows are keys. The cells of the full levels come from
-        # the mask, those of the cut level from listing its first rows.
+        # cells with rows are keys, read from the finish mask.
         self._cells: dict[tuple[int, int], Cell | None] = {}
-        for k in range(1, self._full + 1):
-            fresh = finish[0][False] >> (width * k) & field
+        by_new: list[list[int]] = [[] for _ in levels]  # e <= k < len(levels)
+        for k in range(1, len(levels)):
+            fresh = cut_cells if k == cut else finish[0][False] >> (width * k) & field
             while fresh:
-                self._cells[k, (fresh & -fresh).bit_length() - 1] = None
+                e = (fresh & -fresh).bit_length() - 1
+                self._cells[k, e] = None
+                by_new[e].append(k)
                 fresh &= fresh - 1
         self._unlisted = len(self._cells)
         self._text_rows: dict[str, tuple[int, ...]] = {}
-        if cut:
-            rows, q, eta_new = self._walk(cut, None)
-            for row in rows:
-                for i in row:
-                    counts[i] += 1
-            if not all(counts):
-                # drop the tiles that only the cut level's unlisted rows place
-                number = {i: j for j, i in enumerate(i for i, c in enumerate(counts) if c)}
-                moves = self._moves = tuple(
-                    [
-                        tuple((*m[:3], number[m[3]], *m[4:]) for m in side if m[3] in number)
-                        for side in state
-                    ]
-                    for state in moves
-                )
-                self.spans, self.new, counts = [
-                    tuple(value for value, placed in zip(column, counts) if placed)
-                    for column in (self.spans, self.new, counts)
-                ]
-                pack = _row(len(self.spans))
-                rows = [pack(map(number.__getitem__, row)) for row in rows]
-            for row, square, fresh in zip(rows, q, eta_new):
-                listed = self._cells.get((cut, fresh))
-                if listed is None:
-                    listed = self._cells[cut, fresh] = ([], array("I"))
-                listed[0].append(row)
-                listed[1].append(square)
-        if not self._unlisted:
-            self._moves = None  # every cell is listed
-        self.counts = tuple(counts)
-        by_new: list[list[int]] = [[] for _ in levels]  # e <= k < len(levels)
-        for k, e in sorted(self._cells):
-            by_new[e].append(k)
         self.cells = tuple(map(tuple, by_new))
 
     def cell(self, k: int, e: int) -> Cell:
@@ -357,8 +358,7 @@ class SegmentTable:
         use."""
         listed = self._cells[k, e]
         if listed is None:
-            rows, q, _ = self._walk(k, e)
-            listed = self._cells[k, e] = (rows, q)
+            listed = self._cells[k, e] = self._walk(k, e)
             self._unlisted -= 1
             if not self._unlisted:
                 self._moves = None  # every cell is listed
@@ -378,47 +378,40 @@ class SegmentTable:
         )
         return tuple(zip(*merged)) or ((), (), ())  # type: ignore[return-value]
 
-    def _walk(self, k: int, e: int | None) -> tuple[list[Sequence[int]], array, array]:
-        """List, depth first, the rows of cell ``(k, e)``, or with ``e``
-        None the first ``levels[k]`` rows of level ``k``: each row, its sum
-        of squared tile lengths and its count of new tiles."""
+    def _walk(self, k: int, e: int) -> Cell:
+        """List cell ``(k, e)`` depth first: its rows and their sums of squared lengths."""
         global _rows_listed
         moves = self._moves
         assert moves is not None
         width = self._width
-        fields = _fields(width)
-        limit = self.levels[k]
         pack = _row(len(self.spans))
-        path: list[int] = []
+        tiles: list[int] = []
         rows: list[Sequence[int]] = []
-        q, eta_new = array("I"), array("I")
+        q = array("I")
 
-        def descend(pos: int, left: int, after_gap: bool, squares: int, fresh: int) -> bool:
-            """List the rows of ``[pos, n)`` in ``left`` tiles; true at the limit."""
+        def descend(pos: int, left: int, after_gap: bool, squares: int, fresh: int, tight: bool):
+            """List the rows of ``[pos, n)`` in ``left`` tiles; ``tight``: on the path."""
             if left == 1:
-                _, _, _, i, square, is_new = moves[after_gap][pos][-1]
-                rows.append(pack((*path, i)))
+                _, _, _, i, square, _ = moves[after_gap][pos][-1]
+                rows.append(pack((*tiles, i)))
                 q.append(squares + square)
-                eta_new.append(fresh + is_new)
-                return len(q) >= limit
+                return
             # the target bits a move needs: one more new tile is one bit lower
-            if e is None:
-                old = new = fields[left - 1]
-            else:
-                old = 1 << (width * (left - 1) + e - fresh)
-                new = old >> 1 if fresh < e else 0
+            old = 1 << (width * (left - 1) + e - fresh)
+            new = old >> 1 if fresh < e else 0
+            stop = self._path[k - left] if tight else width
             for end, is_gap, mask, i, square, is_new in moves[after_gap][pos]:
+                if end > stop:
+                    break
                 if mask & (new if is_new else old):
-                    path.append(i)
-                    if descend(end, left - 1, is_gap, squares + square, fresh + is_new):
-                        return True
-                    path.pop()
-            return False
+                    tiles.append(i)
+                    descend(end, left - 1, is_gap, squares + square, fresh + is_new, end == stop)
+                    tiles.pop()
 
-        descend(0, k, False, 0, 0)
+        descend(0, k, False, 0, 0, k == self._cut)
         del descend  # it refers to itself: free it now, not at the next collection
         _rows_listed += len(q)
-        return rows, q, eta_new
+        return rows, q
 
     def candidate(self, name: str, row: Sequence[int]) -> SequenceCandidate:
         """A row, as its span indices, as a candidate segmentation of ``name``."""
@@ -462,21 +455,23 @@ class SegmentTable:
         return texts, kept
 
     def _rows_placing(self, spans: AbstractSet[int]) -> int:
-        """Rows placing any of the span indices ``spans``: the rows of the
-        levels kept in full, less those one backward pass counts without
-        ``spans``, plus the listed rows of the cut level that place one.
-        Once every cell is listed, the rows are scanned instead."""
+        """Rows placing any of the span indices ``spans``: all rows less
+        those one backward pass counts without ``spans``, in the full
+        levels and below each sibling of the cut level's path, and the
+        path row if it avoids them. Once every cell is listed, the rows are
+        scanned instead."""
         if self._moves is None:
             return sum(
                 not spans.isdisjoint(row) for rows, _ in self._cells.values() for row in rows
             )
         width = self._width
-        moves = self._moves[False]
-        n = len(moves)
+        field = (1 << width) - 1
+        moves = self._moves
+        n = len(moves[False])
         back = [(1, 1)] * (n + 1)
         for pos in range(n - 1, -1, -1):
             to_span = to_gap = 0
-            for end, is_gap, _, i, _, _ in moves[pos]:
+            for end, is_gap, _, i, _, _ in moves[False][pos]:
                 if i not in spans:
                     if is_gap:
                         to_gap += back[end][True]
@@ -484,16 +479,21 @@ class SegmentTable:
                         to_span += back[end][False]
             back[pos] = ((to_span + to_gap) << width, to_span << width)
         # the rows of the full levels, summed as in the table's own count
-        avoiding = (back[0][0] >> width & (1 << (width * self._full)) - 1) % ((1 << width) - 1)
-        placing = sum(self.levels[: self._full + 1]) - avoiding
-        if self._cut:
-            placing += sum(
-                not spans.isdisjoint(row)
-                for (k, _), listed in self._cells.items()
-                if k == self._cut
-                for row in listed[0]  # type: ignore[index]
-            )
-        return placing
+        avoiding = (back[0][0] >> width & (1 << (width * self._full)) - 1) % field
+        pos, after_gap, left = 0, False, self._cut
+        for stop in self._path:
+            left -= 1
+            for end, is_gap, _, i, _, _ in moves[after_gap][pos]:
+                if end == stop:
+                    break
+                if i not in spans:
+                    avoiding += back[end][is_gap] >> (width * left) & field
+            if i in spans:
+                break  # every row left places the path's tile
+            pos, after_gap = end, is_gap
+        else:
+            avoiding += bool(self._path)  # the path row
+        return self.total - avoiding
 
 
 def tiling_table(

@@ -4,7 +4,7 @@ import logging
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from namebasis import engine
+from namebasis import engine, segmenter
 from namebasis.config import ConfigError
 from namebasis.corpus import Corpus
 from namebasis.engine import (
@@ -601,16 +601,41 @@ class TestCapCount:
             "318 rows enumerated, 112 listed, 72 costed in full",
         ]
 
+    def test_tables_list_nothing_when_built(self):
+        # The cap cuts level 6 of a 23-letter name's compositions after
+        # 1,612 rows and level 5 of a gapped tiling after 44 of its 56.
+        # Building either lists no row; the cut level's cells, listed on
+        # demand, together list exactly the rows the cap keeps.
+        name = "abc" * 4
+        spans = occurrence_spans(candidate_words(name, {"ab", "bc", "ca", "abc"}))
+        listed = segmenter._rows_listed
+        tables = [
+            composition_table.__wrapped__(23, 2, True, 5000),
+            tiling_table(len(name), spans, 100),
+        ]
+        assert segmenter._rows_listed == listed
+        uncapped = [
+            composition_table.__wrapped__(23, 2, True, None),
+            tiling_table(len(name), spans, 10**9),
+        ]
+        for table, whole, cut, kept in zip(tables, uncapped, (6, 5), (1612, 44)):
+            assert (len(table.levels) - 1, table.levels[cut]) == (cut, kept)
+            assert whole.levels[cut] > kept
+            for e, levels in enumerate(table.cells):
+                if cut in levels:
+                    table.cell(cut, e)
+            assert segmenter._rows_listed - listed == kept
+            listed = segmenter._rows_listed
+
     def test_alg2_defaults_cost_few_rows_past_the_whole_name(self, caplog):
         # At the default weights the whole name wins, at 0.4 / n + 0.3 /
         # rows. A k-part row costs at least 0.4 k / n, so the scan stops
         # at the first two-part row, except on the 9 names of 4 letters
         # and 10 of 5, whose 1 and 2 two-part rows are costed too.
-        # Listed: the whole-name row of each of the 20 name lengths, the
-        # two-part rows of lengths 4 and 5, and the cut six-part levels
-        # of the two capped names: 2,327 rows of 22 letters and 1,612 of
-        # 23 (5,000 less the 2,673 and 3,388 rows of their first five
-        # levels).
+        # Listed: the whole-name row of each of the 20 name lengths and
+        # the two-part rows of lengths 4 and 5. The cut six-part levels of
+        # the two capped names (22 and 23 letters) are counted along
+        # their last kept row and never listed.
         composition_table.cache_clear()
         corpus = make_planted_corpus(n_names=150, n_units=30, seed=7).corpus
         with caplog.at_level(logging.INFO, logger="namebasis.engine"):
@@ -618,7 +643,7 @@ class TestCapCount:
         assert stats.j_total == 0
         assert [r.getMessage() for r in caplog.records] == [
             "alg2: 2 of 150 names reached the candidate cap 5000; "
-            f"42398 rows enumerated, {20 + 1 + 2 + 2327 + 1612} listed, "
+            f"42398 rows enumerated, {20 + 1 + 2} listed, "
             f"{150 + 9 * 1 + 10 * 2} costed in full",
         ]
 

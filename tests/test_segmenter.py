@@ -307,8 +307,11 @@ class TestCountingOracle:
     # an uncapped gapped tiling, with texts placed at two offsets
     @example(name="abcabc", tiled=({"ab", "bc", "ca"}, True), cap=None, shuffle=Random(0))
     # the cap cuts level 2 after 4 of its 8 rows, so the tiles (0, 5)...(0, 8)
-    # and (5, 9)...(8, 9), placed only by its unlisted rows, are dropped
+    # and (5, 9)...(8, 9), placed only by rows it drops, are left out
     @example(name="a" * 9, tiled=(1, True), cap=5, shuffle=Random(0))
+    # the cap keeps ab ab, the last kept row of level 2, which places "ab"
+    # at both offsets; its rows are counted before any cell is listed
+    @example(name="abab", tiled=(1, True), cap=3, shuffle=Random(0))
     # 300 compositions place 276 spans, too many for one byte an index
     @example(name="a" * 23, tiled=(1, True), cap=300, shuffle=Random(0))
     def test_counts_match_listing(self, name, tiled, cap, shuffle):
@@ -388,6 +391,9 @@ class TestCellOracle:
     @example(name="abcabc", tiled=({"ab", "bc", "ca"}, True), cap=5, shuffle=Random(0))
     # the cap cuts level 2 of the compositions after 4 of its 8 rows
     @example(name="a" * 9, tiled=(1, True), cap=5, shuffle=Random(0))
+    # the cap keeps a aa b, not aa a b, of level 3: its last kept row
+    # starts with the gap a, so the gap a at offset 1 cannot follow it
+    @example(name="aaab", tiled=({"aa", "ab", "b"}, True), cap=4, shuffle=Random(0))
     def test_cells_split_levels_by_new_count(self, name, tiled, cap, shuffle):
         n = len(name)
         if isinstance(tiled[0], int):
