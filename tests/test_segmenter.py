@@ -309,8 +309,8 @@ class TestCountingOracle:
     # the cap cuts level 2 after 4 of its 8 rows, so the tiles (0, 5)...(0, 8)
     # and (5, 9)...(8, 9), placed only by rows it drops, are left out
     @example(name="a" * 9, tiled=(1, True), cap=5, shuffle=Random(0))
-    # the cap keeps ab ab, the last kept row of level 2, which places "ab"
-    # at both offsets; its rows are counted before any cell is listed
+    # the cap keeps two of level 2's three rows; the last, ab ab, places
+    # "ab" at both offsets, and its rows are counted before any listing
     @example(name="abab", tiled=(1, True), cap=3, shuffle=Random(0))
     # 300 compositions place 276 spans, too many for one byte an index
     @example(name="a" * 23, tiled=(1, True), cap=300, shuffle=Random(0))
