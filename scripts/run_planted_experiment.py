@@ -73,8 +73,8 @@ def main():
 
         print(f"\n== {algo} ({elapsed:.1f}s) ==")
         print_trace(trace)
-        spanning = all(is_constructible(name, basis.texts) for name in corpus)
-        recovered = sorted(basis.texts) == sorted(planted.units)
+        spanning = all(is_constructible(name, basis) for name in corpus)
+        recovered = sorted(basis) == sorted(planted.units)
         print(f"final basis: {len(basis)} words, orthogonal={is_ortho(basis)[0]}, spans={spanning}")
         print(f"planted pool recovered exactly: {recovered}")
         # the objective of the final segmentation, as `induce` writes it

@@ -32,14 +32,12 @@ from .lexicon import (
     Lexicon,
     LexiconError,
     TranscriptionEntry,
-    TranscriptionTable,
     build_lexicon,
     compose,
     emit_lexicon,
     load_transcriptions,
 )
 from .ortho import (
-    Basis,
     count_constructions,
     first_construction,
     is_constructible,

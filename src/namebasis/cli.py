@@ -37,7 +37,7 @@ from .lexicon import (
     emit_lexicon,
     load_transcriptions,
 )
-from .ortho import Basis, is_ortho, make_ortho
+from .ortho import is_ortho, make_ortho
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -53,7 +53,7 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def read_basis_file(path) -> Basis:
+def read_basis_file(path) -> frozenset[str]:
     words = []
     for lineno, line in data_lines(read_text(path, CorpusError)):
         word = line.strip()
@@ -61,11 +61,11 @@ def read_basis_file(path) -> Basis:
             # segmentations are split on spaces, so no name could use it
             raise CorpusError(f"{path}: line {lineno}: whitespace in word {word!r}")
         words.append(word)
-    return Basis(words)
+    return frozenset(words)
 
 
-def write_basis_file(basis: Basis, path) -> None:
-    Path(path).write_text("\n".join(sorted(basis.texts)) + "\n", encoding="utf-8")
+def write_basis_file(basis: frozenset[str], path) -> None:
+    Path(path).write_text("\n".join(sorted(basis)) + "\n", encoding="utf-8")
 
 
 def read_segmentations(path) -> dict[str, tuple[str, ...]]:
@@ -193,7 +193,7 @@ def _cmd_ortho(args) -> int:
         write_basis_file(pruned, args.out)
         print(f"{len(basis)} -> {len(pruned)} words written to {args.out}")
     else:
-        for word in sorted(pruned.texts):
+        for word in sorted(pruned):
             print(word)
     return EXIT_OK
 
@@ -202,7 +202,7 @@ def _cmd_transcribe(args) -> int:
     corpus = normalize(load_names(args.names, "plain"), min_length=1)
     basis = read_basis_file(args.basis)
     segmentations = read_segmentations(args.segmentations)
-    table = load_transcriptions(args.table, basis=basis.texts)
+    table = load_transcriptions(args.table, basis=basis)
     for name, words in segmentations.items():
         if "".join(words) != name:
             return _fail(EXIT_VALIDATION, f"segmentation of {name!r} does not spell it")

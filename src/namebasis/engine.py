@@ -12,7 +12,8 @@ set, which is then orthogonalized and fed back in. The from-scratch
 algorithm (``alg2``) needs no seed: it picks the cheapest composition
 of every name outright and runs the same grow-and-orthogonalize step,
 ``_grow_and_prune``, once from an empty basis. Both return the basis,
-a set of plain word strings, and a trace of one stats row per round.
+a frozenset of plain word strings (it is also the key of the grid
+search's surveys), and a trace of one stats row per round.
 The final segmentation picks each name's cheapest covering tiling. All
 three picks go through one chooser, ``_choose_row``, over a
 ``SegmentTable`` of the name's candidates (built by the tiling search:
@@ -67,7 +68,7 @@ from .features import (
 )
 # Unused here, but perfbench's tracer wraps these engine attributes.
 from .features import compute_features, cost_alg1, cost_alg2, demand_shares, select_best
-from .ortho import Basis, make_ortho
+from .ortho import make_ortho
 from .segmenter import (
     SegmentTable,
     SequenceCandidate,
@@ -214,7 +215,7 @@ def trivial_case_b(corpus: Corpus) -> float:
     return global_cost(corpus.total_unique, 0, corpus.total_unique)
 
 
-def seed_basis(corpus: Corpus, k: float) -> Basis:
+def seed_basis(corpus: Corpus, k: float) -> frozenset[str]:
     """Names with frequency >= k * max frequency, orthogonalized.
 
     The most frequent name always passes, since ``k <= 1``.
@@ -226,7 +227,7 @@ def seed_basis(corpus: Corpus, k: float) -> Basis:
         raise ValueError("cannot seed from an empty corpus")
     threshold = k * corpus.max_frequency
     picked = [r for r in ranked if r.frequency >= threshold]
-    return make_ortho(Basis(r.surface for r in picked))
+    return make_ortho(frozenset(r.surface for r in picked))
 
 
 # Rows _choose_row has costed in full. It returns the winner alone, so it
@@ -360,20 +361,19 @@ def _pass(label: str, cap: int) -> Iterator[list[int]]:
 
 
 def _grow_and_prune(
-    basis: Basis, chosen: Iterable[SequenceCandidate], iteration: int, n_total: int
-) -> tuple[Basis, Basis, IterationStats]:
+    basis: frozenset[str], chosen: Iterable[SequenceCandidate], iteration: int, n_total: int
+) -> tuple[frozenset[str], frozenset[str], IterationStats]:
     """Add the chosen sequences' new words to ``basis``, orthogonalize.
 
     Returns the grown basis, the orthogonalized basis and the stats row,
     whose joins are those of the chosen sequences.
     """
-    grown = Basis(basis.texts)
+    words = set(basis)
     j_total = 0
     for seq in chosen:
         j_total += seq.eta_joins
-        for text, new in zip(seq.texts, seq.new):
-            if new:
-                grown.add(text)
+        words.update(text for text, new in zip(seq.texts, seq.new) if new)
+    grown = frozenset(words)
     pruned = make_ortho(grown)
     stats = IterationStats(
         iteration=iteration,
@@ -390,7 +390,7 @@ def _grow_and_prune(
 Survey = tuple[list[SegmentTable], dict[str, float]]
 
 
-def _survey(corpus: Corpus, basis: Basis, cfg: RunConfig) -> Survey:
+def _survey(corpus: Corpus, basis: frozenset[str], cfg: RunConfig) -> Survey:
     """Pass 1 of an alg1 round, which does not depend on the weights.
 
     Counts every name's tilings by the basis, up to ``cfg.cap``, and
@@ -400,10 +400,9 @@ def _survey(corpus: Corpus, basis: Basis, cfg: RunConfig) -> Survey:
     """
     surveyed = []
     demand_count: dict[str, int] = {}
-    words = basis.texts
-    lengths = sorted({len(word) for word in words})
+    lengths = sorted({len(word) for word in basis})
     for name in sorted(corpus):
-        spans = occurrence_spans(candidate_words(name, words, lengths))
+        spans = occurrence_spans(candidate_words(name, basis, lengths))
         table = tiling_table(len(name), spans, cfg.cap)
         surveyed.append(table)
         new = {name[start:end] for (start, end), is_new in zip(table.spans, table.new) if is_new}
@@ -415,12 +414,12 @@ def _survey(corpus: Corpus, basis: Basis, cfg: RunConfig) -> Survey:
 
 def run_iteration_alg1(
     corpus: Corpus,
-    basis: Basis,
+    basis: frozenset[str],
     cfg: RunConfig,
     iteration: int = 1,
     *,
     surveys: dict[frozenset[str], Survey] | None = None,
-) -> tuple[Basis, Basis, IterationStats, dict[str, SequenceCandidate]]:
+) -> tuple[frozenset[str], frozenset[str], IterationStats, dict[str, SequenceCandidate]]:
     """One grow/prune round of the seeded algorithm.
 
     ``surveys``, when given, keeps pass 1 per input basis, so a caller
@@ -431,9 +430,9 @@ def run_iteration_alg1(
     if surveys is None:
         surveys = {}
     with _pass(f"alg1 iteration {iteration}", cfg.cap) as rows:
-        if basis.texts not in surveys:
-            surveys[basis.texts] = _survey(corpus, basis, cfg)
-        surveyed, corpus_freq = surveys[basis.texts]
+        if basis not in surveys:
+            surveys[basis] = _survey(corpus, basis, cfg)
+        surveyed, corpus_freq = surveys[basis]
         chosen = {
             name: _choose_row(name, table, corpus_freq, cfg, tiling_cost)
             for name, table in zip(sorted(corpus), surveyed)
@@ -448,7 +447,7 @@ def run_alg1(
     cfg: RunConfig,
     *,
     surveys: dict[frozenset[str], Survey] | None = None,
-) -> tuple[Basis, list[IterationStats]]:
+) -> tuple[frozenset[str], list[IterationStats]]:
     """Seeded grow/prune induction to a fixed point or iteration cap.
 
     ``surveys`` is passed to every round (see ``run_iteration_alg1``).
@@ -461,7 +460,7 @@ def run_alg1(
         )
         trace.append(stats)
         # At an exact fixed point every further round would repeat this row.
-        done = stats.b_m_size - stats.b_size < cfg.epsilon or pruned.texts == basis.texts
+        done = stats.b_m_size - stats.b_size < cfg.epsilon or pruned == basis
         basis = pruned
         if done:
             break
@@ -470,7 +469,7 @@ def run_alg1(
     return basis, trace
 
 
-def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, list[IterationStats]]:
+def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[frozenset[str], list[IterationStats]]:
     """Single-shot induction from exhaustive compositions, no seed.
 
     Every segment is new, so one grow/prune round from an empty basis
@@ -482,12 +481,12 @@ def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[Basis, list[IterationStats
             table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
             rows.append(table.total)
             chosen.append(_choose_row(name, table, None, cfg, composition_cost))
-    _, pruned, stats = _grow_and_prune(Basis(), chosen, 1, corpus.total_unique)
+    _, pruned, stats = _grow_and_prune(frozenset(), chosen, 1, corpus.total_unique)
     return pruned, [stats]
 
 
 def segment_corpus(
-    corpus: Corpus, basis: Basis, cfg: RunConfig
+    corpus: Corpus, basis: frozenset[str], cfg: RunConfig
 ) -> dict[str, SequenceCandidate]:
     """Best fully-in-basis segmentation of every name.
 
@@ -499,11 +498,10 @@ def segment_corpus(
     """
     cost_fn = tiling_cost if cfg.algorithm == "alg1" else composition_cost
     chosen: dict[str, SequenceCandidate] = {}
-    words = basis.texts
-    lengths = sorted({len(word) for word in words})
+    lengths = sorted({len(word) for word in basis})
     with _pass("segmentation", cfg.cap) as rows:
         for name in sorted(corpus):
-            spans = occurrence_spans(candidate_words(name, words, lengths))
+            spans = occurrence_spans(candidate_words(name, basis, lengths))
             table = tiling_table(len(name), spans, cfg.cap, gaps=False)
             if not table.total:
                 logger.warning("basis does not span %r; keeping a gapped sequence", name)

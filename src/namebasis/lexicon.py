@@ -3,7 +3,9 @@
 A human transcribes each basis word once, in two phone alphabets
 (DARPA and SAPI). A name's transcription is the space-joined
 concatenation of its segments' transcriptions, in segment order, with
-no smoothing across the joins.
+no smoothing across the joins. A transcription table is a plain dict
+from each basis word to its ``TranscriptionEntry``, as
+``load_transcriptions`` reads and checks it.
 """
 
 from __future__ import annotations
@@ -33,29 +35,6 @@ class TranscriptionEntry:
     sapi: str
 
 
-class TranscriptionTable:
-    def __init__(self, entries: Iterable[TranscriptionEntry] = ()):
-        self._entries: dict[str, TranscriptionEntry] = {}
-        for entry in entries:
-            if entry.basis_word in self._entries:
-                raise LexiconError(f"duplicate transcription for {entry.basis_word!r}")
-            if not entry.darpa.strip() or not entry.sapi.strip():
-                raise LexiconError(f"empty phone field for {entry.basis_word!r}")
-            self._entries[entry.basis_word] = entry
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entry(self, word: str) -> TranscriptionEntry:
-        return self._entries[word]
-
-    def words(self) -> tuple[str, ...]:
-        return tuple(sorted(self._entries))
-
-
 @dataclass(frozen=True)
 class LexiconEntry:
     name: str
@@ -72,14 +51,17 @@ class Lexicon:
         return [self.entries[name] for name in sorted(self.entries)]
 
 
-def load_transcriptions(path, basis: Iterable[str] | None = None) -> TranscriptionTable:
+def load_transcriptions(
+    path, basis: Iterable[str] | None = None
+) -> dict[str, TranscriptionEntry]:
     """Read a tab-separated ``word<TAB>darpa<TAB>sapi`` table.
 
-    ``#`` lines are comments. A word may not be empty or hold
-    whitespace. Entries for words outside ``basis`` (when given) are
-    kept with a warning.
+    Returns the entries keyed by word. ``#`` lines are comments. A word
+    may not be empty, hold whitespace or appear twice, and both phone
+    fields must be non-empty. Entries for words outside ``basis`` (when
+    given) are kept with a warning.
     """
-    entries = []
+    table: dict[str, TranscriptionEntry] = {}
     for lineno, line in data_lines(read_text(path, LexiconError)):
         parts = line.split("\t")
         if len(parts) != 3:
@@ -94,21 +76,19 @@ def load_transcriptions(path, basis: Iterable[str] | None = None) -> Transcripti
             raise LexiconError(f"{path}: line {lineno}: whitespace in word {word!r}")
         if not darpa or not sapi:
             raise LexiconError(f"{path}: line {lineno}: empty phone field for {word!r}")
-        entries.append(TranscriptionEntry(word, darpa, sapi))
-    try:
-        table = TranscriptionTable(entries)
-    except LexiconError as exc:
-        raise LexiconError(f"{path}: {exc}") from exc
+        if word in table:
+            raise LexiconError(f"{path}: line {lineno}: duplicate transcription for {word!r}")
+        table[word] = TranscriptionEntry(word, darpa, sapi)
     if basis is not None:
         known = set(basis)
-        for word in table.words():
+        for word in sorted(table):
             if word not in known:
                 logger.warning("transcription for %r is not a basis word; keeping it", word)
     return table
 
 
 def compose(
-    name: str, segmentation: Sequence[str], table: TranscriptionTable
+    name: str, segmentation: Sequence[str], table: Mapping[str, TranscriptionEntry]
 ) -> tuple[str, str]:
     """Join the segments' phone strings, in order, one space between."""
     missing = sorted({word for word in segmentation if word not in table})
@@ -116,7 +96,7 @@ def compose(
         raise LexiconError(
             f"no transcription for {', '.join(missing)} (needed by {name!r})"
         )
-    entries = [table.entry(word) for word in segmentation]
+    entries = [table[word] for word in segmentation]
     return (
         " ".join(entry.darpa for entry in entries),
         " ".join(entry.sapi for entry in entries),
@@ -124,7 +104,7 @@ def compose(
 
 
 def build_lexicon(
-    segmentations: Mapping[str, Sequence[str]], table: TranscriptionTable
+    segmentations: Mapping[str, Sequence[str]], table: Mapping[str, TranscriptionEntry]
 ) -> Lexicon:
     """Compose every name; all uncovered words are reported together."""
     missing: set[str] = set()

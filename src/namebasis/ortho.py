@@ -1,57 +1,30 @@
 """Concatenative independence of the basis.
 
-A basis is a set of words, plain strings. It is orthogonal when no
-member can be written as a join of other members (members may repeat
-within one join). Constructibility is decided exactly by
-prefix-reachability dynamic programming over the word's positions;
-``make_ortho`` deletes constructible members in one longest-first pass,
-which leaves the set independent.
+A basis is a ``frozenset`` of words, plain strings, so it iterates in
+hash order; ``is_ortho`` and ``make_ortho`` sort its words before they
+walk them. A basis is orthogonal when no member can be written as a
+join of other members (members may repeat within one join).
+Constructibility is decided exactly by prefix-reachability dynamic
+programming over the word's positions; ``make_ortho`` deletes
+constructible members in one longest-first pass, which leaves the set
+independent.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Iterator
+from typing import Collection
 
-# A basis word is its text; the name stays for callers that spell it
+# Both aliases stay for callers that spell a basis
 # ``Basis(BasisWord(u) for u in words)``, such as perfbench/check.py.
 BasisWord = str
-
-
-class Basis:
-    """A mutable set of basis words; iteration is sorted."""
-
-    def __init__(self, words: Iterable[str] = ()):
-        self._words: set[str] = set()
-        for word in words:
-            self.add(word)
-
-    def add(self, text: str) -> None:
-        if not text:
-            raise ValueError("basis words must be non-empty")
-        self._words.add(text)
-
-    @property
-    def texts(self) -> frozenset[str]:
-        return frozenset(self._words)
-
-    def __contains__(self, text: object) -> bool:
-        return text in self._words
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._words))
-
-    def __len__(self) -> int:
-        return len(self._words)
-
-    def __repr__(self) -> str:
-        return f"Basis({len(self)} words)"
+Basis = frozenset
 
 
 def is_constructible(word: str, others: Collection[str]) -> bool:
     """True iff ``word`` is a join of one or more elements of ``others``."""
     if not word:
         return False
-    other_set = others if isinstance(others, (set, frozenset, Basis)) else set(others)
+    other_set = others if isinstance(others, (set, frozenset)) else set(others)
     n = len(word)
     reachable = [False] * (n + 1)
     reachable[0] = True
@@ -70,7 +43,7 @@ def count_constructions(word: str, others: Collection[str]) -> int:
     """
     if not word:
         return 0
-    other_set = others if isinstance(others, (set, frozenset, Basis)) else set(others)
+    other_set = others if isinstance(others, (set, frozenset)) else set(others)
     n = len(word)
     ways = [0] * (n + 1)
     ways[0] = 1
@@ -83,7 +56,7 @@ def count_constructions(word: str, others: Collection[str]) -> int:
 
 def first_construction(word: str, others: Collection[str]) -> list[str] | None:
     """Leftmost-boundary construction of ``word`` from ``others``, if any."""
-    other_set = others if isinstance(others, (set, frozenset, Basis)) else set(others)
+    other_set = others if isinstance(others, (set, frozenset)) else set(others)
     n = len(word)
     # suffix_ok[i]: word[i:] is a join of elements of other_set
     suffix_ok = [False] * (n + 1)
@@ -108,16 +81,15 @@ def first_construction(word: str, others: Collection[str]) -> list[str] | None:
     return pieces
 
 
-def is_ortho(basis: Basis) -> tuple[bool, list[tuple[str, list[str]]]]:
+def is_ortho(basis: frozenset[str]) -> tuple[bool, list[tuple[str, list[str]]]]:
     """Exact orthogonality check with witnesses.
 
     Returns ``(ok, witnesses)`` where each witness pairs a violating
     word with one construction of it from the other members.
     """
-    texts = basis.texts
     witnesses: list[tuple[str, list[str]]] = []
-    for text in sorted(texts):
-        others = texts - {text}
+    for text in sorted(basis):
+        others = basis - {text}
         if is_constructible(text, others):
             construction = first_construction(text, others)
             assert construction is not None
@@ -125,7 +97,7 @@ def is_ortho(basis: Basis) -> tuple[bool, list[tuple[str, list[str]]]]:
     return not witnesses, witnesses
 
 
-def make_ortho(basis: Basis) -> Basis:
+def make_ortho(basis: frozenset[str]) -> frozenset[str]:
     """Delete constructible members, longest first, in one pass.
 
     Words are processed longest-first (ties alphabetical); a word is
@@ -135,9 +107,9 @@ def make_ortho(basis: Basis) -> Basis:
     after it, so by induction on length each removed word stays
     constructible from the final survivors.
     """
-    survivors = set(basis.texts)
+    survivors = set(basis)
     for text in sorted(survivors, key=lambda t: (-len(t), t)):
         survivors.discard(text)
         if not is_constructible(text, survivors):
             survivors.add(text)
-    return Basis(survivors)
+    return frozenset(survivors)

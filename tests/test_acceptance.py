@@ -22,9 +22,8 @@ from namebasis.engine import (
     weight_grid,
 )
 from namebasis.features import compute_features
-from namebasis.lexicon import TranscriptionEntry, TranscriptionTable, compose
+from namebasis.lexicon import TranscriptionEntry, compose
 from namebasis.ortho import (
-    Basis,
     count_constructions,
     is_constructible,
     is_ortho,
@@ -62,7 +61,7 @@ def test_01_golden_krishna():
     started = time.perf_counter()
     assert is_constructible("krishna", KRISHNA_POOL)
     assert count_constructions("krishna", KRISHNA_POOL) == 4
-    pruned = make_ortho(Basis(KRISHNA_POOL | {"krishna"}))
+    pruned = make_ortho(frozenset(KRISHNA_POOL | {"krishna"}))
     assert "krishna" not in pruned
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -78,8 +77,9 @@ def test_02_golden_gopal():
 
 
 def test_03_golden_lexicon():
-    table = TranscriptionTable(
-        [
+    table = {
+        entry.basis_word: entry
+        for entry in [
             TranscriptionEntry("kanth", "k aa n th", "k A n T h"),
             TranscriptionEntry("ma", "m aa", "m A"),
             TranscriptionEntry("ra", "r a", "r a"),
@@ -87,7 +87,7 @@ def test_03_golden_lexicon():
             TranscriptionEntry("shwar", "s v ax r", "S v a r"),
             TranscriptionEntry("ram", "r aa m", "r A m"),
         ]
-    )
+    }
     assert compose("ramakanth", ["ra", "ma", "kanth"], table) == (
         "r a m aa k aa n th",
         "r a m A k A n T h",
@@ -130,7 +130,7 @@ def test_06_planted_basis_recovery():
     ok, witnesses = is_ortho(basis)
     assert ok, witnesses[:3]
     for name in corpus:
-        assert is_constructible(name, basis.texts), name
+        assert is_constructible(name, basis), name
     final_cost = trace[-1].cost
     assert final_cost <= min(trivial_case_a(corpus), trivial_case_b(corpus))
     assert final_cost <= 1.5 * planted.planted_cost
@@ -155,7 +155,7 @@ def test_07_invariant_suite(corpus):
     threaded, threaded_trace = run_alg1(
         corpus, RunConfig(max_iterations=6, workers=3)
     )
-    assert threaded.texts == basis.texts
+    assert threaded == basis
     assert threaded_trace == trace
 
     grown, pruned, stats, chosen = run_iteration_alg1(corpus, basis, cfg)
@@ -169,9 +169,9 @@ def test_07_invariant_suite(corpus):
         assert fv.avg_len * fv.eta_total == pytest.approx(len(name), rel=1e-9)
 
     repruned = make_ortho(pruned)
-    assert repruned.texts == pruned.texts
-    for text in grown.texts:
-        assert is_constructible(text, pruned.texts)
+    assert repruned == pruned
+    for text in grown:
+        assert is_constructible(text, pruned)
 
 
 def test_07_invariant_suite_report():

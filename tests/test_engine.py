@@ -33,7 +33,7 @@ from namebasis.features import (
     select_best,
     tiling_cost,
 )
-from namebasis.ortho import Basis, is_constructible, is_ortho
+from namebasis.ortho import is_constructible, is_ortho
 from namebasis.segmenter import (
     candidate_words,
     composition_table,
@@ -57,7 +57,7 @@ REFERENCE_TRACE = [
 
 
 def basis_of(*texts):
-    return Basis(texts)
+    return frozenset(texts)
 
 
 def syntax_bits(seq, cache, table):
@@ -124,15 +124,15 @@ class TestSeedBasis:
     def test_threshold_is_fraction_of_max(self):
         corpus = Corpus({"rama": 10, "sita": 4, "gopal": 3})
         seeded = seed_basis(corpus, 0.4)
-        assert seeded.texts == {"rama", "sita"}
+        assert seeded == {"rama", "sita"}
 
     def test_boundary_full_fraction(self):
         corpus = Corpus({"rama": 10, "sita": 9})
-        assert seed_basis(corpus, 1.0).texts == {"rama"}
+        assert seed_basis(corpus, 1.0) == {"rama"}
 
     def test_seed_is_orthogonalized(self):
         corpus = Corpus({"rama": 10, "ra": 10, "ma": 10})
-        assert seed_basis(corpus, 1.0).texts == {"ra", "ma"}
+        assert seed_basis(corpus, 1.0) == {"ra", "ma"}
 
     def test_k_validated(self):
         with pytest.raises(ValueError):
@@ -148,7 +148,7 @@ class TestIterationAlg1:
             corpus, basis_of("ab"), RunConfig()
         )
         assert chosen["abcd"].texts == ("abcd",)
-        assert grown.texts == {"ab", "abcd"}
+        assert grown == {"ab", "abcd"}
         assert stats.j_total == 0
 
     def test_fully_covered_corpus_does_not_grow(self):
@@ -157,7 +157,7 @@ class TestIterationAlg1:
             corpus, basis_of("ra", "ma"), RunConfig()
         )
         assert chosen["rama"].texts == ("ra", "ma")
-        assert grown.texts == {"ra", "ma"}
+        assert grown == {"ra", "ma"}
         assert stats.j_total == 1
         assert stats.b_m_size == stats.b_size == 2
 
@@ -183,7 +183,7 @@ class TestRunAlg1:
     def test_single_name_corpus_spans(self):
         corpus = Corpus({"rama": 1})
         basis, trace = run_alg1(corpus, RunConfig())
-        assert is_constructible("rama", basis.texts)
+        assert is_constructible("rama", basis)
         assert trace[0].iteration == 1
 
     def test_planted_corpus_recovery(self):
@@ -192,7 +192,7 @@ class TestRunAlg1:
         assert len(trace) <= 20
         assert is_ortho(basis)[0]
         for name in planted.corpus:
-            assert is_constructible(name, basis.texts)
+            assert is_constructible(name, basis)
         assert trace[-1].cost <= min(
             trivial_case_a(planted.corpus), trivial_case_b(planted.corpus)
         )
@@ -213,7 +213,7 @@ class TestRunAlg1:
             basis, trace = run_alg1(corpus, dataclasses.replace(cfg, epsilon=10**9))
         assert len(trace) == 1
         assert not [r for r in caplog.records if "max_iterations" in r.getMessage()]
-        assert basis.texts == one_round.texts
+        assert basis == one_round
 
     def test_stats_join_consistency(self):
         planted = make_planted_corpus(n_names=60, n_units=8, seed=3)
@@ -230,20 +230,20 @@ class TestRunAlg2:
         basis, trace = run_alg2(
             corpus, RunConfig(algorithm="alg2", weights=WeightSet(1, 0, 0, 0))
         )
-        assert basis.texts == {"abab"}
+        assert basis == {"abab"}
         assert trace[-1].j_total == 0
 
     def test_unsplittable_name_kept_whole(self):
         corpus = Corpus({"abc": 1})
         basis, stats = run_alg2(corpus, RunConfig(algorithm="alg2"))
-        assert basis.texts == {"abc"}
+        assert basis == {"abc"}
 
     def test_spanning_and_orthogonality(self):
         planted = make_planted_corpus(n_names=40, n_units=8, seed=11)
         basis, stats = run_alg2(planted.corpus, RunConfig(algorithm="alg2", min_length=2))
         assert is_ortho(basis)[0]
         for name in planted.corpus:
-            assert is_constructible(name, basis.texts)
+            assert is_constructible(name, basis)
 
     def test_syntax_weighted_run(self):
         corpus = Corpus({"rama": 1, "ramana": 1})
@@ -724,7 +724,7 @@ class TestGridSurveys:
         round_ = engine.run_iteration_alg1
 
         def spy(corpus, basis, *args, **kwargs):
-            inputs.append(basis.texts)
+            inputs.append(basis)
             return round_(corpus, basis, *args, **kwargs)
 
         monkeypatch.setattr(engine, "run_iteration_alg1", spy)
@@ -748,7 +748,7 @@ class TestDeterminismAcrossWorkers:
         threaded_cfg = RunConfig(min_length=2, workers=4)
         basis1, trace1 = run_alg1(planted.corpus, serial_cfg)
         basis2, trace2 = run_alg1(planted.corpus, threaded_cfg)
-        assert basis1.texts == basis2.texts
+        assert basis1 == basis2
         assert trace1 == trace2
 
 
@@ -838,5 +838,5 @@ def test_induced_basis_always_spans_and_is_orthogonal(corpus):
     basis, trace = run_alg1(corpus, RunConfig(max_iterations=6))
     assert is_ortho(basis)[0]
     for name in corpus:
-        assert is_constructible(name, basis.texts)
+        assert is_constructible(name, basis)
     assert trace[-1].cost <= trivial_case_b(corpus)

@@ -5,7 +5,6 @@ from namebasis.lexicon import (
     Lexicon,
     LexiconError,
     TranscriptionEntry,
-    TranscriptionTable,
     build_lexicon,
     compose,
     emit_lexicon,
@@ -28,7 +27,7 @@ TABLE_ROWS = [
 
 @pytest.fixture
 def table():
-    return TranscriptionTable(TranscriptionEntry(*row) for row in TABLE_ROWS)
+    return {row[0]: TranscriptionEntry(*row) for row in TABLE_ROWS}
 
 
 @pytest.fixture
@@ -44,7 +43,7 @@ class TestLoadTranscriptions:
     def test_loads_all_entries(self, table_file):
         loaded = load_transcriptions(table_file)
         assert len(loaded) == 6
-        assert loaded.entry("kanth") == TranscriptionEntry("kanth", "k aa n th", "k A n T h")
+        assert loaded["kanth"] == TranscriptionEntry("kanth", "k aa n th", "k A n T h")
 
     def test_duplicate_word_named_in_error(self, tmp_path):
         path = tmp_path / "dup.tsv"
@@ -114,7 +113,7 @@ class TestCompose:
 
     def test_phone_counts_add_up(self, table):
         darpa, sapi = compose("ramakanth", ["ra", "ma", "kanth"], table)
-        expected = sum(len(table.entry(w).darpa.split()) for w in ("ra", "ma", "kanth"))
+        expected = sum(len(table[w].darpa.split()) for w in ("ra", "ma", "kanth"))
         assert len(darpa.split()) == expected
 
 
@@ -164,9 +163,7 @@ phones_st = st.text(alphabet="abctw ", min_size=1, max_size=9).filter(str.strip)
 
 @given(st.dictionaries(words_st, st.tuples(phones_st, phones_st), min_size=1, max_size=8))
 def test_compose_is_concatenation(entries):
-    table = TranscriptionTable(
-        TranscriptionEntry(w, d, s) for w, (d, s) in entries.items()
-    )
+    table = {w: TranscriptionEntry(w, d, s) for w, (d, s) in entries.items()}
     words = sorted(entries)
     name = "".join(words)
     darpa, sapi = compose(name, words, table)

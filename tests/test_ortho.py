@@ -1,8 +1,8 @@
 from hypothesis import given, strategies as st
 
 from conftest import brute_constructions
+from namebasis.cli import write_basis_file
 from namebasis.ortho import (
-    Basis,
     count_constructions,
     first_construction,
     is_constructible,
@@ -17,7 +17,7 @@ KRISHNA_POOL = frozenset(
 
 
 def basis_of(*texts):
-    return Basis(texts)
+    return frozenset(texts)
 
 
 class TestIsConstructible:
@@ -76,7 +76,7 @@ class TestWitnesses:
         assert ok and witnesses == []
 
     def test_empty_basis_is_orthogonal(self):
-        ok, witnesses = is_ortho(Basis())
+        ok, witnesses = is_ortho(frozenset())
         assert ok and witnesses == []
 
     def test_first_construction_is_leftmost(self):
@@ -86,7 +86,7 @@ class TestWitnesses:
 
 class TestMakeOrtho:
     def test_longest_constructible_removed(self):
-        assert make_ortho(basis_of("rama", "ra", "ma", "na")).texts == {"ra", "ma", "na"}
+        assert make_ortho(basis_of("rama", "ra", "ma", "na")) == {"ra", "ma", "na"}
 
     def test_krishna_removed(self):
         pruned = make_ortho(basis_of("krishna", *KRISHNA_POOL))
@@ -94,20 +94,20 @@ class TestMakeOrtho:
 
     def test_orthogonal_input_is_fixed_point(self):
         basis = basis_of("ra", "ma", "na")
-        assert make_ortho(basis).texts == basis.texts
+        assert make_ortho(basis) == basis
 
     @given(st.sets(st.text(alphabet="ab", min_size=1, max_size=4), min_size=1, max_size=8))
     def test_idempotent_and_orthogonal(self, texts):
-        pruned = make_ortho(Basis(texts))
+        pruned = make_ortho(frozenset(texts))
         assert is_ortho(pruned)[0]
-        assert make_ortho(pruned).texts == pruned.texts
+        assert make_ortho(pruned) == pruned
 
     @given(st.sets(st.text(alphabet="abc", min_size=1, max_size=4), min_size=1, max_size=8))
     def test_spanning_preserved(self, texts):
-        basis = Basis(texts)
+        basis = frozenset(texts)
         pruned = make_ortho(basis)
         for text in texts:
-            assert is_constructible(text, pruned.texts)
+            assert is_constructible(text, pruned)
 
     @given(
         pieces=st.lists(st.text(alphabet="abc", min_size=1, max_size=3), min_size=1, max_size=5),
@@ -118,13 +118,30 @@ class TestMakeOrtho:
         words = list(pieces)
         for join in joins:
             words.append("".join(words[i % len(words)] for i in join))
-        pruned = make_ortho(Basis(words))
+        pruned = make_ortho(frozenset(words))
         assert is_ortho(pruned)[0]
-        assert pruned.texts <= set(words)
-        for text in set(words) - pruned.texts:
-            assert is_constructible(text, pruned.texts)
+        assert pruned <= set(words)
+        for text in set(words) - pruned:
+            assert is_constructible(text, pruned)
 
 
-class TestBasisContainer:
-    def test_iteration_sorted(self):
-        assert list(basis_of("zz", "aa", "mm")) == ["aa", "mm", "zz"]
+
+class TestInsertionOrder:
+    """A basis is a frozenset, which iterates in hash order: no result may
+    depend on the order its words were added in."""
+
+    @given(
+        words=st.lists(
+            st.text(alphabet="ab", min_size=1, max_size=4), min_size=1, max_size=8, unique=True
+        ),
+        data=st.data(),
+    )
+    def test_same_result_from_any_order(self, words, data, tmp_path_factory):
+        orders = [words, words[::-1], data.draw(st.permutations(words))]
+        bases = [frozenset(order) for order in orders]
+        path = tmp_path_factory.mktemp("basis") / "basis.txt"
+        for basis in bases:
+            assert make_ortho(basis) == make_ortho(bases[0])
+            assert is_ortho(basis) == is_ortho(bases[0])
+            write_basis_file(basis, path)
+            assert path.read_text(encoding="utf-8") == "".join(f"{w}\n" for w in sorted(words))

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import brute_tilings, spans_of
 from namebasis.corpus import Corpus
 from namebasis.engine import RunConfig, _survey
-from namebasis.ortho import Basis
 from namebasis.segmenter import (
     candidate_words,
     composition_table,
@@ -30,7 +29,7 @@ KRISHNA_BASIS = ["krish", "na", "kris", "hna", "kr", "ish", "is", "hn", "ri", "s
 
 
 def basis_of(*texts):
-    return Basis(texts)
+    return frozenset(texts)
 
 
 class TestCandidateWords:
@@ -330,7 +329,7 @@ class TestCountingOracle:
                 # pass 1 of alg1 counts a text new for a name when a row
                 # places it as a new segment
                 (_, corpus_freq) = _survey(
-                    Corpus({name: 1}), Basis(words), RunConfig(cap=cap or 10**9)
+                    Corpus({name: 1}), frozenset(words), RunConfig(cap=cap or 10**9)
                 )
                 assert set(corpus_freq) == {
                     text for seq in seqs for text, new in zip(seq.texts, seq.new) if new
