@@ -5,8 +5,6 @@ from .corpus import (
     Corpus,
     CorpusError,
     EmptyCorpusError,
-    NameRecord,
-    frequency_rank,
     load_names,
     normalize,
 )

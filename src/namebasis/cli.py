@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation or convergence-check failure,
 2 I/O or parse error. Flags win over config-file values. All outputs
-are deterministic byte-for-byte for fixed inputs and re-readable by the
-CLI itself.
+are deterministic byte-for-byte for fixed inputs. The CLI reads three of
+them again: ``basis.txt`` (ortho, transcribe), ``segmentations.tsv``
+(transcribe) and ``stats.csv`` (report).
 """
 
 from __future__ import annotations

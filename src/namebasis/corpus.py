@@ -1,12 +1,12 @@
-"""Proper-name corpus loading, normalization and frequency ranking."""
+"""Proper-name corpus loading and normalization. A ``Corpus`` iterates its
+unique names in sorted order, and ``frequency`` reads each one's count."""
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .config import read_text
 
@@ -21,12 +21,6 @@ class EmptyCorpusError(CorpusError):
     """No name survived normalization."""
 
 
-@dataclass(frozen=True)
-class NameRecord:
-    surface: str
-    frequency: int
-
-
 class Corpus:
     """Unique name surfaces with occurrence counts.
 
@@ -34,10 +28,9 @@ class Corpus:
     sorted surface order so every consumer is deterministic.
     """
 
-    def __init__(self, counts: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
+    def __init__(self, counts: Mapping[str, int] = {}):
         self._counts: dict[str, int] = {}
-        items = counts.items() if isinstance(counts, Mapping) else counts
-        for surface, freq in items:
+        for surface, freq in counts.items():
             self.add(surface, freq)
 
     def add(self, surface: str, frequency: int = 1) -> None:
@@ -55,13 +48,6 @@ class Corpus:
     @property
     def max_frequency(self) -> int:
         return max(self._counts.values(), default=0)
-
-    @property
-    def total_occurrences(self) -> int:
-        return sum(self._counts.values())
-
-    def records(self) -> tuple[NameRecord, ...]:
-        return tuple(NameRecord(s, f) for s, f in sorted(self._counts.items()))
 
     def counts(self) -> dict[str, int]:
         return dict(self._counts)
@@ -139,14 +125,14 @@ def normalize(raw: Corpus, min_length: int = 3) -> Corpus:
         raise ValueError(f"min_length must be >= 1, got {min_length}")
     out = Corpus()
     lost: list[str] = []
-    for record in raw.records():
-        lowered = record.surface.lower()
+    for surface in raw:
+        lowered = surface.lower()
         if any(ch.isalpha() and not "a" <= ch <= "z" for ch in lowered):
-            lost.append(record.surface)
+            lost.append(surface)
         for part in lowered.split():
             cleaned = _NON_LETTERS.sub("", part)
             if len(cleaned) >= min_length:
-                out.add(cleaned, record.frequency)
+                out.add(cleaned, raw.frequency(surface))
     if lost:
         shown = ", ".join(map(repr, lost[:5])) + (", ..." if len(lost) > 5 else "")
         logger.warning(
@@ -155,8 +141,3 @@ def normalize(raw: Corpus, min_length: int = 3) -> Corpus:
     if len(out) == 0:
         raise EmptyCorpusError("empty corpus after normalization")
     return out
-
-
-def frequency_rank(corpus: Corpus) -> list[NameRecord]:
-    """Records sorted by frequency descending, ties broken alphabetically."""
-    return sorted(corpus.records(), key=lambda r: (-r.frequency, r.surface))

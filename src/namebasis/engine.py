@@ -57,7 +57,7 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import config as _config, segmenter
-from .corpus import Corpus, frequency_rank
+from .corpus import Corpus
 from .features import (
     ALG1_DEFAULT_WEIGHTS,
     ALG2_DEFAULT_WEIGHTS,
@@ -222,12 +222,10 @@ def seed_basis(corpus: Corpus, k: float) -> frozenset[str]:
     """
     if not 0.0 < k <= 1.0:
         raise ValueError(f"k must be in (0, 1], got {k}")
-    ranked = frequency_rank(corpus)
-    if not ranked:
+    if not corpus.total_unique:
         raise ValueError("cannot seed from an empty corpus")
     threshold = k * corpus.max_frequency
-    picked = [r for r in ranked if r.frequency >= threshold]
-    return make_ortho(frozenset(r.surface for r in picked))
+    return make_ortho(frozenset(name for name in corpus if corpus.frequency(name) >= threshold))
 
 
 # Rows _choose_row has costed in full. It returns the winner alone, so it

@@ -107,18 +107,13 @@ def build_lexicon(
     segmentations: Mapping[str, Sequence[str]], table: Mapping[str, TranscriptionEntry]
 ) -> Lexicon:
     """Compose every name; all uncovered words are reported together."""
-    missing: set[str] = set()
+    missing = {word for words in segmentations.values() for word in words if word not in table}
+    if missing:
+        raise LexiconError(f"missing transcriptions: {', '.join(sorted(missing))}")
     entries: dict[str, LexiconEntry] = {}
     for name in sorted(segmentations):
         words = tuple(segmentations[name])
-        try:
-            darpa, sapi = compose(name, words, table)
-        except LexiconError:
-            missing.update(word for word in words if word not in table)
-            continue
-        entries[name] = LexiconEntry(name, words, darpa, sapi)
-    if missing:
-        raise LexiconError(f"missing transcriptions: {', '.join(sorted(missing))}")
+        entries[name] = LexiconEntry(name, words, *compose(name, words, table))
     return Lexicon(entries)
 
 
@@ -142,15 +137,3 @@ def render_lexicon(lexicon: Lexicon, format: str = "tsv") -> str:
 
 def emit_lexicon(lexicon: Lexicon, format: str, path) -> None:
     Path(path).write_text(render_lexicon(lexicon, format), encoding="utf-8", newline="\n")
-
-
-def read_lexicon_tsv(path) -> Lexicon:
-    """Parse a file produced by ``render_lexicon(..., "tsv")``."""
-    entries: dict[str, LexiconEntry] = {}
-    for lineno, line in data_lines(read_text(path, LexiconError)):
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise LexiconError(f"{path}: line {lineno}: expected 4 tab-separated fields")
-        name, words, darpa, sapi = parts
-        entries[name] = LexiconEntry(name, tuple(words.split(" ")), darpa, sapi)
-    return Lexicon(entries)

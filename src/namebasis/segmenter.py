@@ -111,11 +111,6 @@ def occurrence_spans(candidates: Mapping[str, tuple[int, ...]]) -> frozenset[tup
     )
 
 
-# One listed level of a SegmentTable: its rows, each as its span indices
-# left to right; each row's sum of squared segment lengths; and each
-# row's count of new segments.
-Level = tuple[Sequence[Sequence[int]], Sequence[int], Sequence[int]]
-
 # One listed cell of a SegmentTable, the rows of one level with one count
 # of new segments: its rows and each row's sum of squared segment lengths.
 Cell = tuple[Sequence[Sequence[int]], Sequence[int]]
@@ -178,8 +173,7 @@ class SegmentTable:
     the tiles and new tiles left, and with one tile left the only move
     that finishes ends at ``n``: moves are kept in ascending end order,
     so it is the last one. Once every cell is listed, the moves are
-    dropped. ``level(k)`` merges level ``k``'s cells back into level
-    order.
+    dropped.
 
     A level's rows come depth first over moves in ascending end order,
     so the kept rows of the level the cap cuts are those whose tile ends
@@ -364,20 +358,6 @@ class SegmentTable:
                 self._moves = None  # every cell is listed
         return listed
 
-    def level(self, k: int) -> Level:
-        """The rows of level ``k``, each as its span indices left to right;
-        each row's sum of squared tile lengths; and each row's count of
-        new tiles. Its cells are merged back into leftmost-boundary order,
-        which is the order of the rows' span indices, since spans are
-        numbered by start, then end."""
-        merged = sorted(
-            (row, square, e)
-            for e in range(k + 1)
-            if (k, e) in self._cells
-            for row, square in zip(*self.cell(k, e))
-        )
-        return tuple(zip(*merged)) or ((), (), ())  # type: ignore[return-value]
-
     def _walk(self, k: int, e: int) -> Cell:
         """List cell ``(k, e)`` depth first: its rows and their sums of squared lengths."""
         global _rows_listed
@@ -426,10 +406,12 @@ class SegmentTable:
         )
 
     def candidates(self, name: str) -> list[SequenceCandidate]:
-        """Every row, level by level, as a candidate segmentation of ``name``."""
-        return [
-            self.candidate(name, row) for k in range(len(self.levels)) for row in self.level(k)[0]
-        ]
+        """Every row, level by level, as a candidate segmentation of ``name``.
+        A level's cells merge back into leftmost-boundary order, which is
+        the order of the rows' span indices, since spans are numbered by
+        start, then end."""
+        rows = sorted((k, row) for k, e in list(self._cells) for row in self.cell(k, e)[0])
+        return [self.candidate(name, row) for _, row in rows]
 
     def text_rows(self, name: str) -> tuple[list[str], tuple[int, ...]]:
         """Each span's text in ``name``, and the rows placing that text at

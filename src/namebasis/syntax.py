@@ -65,25 +65,17 @@ DEFAULT_TABLE = CharClassTable()
 
 
 def accepts_syntax(
-    word: str,
-    name: str | None = None,
-    start: int | None = None,
-    table: CharClassTable = DEFAULT_TABLE,
+    word: str, name: str, start: int, table: CharClassTable = DEFAULT_TABLE
 ) -> bool:
-    """Decide whether ``word`` may enter the basis.
-
-    ``name`` and ``start`` give the placement context whose join
-    boundaries are checked; without context only the has-a-vowel rule
-    applies.
+    """Decide whether ``word``, placed in ``name`` at offset ``start``,
+    may enter the basis: it needs a vowel, and neither of its joins inside
+    the name may split a sound. Placed as a whole name, ``(word, word, 0)``,
+    it has no join, so only the vowel rule applies.
     """
     if not word:
         raise ValueError("word must be non-empty")
     if not any(ch in table.vowels for ch in word):
         return False
-    if name is None:
-        return True
-    if start is None:
-        raise ValueError("start offset required when name context is given")
     end = start + len(word)
     if start < 0 or end > len(name) or name[start:end] != word:
         raise ValueError(f"{word!r} does not occur in {name!r} at offset {start}")

@@ -96,10 +96,11 @@ def make_planted_corpus(
 
 def write_corpus(planted: PlantedCorpus, path, format: str = "name_freq") -> None:
     lines = []
-    for record in planted.corpus.records():
+    corpus = planted.corpus
+    for name in corpus:
         if format == "name_freq":
-            lines.append(f"{record.surface}\t{record.frequency}")
+            lines.append(f"{name}\t{corpus.frequency(name)}")
         else:
-            lines.extend([record.surface] * record.frequency)
+            lines.extend([name] * corpus.frequency(name))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

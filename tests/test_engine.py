@@ -138,6 +138,10 @@ class TestSeedBasis:
         with pytest.raises(ValueError):
             seed_basis(Corpus({"rama": 1}), 0.0)
 
+    def test_empty_corpus(self):
+        with pytest.raises(ValueError, match="empty corpus"):
+            seed_basis(Corpus(), 0.4)
+
 
 class TestIterationAlg1:
     def test_consonant_gap_keeps_whole_name(self):

@@ -186,3 +186,18 @@ def test_grid_search_outputs_are_byte_identical(tmp_path, capsys, case):
     assert code == 0
     assert hashlib.sha256((out / "grid.csv").read_bytes()).hexdigest() == digest
     assert capsys.readouterr().out == printed
+
+
+# The corpus files every case above reads, and the benchmark's corpus pins,
+# depend on these bytes.
+CORPUS_GOLDEN = {
+    "name_freq": "cbfa149fe9068d4d122bae56dfea8f7f0938b7ff7fcfaf77cfc21395f803ce85",
+    "plain": "42a3740e1ce7b4f7124a34164c2e2c46c7651bd91fe86141fc18df9286bbe626",
+}
+
+
+@pytest.mark.parametrize("format", sorted(CORPUS_GOLDEN))
+def test_write_corpus_is_byte_identical(tmp_path, format):
+    path = tmp_path / "names.txt"
+    write_corpus(make_planted_corpus(n_names=120, n_units=20, seed=5), path, format=format)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CORPUS_GOLDEN[format]

@@ -248,11 +248,12 @@ class TestEnumerateAll:
                     cuts for cuts in tilings if set(zip((0, *cuts), (*cuts, n))) <= existing
                 }
             expected = sorted(tilings, key=lambda cuts: (len(cuts), cuts))[:cap]
-        rows = [
+        rows = sorted(
             (k, row, q, eta_new)
-            for k in range(len(table.levels))
-            for row, q, eta_new in zip(*table.level(k))
-        ]
+            for eta_new, ks in enumerate(table.cells)
+            for k in ks
+            for row, q in zip(*table.cell(k, eta_new))
+        )
         assert table.total == len(rows)
         assert [tuple(table.spans[i][1] for i in row[:-1]) for _, row, _, _ in rows] == expected
         assert len(set(table.spans)) == len(table.spans)
@@ -318,7 +319,7 @@ class TestCountingOracle:
         if isinstance(tiled[0], int):
             min_segment, include_whole = tiled
             seqs = enumerate_all(name, min_segment, include_whole, cap)
-            # an uncached table, so its levels are listed below
+            # an uncached table, so its cells are listed below
             table = composition_table.__wrapped__(n, min_segment, include_whole, cap)
         else:
             words, gaps = tiled
@@ -348,14 +349,14 @@ class TestCountingOracle:
                 span in zip((0, *seq.boundaries), (*seq.boundaries, n)) for seq in seqs
             )
 
-        # levels listed on demand, in any order, join into the listing
-        order = list(range(len(table.levels)))
-        shuffle.shuffle(order)
-        for k in order:
-            table.level(k)
+        # cells listed on demand, in any order, join into the listing
+        cells = [(k, e) for e, ks in enumerate(table.cells) for k in ks]
+        shuffle.shuffle(cells)
+        for k, e in cells:
+            table.cell(k, e)
         assert table.candidates(name) == seqs
         # the counts serve any name of the table's length (a composition
-        # table is shared by all of them); once every level is listed, a
+        # table is shared by all of them); once every cell is listed, a
         # new name's texts are counted from the listed rows
         other = name[::-1]
         texts, text_rows = table.text_rows(other)

@@ -23,9 +23,6 @@ class TestRejections:
     def test_digraph_split_rejected_from_left_word(self):
         assert not accepts_syntax("bharat", "bharathi", 0)
 
-    def test_no_vowel_rejected_without_context(self):
-        assert not accepts_syntax("nny")
-
 
 class TestAcceptances:
     def test_clean_word_accepted(self):
@@ -33,9 +30,6 @@ class TestAcceptances:
 
     def test_whole_name_accepted(self):
         assert accepts_syntax("rama", "rama", 0)
-
-    def test_vowel_word_accepted_without_context(self):
-        assert accepts_syntax("sha")
 
     def test_consonant_vowel_boundary_does_not_reject(self):
         # c|a cut: consonant-vowel, discouraged but not rejected
@@ -45,20 +39,16 @@ class TestAcceptances:
 class TestErrors:
     def test_empty_word(self):
         with pytest.raises(ValueError):
-            accepts_syntax("")
+            accepts_syntax("", "", 0)
 
     def test_offset_out_of_range(self):
         with pytest.raises(ValueError):
             accepts_syntax("na", "krishna", 6)
 
-    def test_context_without_offset(self):
-        with pytest.raises(ValueError):
-            accepts_syntax("na", "krishna")
-
 
 def test_custom_table():
     table = CharClassTable(vowels=frozenset("ae"), digraphs=frozenset({"zz"}))
-    assert not accepts_syntax("io", table=table)  # no vowel under this table
+    assert not accepts_syntax("io", "io", 0, table=table)  # no vowel under this table
     assert not accepts_syntax("zig", "azzig", 2, table=table)  # splits zz
 
 
@@ -68,7 +58,7 @@ def test_table_from_file(tmp_path):
     table = CharClassTable.from_mapping(read_kv(path))
     assert "y" in table.vowels
     assert table.digraphs == {"sh", "ch"}
-    assert accepts_syntax("ty", table=table)
+    assert accepts_syntax("ty", "ty", 0, table=table)
 
 
 def test_table_from_file_rejects_long_digraphs(tmp_path):
@@ -80,5 +70,5 @@ def test_table_from_file_rejects_long_digraphs(tmp_path):
 
 @given(st.text(alphabet="bcdfghjklmnpqrstvwxz", min_size=1, max_size=8))
 def test_vowelless_words_rejected_everywhere(word):
-    assert not accepts_syntax(word)
+    assert not accepts_syntax(word, word, 0)
     assert not accepts_syntax(word, "aaa" + word + "aaa", 3)
