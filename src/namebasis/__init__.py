@@ -36,7 +36,6 @@ from .lexicon import (
     load_transcriptions,
 )
 from .ortho import (
-    count_constructions,
     first_construction,
     is_constructible,
     is_ortho,

@@ -1,5 +1,6 @@
 """Proper-name corpus loading and normalization. A ``Corpus`` iterates its
-unique names in sorted order, and ``frequency`` reads each one's count."""
+unique names in sorted order, ``frequency`` reads each one's count, and
+``total_unique`` counts the names."""
 
 from __future__ import annotations
 
@@ -49,17 +50,11 @@ class Corpus:
     def max_frequency(self) -> int:
         return max(self._counts.values(), default=0)
 
-    def counts(self) -> dict[str, int]:
-        return dict(self._counts)
-
     def __contains__(self, surface: str) -> bool:
         return surface in self._counts
 
     def __iter__(self) -> Iterator[str]:
         return iter(sorted(self._counts))
-
-    def __len__(self) -> int:
-        return len(self._counts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
@@ -138,6 +133,6 @@ def normalize(raw: Corpus, min_length: int = 3) -> Corpus:
         logger.warning(
             "%d of %d names lost letters outside a-z: %s", len(lost), raw.total_unique, shown
         )
-    if len(out) == 0:
+    if not out.total_unique:
         raise EmptyCorpusError("empty corpus after normalization")
     return out

@@ -4,8 +4,8 @@ A human transcribes each basis word once, in two phone alphabets
 (DARPA and SAPI). A name's transcription is the space-joined
 concatenation of its segments' transcriptions, in segment order, with
 no smoothing across the joins. A transcription table is a plain dict
-from each basis word to its ``TranscriptionEntry``, as
-``load_transcriptions`` reads and checks it.
+that maps each basis word to its ``TranscriptionEntry(darpa, sapi)``,
+as ``load_transcriptions`` reads and checks it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class LexiconError(Exception):
 
 @dataclass(frozen=True)
 class TranscriptionEntry:
-    basis_word: str
     darpa: str
     sapi: str
 
@@ -78,7 +77,7 @@ def load_transcriptions(
             raise LexiconError(f"{path}: line {lineno}: empty phone field for {word!r}")
         if word in table:
             raise LexiconError(f"{path}: line {lineno}: duplicate transcription for {word!r}")
-        table[word] = TranscriptionEntry(word, darpa, sapi)
+        table[word] = TranscriptionEntry(darpa, sapi)
     if basis is not None:
         known = set(basis)
         for word in sorted(table):
@@ -88,14 +87,12 @@ def load_transcriptions(
 
 
 def compose(
-    name: str, segmentation: Sequence[str], table: Mapping[str, TranscriptionEntry]
+    segmentation: Sequence[str], table: Mapping[str, TranscriptionEntry]
 ) -> tuple[str, str]:
-    """Join the segments' phone strings, in order, one space between."""
-    missing = sorted({word for word in segmentation if word not in table})
-    if missing:
-        raise LexiconError(
-            f"no transcription for {', '.join(missing)} (needed by {name!r})"
-        )
+    """Join the segments' phone strings, in order, one space between.
+
+    Every segment must be in ``table``; ``build_lexicon`` checks that.
+    """
     entries = [table[word] for word in segmentation]
     return (
         " ".join(entry.darpa for entry in entries),
@@ -113,7 +110,7 @@ def build_lexicon(
     entries: dict[str, LexiconEntry] = {}
     for name in sorted(segmentations):
         words = tuple(segmentations[name])
-        entries[name] = LexiconEntry(name, words, *compose(name, words, table))
+        entries[name] = LexiconEntry(name, words, *compose(words, table))
     return Lexicon(entries)
 
 

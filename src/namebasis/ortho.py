@@ -4,10 +4,13 @@ A basis is a ``frozenset`` of words, plain strings, so it iterates in
 hash order; ``is_ortho`` and ``make_ortho`` sort its words before they
 walk them. A basis is orthogonal when no member can be written as a
 join of other members (members may repeat within one join).
-Constructibility is decided exactly by prefix-reachability dynamic
-programming over the word's positions; ``make_ortho`` deletes
-constructible members in one longest-first pass, which leaves the set
-independent.
+Constructibility is decided exactly by one backward pass over the
+word's positions, which finds for each position the least end of a
+piece after which the rest of the word is still a join. The same pass
+answers ``is_constructible`` and, by following those ends from the
+start, gives ``first_construction``'s leftmost-boundary witness.
+``make_ortho`` deletes constructible members in one longest-first pass,
+which leaves the set independent.
 """
 
 from __future__ import annotations
@@ -20,62 +23,35 @@ BasisWord = str
 Basis = frozenset
 
 
+def _piece_ends(word: str, others: Collection[str]) -> list[int]:
+    """For each start ``i``, the least ``end`` such that ``word[i:end]``
+    is in ``others`` and ``word[end:]`` is empty or a join of them; 0
+    when there is none. The entry at ``len(word)`` is ``len(word)``."""
+    other_set = others if isinstance(others, (set, frozenset)) else set(others)
+    n = len(word)
+    ends = [0] * n + [n]
+    for start in range(n - 1, -1, -1):
+        for end in range(start + 1, n + 1):
+            if ends[end] and word[start:end] in other_set:
+                ends[start] = end
+                break
+    return ends
+
+
 def is_constructible(word: str, others: Collection[str]) -> bool:
     """True iff ``word`` is a join of one or more elements of ``others``."""
-    if not word:
-        return False
-    other_set = others if isinstance(others, (set, frozenset)) else set(others)
-    n = len(word)
-    reachable = [False] * (n + 1)
-    reachable[0] = True
-    for end in range(1, n + 1):
-        for start in range(end):
-            if reachable[start] and word[start:end] in other_set:
-                reachable[end] = True
-                break
-    return reachable[n]
-
-
-def count_constructions(word: str, others: Collection[str]) -> int:
-    """Number of distinct segmentations of ``word`` into ``others``.
-
-    Distinct means distinct boundary sets; elements may repeat.
-    """
-    if not word:
-        return 0
-    other_set = others if isinstance(others, (set, frozenset)) else set(others)
-    n = len(word)
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for end in range(1, n + 1):
-        ways[end] = sum(
-            ways[start] for start in range(end) if word[start:end] in other_set
-        )
-    return ways[n]
+    return bool(_piece_ends(word, others)[0])
 
 
 def first_construction(word: str, others: Collection[str]) -> list[str] | None:
     """Leftmost-boundary construction of ``word`` from ``others``, if any."""
-    other_set = others if isinstance(others, (set, frozenset)) else set(others)
-    n = len(word)
-    # suffix_ok[i]: word[i:] is a join of elements of other_set
-    suffix_ok = [False] * (n + 1)
-    suffix_ok[n] = True
-    for start in range(n - 1, -1, -1):
-        suffix_ok[start] = any(
-            word[start:end] in other_set and suffix_ok[end]
-            for end in range(start + 1, n + 1)
-        )
-    if not suffix_ok[0]:
+    ends = _piece_ends(word, others)
+    if not ends[0]:
         return None
     pieces: list[str] = []
     pos = 0
-    while pos < n:
-        end = next(
-            e
-            for e in range(pos + 1, n + 1)
-            if word[pos:e] in other_set and suffix_ok[e]
-        )
+    while pos < len(word):
+        end = ends[pos]
         pieces.append(word[pos:end])
         pos = end
     return pieces
@@ -89,10 +65,8 @@ def is_ortho(basis: frozenset[str]) -> tuple[bool, list[tuple[str, list[str]]]]:
     """
     witnesses: list[tuple[str, list[str]]] = []
     for text in sorted(basis):
-        others = basis - {text}
-        if is_constructible(text, others):
-            construction = first_construction(text, others)
-            assert construction is not None
+        construction = first_construction(text, basis - {text})
+        if construction is not None:
             witnesses.append((text, construction))
     return not witnesses, witnesses
 

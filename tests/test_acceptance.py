@@ -24,7 +24,6 @@ from namebasis.engine import (
 from namebasis.features import compute_features
 from namebasis.lexicon import TranscriptionEntry, compose
 from namebasis.ortho import (
-    count_constructions,
     is_constructible,
     is_ortho,
     make_ortho,
@@ -60,7 +59,11 @@ def report(n, label):
 def test_01_golden_krishna():
     started = time.perf_counter()
     assert is_constructible("krishna", KRISHNA_POOL)
-    assert count_constructions("krishna", KRISHNA_POOL) == 4
+    # the constructions are the covering tilings by the pool's occurrences
+    covering = enumerate_with_basis(
+        "krishna", candidate_words("krishna", KRISHNA_POOL), 2 ** len("krishna"), gaps=False
+    )
+    assert len(covering) == 4
     pruned = make_ortho(frozenset(KRISHNA_POOL | {"krishna"}))
     assert "krishna" not in pruned
     elapsed = time.perf_counter() - started
@@ -78,21 +81,18 @@ def test_02_golden_gopal():
 
 def test_03_golden_lexicon():
     table = {
-        entry.basis_word: entry
-        for entry in [
-            TranscriptionEntry("kanth", "k aa n th", "k A n T h"),
-            TranscriptionEntry("ma", "m aa", "m A"),
-            TranscriptionEntry("ra", "r a", "r a"),
-            TranscriptionEntry("je", "jh ey", "j E"),
-            TranscriptionEntry("shwar", "s v ax r", "S v a r"),
-            TranscriptionEntry("ram", "r aa m", "r A m"),
-        ]
+        "kanth": TranscriptionEntry("k aa n th", "k A n T h"),
+        "ma": TranscriptionEntry("m aa", "m A"),
+        "ra": TranscriptionEntry("r a", "r a"),
+        "je": TranscriptionEntry("jh ey", "j E"),
+        "shwar": TranscriptionEntry("s v ax r", "S v a r"),
+        "ram": TranscriptionEntry("r aa m", "r A m"),
     }
-    assert compose("ramakanth", ["ra", "ma", "kanth"], table) == (
+    assert compose(["ra", "ma", "kanth"], table) == (
         "r a m aa k aa n th",
         "r a m A k A n T h",
     )
-    assert compose("rajeshwar", ["ra", "je", "shwar"], table) == (
+    assert compose(["ra", "je", "shwar"], table) == (
         "r a jh ey s v ax r",
         "r a j E S v a r",
     )

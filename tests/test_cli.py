@@ -244,12 +244,24 @@ class TestStatsRoundTrip:
 
 
 class TestOrtho:
-    def test_check_only_reports_witness_and_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "words, out",
+        [
+            ("ra ma rama", "rama = ra ⊕ ma\n"),
+            # ramana's witness is the leftmost one, not rama ⊕ na
+            (
+                "ra ma na rama ramana aa a",
+                "aa = a ⊕ a\nrama = ra ⊕ ma\nramana = ra ⊕ ma ⊕ na\n",
+            ),
+        ],
+        ids=["rama", "ramana"],
+    )
+    def test_check_only_reports_witness_and_fails(self, tmp_path, capsys, words, out):
         path = tmp_path / "basis.txt"
-        path.write_text("ra\nma\nrama\n", encoding="utf-8")
+        path.write_text("".join(f"{word}\n" for word in words.split()), encoding="utf-8")
         code = main(["ortho", "--basis", str(path), "--check-only"])
         assert code == 1
-        assert "rama = ra ⊕ ma" in capsys.readouterr().out
+        assert capsys.readouterr().out == out
 
     def test_check_only_orthogonal_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "basis.txt"

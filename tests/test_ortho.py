@@ -1,14 +1,16 @@
+from itertools import accumulate
+
 from hypothesis import given, strategies as st
 
 from conftest import brute_constructions
 from namebasis.cli import write_basis_file
 from namebasis.ortho import (
-    count_constructions,
     first_construction,
     is_constructible,
     is_ortho,
     make_ortho,
 )
+from namebasis.segmenter import candidate_words, enumerate_with_basis
 
 # Substring pool for the krishna walk-through (its own text excluded)
 KRISHNA_POOL = frozenset(
@@ -18,6 +20,13 @@ KRISHNA_POOL = frozenset(
 
 def basis_of(*texts):
     return frozenset(texts)
+
+
+def count_constructions(word, pool):
+    """Constructions of ``word`` from ``pool``, counted by the segment
+    table: they are the covering tilings by the pool's occurrences."""
+    candidates = candidate_words(word, pool)
+    return len(enumerate_with_basis(word, candidates, 2 ** len(word), gaps=False))
 
 
 class TestIsConstructible:
@@ -61,8 +70,13 @@ class TestCountConstructions:
     )
     def test_matches_brute_force(self, word, pool):
         pool = pool - {word}
-        assert count_constructions(word, pool) == len(brute_constructions(word, pool))
-        assert is_constructible(word, pool) == bool(brute_constructions(word, pool))
+        brute = brute_constructions(word, pool)
+        assert count_constructions(word, pool) == len(brute)
+        assert is_constructible(word, pool) == bool(brute)
+        # the witness is the construction whose piece ends are least
+        # in lexicographic order
+        least = min(brute, key=lambda pieces: tuple(accumulate(map(len, pieces))), default=None)
+        assert first_construction(word, pool) == (None if least is None else list(least))
 
 
 class TestWitnesses:
