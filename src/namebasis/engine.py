@@ -18,7 +18,7 @@ The final segmentation picks each name's cheapest covering tiling. All
 three picks go through one chooser, ``_choose_row``, over a
 ``SegmentTable`` of the name's candidates (built by the tiling search:
 cached per length for alg2, whose compositions depend on nothing else,
-and built per name otherwise), so every candidate is one row of sums
+and shared in a pass otherwise), so every candidate is one row of sums
 and one scalar cost, the table's ``new`` column says which segments
 are new, its counts give each text's demand share without listing a
 row, and only the winner becomes a ``SequenceCandidate``. The chooser
@@ -51,9 +51,8 @@ from __future__ import annotations
 
 import logging
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import config as _config, segmenter
@@ -199,13 +198,10 @@ def global_cost(b_size: int, j_total: int, n_total: int) -> float:
     return b_size * (1.0 + j_total / n_total)
 
 
-def trivial_case_a(corpus: Corpus, full_alphabet: bool = False) -> float:
-    """Cost of the letters-only basis (maximal joins).
-
-    By default the basis is the set of distinct letters the corpus
-    actually uses; ``full_alphabet`` charges all 26 instead.
-    """
-    letters = 26 if full_alphabet else len({ch for name in corpus for ch in name})
+def trivial_case_a(corpus: Corpus) -> float:
+    """Cost of the letters-only basis (maximal joins): the basis is the
+    set of distinct letters the corpus uses."""
+    letters = len({ch for name in corpus for ch in name})
     joins = sum(len(name) - 1 for name in corpus)
     return global_cost(letters, joins, corpus.total_unique)
 
@@ -338,24 +334,34 @@ def _choose_row(
     return table.candidate(name, best)
 
 
-@contextmanager
-def _pass(label: str, cap: int) -> Iterator[list[int]]:
-    """Log one pass of the chooser over every name's table.
+def _choose_all(
+    label: str,
+    pairs: Iterable[tuple[str, SegmentTable]],
+    corpus_freq: Mapping[str, float] | None,
+    cfg: RunConfig,
+    cost_fn: Callable[..., float],
+) -> dict[str, SequenceCandidate]:
+    """Each name's pick by ``_choose_row`` from its ``(name, table)`` pair.
 
-    The caller adds each name's row count to the list this yields. The
-    log line gives them, the rows the pass listed (tables list theirs
-    one cell at a time, as the chooser asks, and cached tables only
-    once) and the rows the chooser costed in full.
+    Logs one line for the pass: the names whose table reached the cap,
+    the rows the tables count, the rows the pass listed (tables list
+    theirs one cell at a time, as the chooser asks, and a table shared
+    or cached only once) and the rows the chooser costed in full.
     """
     listed, costed = segmenter._rows_listed, _rows_costed
-    rows: list[int] = []
-    yield rows
+    chosen: dict[str, SequenceCandidate] = {}
+    capped = rows = 0
+    for name, table in pairs:
+        chosen[name] = _choose_row(name, table, corpus_freq, cfg, cost_fn)
+        capped += table.total >= cfg.cap
+        rows += table.total
     logger.info(
         "%s: %d of %d names reached the candidate cap %d; "
         "%d rows enumerated, %d listed, %d costed in full",
-        label, sum(count >= cap for count in rows), len(rows), cap, sum(rows),
+        label, capped, len(chosen), cfg.cap, rows,
         segmenter._rows_listed - listed, _rows_costed - costed,
     )
+    return chosen
 
 
 def _grow_and_prune(
@@ -383,9 +389,29 @@ def _grow_and_prune(
     return grown, pruned, stats
 
 
-# One alg1 pass 1 over a corpus: each name's tiling table, in sorted-name
-# order, and the corpus frequency of every new text.
-Survey = tuple[list[SegmentTable], dict[str, float]]
+def _tilings(
+    corpus: Corpus, basis: frozenset[str], cap: int, gaps: bool
+) -> Iterator[tuple[str, SegmentTable]]:
+    """Each name of ``corpus`` with its table of tilings by ``basis``.
+
+    Names of one length whose basis words occupy one span set share one
+    table, for this pass only: a table kept longer keeps its listed
+    cells. With ``gaps`` false, a name the basis does not span gets its
+    gapped table instead, and a warning.
+    """
+    table_of = lru_cache(maxsize=None)(tiling_table)
+    lengths = sorted({len(word) for word in basis})
+    for name in corpus:
+        spans = occurrence_spans(candidate_words(name, basis, lengths))
+        table = table_of(len(name), spans, cap, gaps=gaps)
+        if not table.total:
+            logger.warning("basis does not span %r; keeping a gapped sequence", name)
+            table = table_of(len(name), spans, cap, gaps=True)
+        yield name, table
+
+
+# alg1's pass 1: each name with its tiling table, and each new text's corpus frequency.
+Survey = tuple[list[tuple[str, SegmentTable]], dict[str, float]]
 
 
 def _survey(corpus: Corpus, basis: frozenset[str], cfg: RunConfig) -> Survey:
@@ -396,13 +422,9 @@ def _survey(corpus: Corpus, basis: frozenset[str], cfg: RunConfig) -> Survey:
     placed by some row) once per name that places it. Rows are listed
     later, as pass 2 reads them.
     """
-    surveyed = []
+    surveyed = list(_tilings(corpus, basis, cfg.cap, gaps=True))
     demand_count: dict[str, int] = {}
-    lengths = sorted({len(word) for word in basis})
-    for name in sorted(corpus):
-        spans = occurrence_spans(candidate_words(name, basis, lengths))
-        table = tiling_table(len(name), spans, cfg.cap)
-        surveyed.append(table)
+    for name, table in surveyed:
         new = {name[start:end] for (start, end), is_new in zip(table.spans, table.new) if is_new}
         for text in new:
             demand_count[text] = demand_count.get(text, 0) + 1
@@ -427,15 +449,10 @@ def run_iteration_alg1(
     """
     if surveys is None:
         surveys = {}
-    with _pass(f"alg1 iteration {iteration}", cfg.cap) as rows:
-        if basis not in surveys:
-            surveys[basis] = _survey(corpus, basis, cfg)
-        surveyed, corpus_freq = surveys[basis]
-        chosen = {
-            name: _choose_row(name, table, corpus_freq, cfg, tiling_cost)
-            for name, table in zip(sorted(corpus), surveyed)
-        }
-        rows.extend(table.total for table in surveyed)
+    if basis not in surveys:
+        surveys[basis] = _survey(corpus, basis, cfg)
+    surveyed, corpus_freq = surveys[basis]
+    chosen = _choose_all(f"alg1 iteration {iteration}", surveyed, corpus_freq, cfg, tiling_cost)
     grown, pruned, stats = _grow_and_prune(basis, chosen.values(), iteration, corpus.total_unique)
     return grown, pruned, stats, chosen
 
@@ -473,13 +490,12 @@ def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[frozenset[str], list[Itera
     Every segment is new, so one grow/prune round from an empty basis
     takes all the chosen words; the trace has that one row.
     """
-    chosen = []
-    with _pass("alg2", cfg.cap) as rows:
-        for name in sorted(corpus):
-            table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
-            rows.append(table.total)
-            chosen.append(_choose_row(name, table, None, cfg, composition_cost))
-    _, pruned, stats = _grow_and_prune(frozenset(), chosen, 1, corpus.total_unique)
+    tables = (
+        (name, composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap))
+        for name in corpus
+    )
+    chosen = _choose_all("alg2", tables, None, cfg, composition_cost)
+    _, pruned, stats = _grow_and_prune(frozenset(), chosen.values(), 1, corpus.total_unique)
     return pruned, [stats]
 
 
@@ -495,18 +511,8 @@ def segment_corpus(
     ``cfg.cap`` gapped tilings is kept and a warning logged.
     """
     cost_fn = tiling_cost if cfg.algorithm == "alg1" else composition_cost
-    chosen: dict[str, SequenceCandidate] = {}
-    lengths = sorted({len(word) for word in basis})
-    with _pass("segmentation", cfg.cap) as rows:
-        for name in sorted(corpus):
-            spans = occurrence_spans(candidate_words(name, basis, lengths))
-            table = tiling_table(len(name), spans, cfg.cap, gaps=False)
-            if not table.total:
-                logger.warning("basis does not span %r; keeping a gapped sequence", name)
-                table = tiling_table(len(name), spans, cfg.cap)
-            rows.append(table.total)
-            chosen[name] = _choose_row(name, table, None, cfg, cost_fn)
-    return chosen
+    tables = _tilings(corpus, basis, cfg.cap, gaps=False)
+    return _choose_all("segmentation", tables, None, cfg, cost_fn)
 
 
 def check_convergence(trace: Sequence[IterationStats]) -> list[ConvergenceStep]:

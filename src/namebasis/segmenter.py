@@ -39,9 +39,10 @@ a candidate for the winner only (``SegmentTable.candidate``).
 Compositions depend only on the name's length, so their table is built
 once per (length, minimum part, whole name allowed, cap) and cached by
 ``composition_table``. Tilings depend on the basis, so ``tiling_table``
-builds a name's table uncached; the engine decides how long to keep
-it. ``enumerate_all`` and ``enumerate_with_basis`` turn every row into
-a candidate and serve as the test oracles.
+builds a table uncached; the engine shares one, for a pass, among the
+names of one length and span set. ``enumerate_all`` and
+``enumerate_with_basis`` turn every row into a candidate and serve as
+the test oracles.
 
 A candidate is one flat ``SequenceCandidate`` tuple: the interior cut
 offsets, the segment strings, one new-or-existing flag per segment and
@@ -172,8 +173,7 @@ class SegmentTable:
     enters a move only when its target can still finish with exactly
     the tiles and new tiles left, and with one tile left the only move
     that finishes ends at ``n``: moves are kept in ascending end order,
-    so it is the last one. Once every cell is listed, the moves are
-    dropped.
+    so it is the last one.
 
     A level's rows come depth first over moves in ascending end order,
     so the kept rows of the level the cap cuts are those whose tile ends
@@ -191,7 +191,7 @@ class SegmentTable:
 
     __slots__ = (
         "spans", "new", "counts", "levels", "total", "cells",
-        "_width", "_moves", "_cells", "_unlisted", "_cut", "_full", "_path", "_text_rows",
+        "_width", "_moves", "_cells", "_cut", "_full", "_path", "_text_rows",
     )
 
     def __init__(
@@ -325,7 +325,7 @@ class SegmentTable:
                     span_move.append(move)
             moves[False][pos] = tuple(any_move)
             moves[True][pos] = tuple(span_move)
-        self._moves: tuple[list[tuple[Move, ...]], list[tuple[Move, ...]]] | None = moves
+        self._moves = moves
         self.spans = tuple(tiles)
         self.new = tuple(new)
         self.counts = tuple(counts)
@@ -341,7 +341,6 @@ class SegmentTable:
                 self._cells[k, e] = None
                 by_new[e].append(k)
                 fresh &= fresh - 1
-        self._unlisted = len(self._cells)
         self._text_rows: dict[str, tuple[int, ...]] = {}
         self.cells = tuple(map(tuple, by_new))
 
@@ -353,16 +352,12 @@ class SegmentTable:
         listed = self._cells[k, e]
         if listed is None:
             listed = self._cells[k, e] = self._walk(k, e)
-            self._unlisted -= 1
-            if not self._unlisted:
-                self._moves = None  # every cell is listed
         return listed
 
     def _walk(self, k: int, e: int) -> Cell:
         """List cell ``(k, e)`` depth first: its rows and their sums of squared lengths."""
         global _rows_listed
         moves = self._moves
-        assert moves is not None
         width = self._width
         pack = _row(len(self.spans))
         tiles: list[int] = []
@@ -419,33 +414,22 @@ class SegmentTable:
         texts = [name[start:end] for start, end in self.spans]
         kept = self._text_rows.get(name)
         if kept is None:
-            if len(set(texts)) == len(texts):
-                kept = self.counts  # each text at one offset: its span's count
-            else:
-                placed: dict[str, list[int]] = {}
-                for i, text in enumerate(texts):
-                    placed.setdefault(text, []).append(i)
-                rows = [0] * len(texts)
-                for spans in placed.values():
-                    count = self.counts[spans[0]]
-                    if len(spans) > 1:
-                        count = self._rows_placing(set(spans))
-                    for i in spans:
-                        rows[i] = count
-                kept = tuple(rows)
-            self._text_rows[name] = kept
+            placed: dict[str, list[int]] = {}
+            for i, text in enumerate(texts):
+                placed.setdefault(text, []).append(i)
+            rows = [0] * len(texts)
+            for spans in placed.values():
+                count = self.counts[spans[0]] if len(spans) == 1 else self._rows_placing(set(spans))
+                for i in spans:
+                    rows[i] = count
+            kept = self._text_rows[name] = tuple(rows)
         return texts, kept
 
     def _rows_placing(self, spans: AbstractSet[int]) -> int:
         """Rows placing any of the span indices ``spans``: all rows less
         those one backward pass counts without ``spans``, in the full
         levels and below each sibling of the cut level's path, and the
-        path row if it avoids them. Once every cell is listed, the rows are
-        scanned instead."""
-        if self._moves is None:
-            return sum(
-                not spans.isdisjoint(row) for rows, _ in self._cells.values() for row in rows
-            )
+        path row if it avoids them."""
         width = self._width
         field = (1 << width) - 1
         moves = self._moves

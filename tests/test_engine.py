@@ -108,13 +108,6 @@ class TestTrivialCases:
         # 2 letters, (3-1)+(3-1) joins over 2 names
         assert trivial_case_a(corpus) == pytest.approx(2 * (1 + 4 / 2))
 
-    def test_case_a_full_alphabet_matches_plain_cost(self):
-        corpus = Corpus({"rama": 3, "krishna": 1})
-        joins = sum(len(n) - 1 for n in corpus)
-        assert trivial_case_a(corpus, full_alphabet=True) == global_cost(
-            26, joins, corpus.total_unique
-        )
-
     def test_case_b_is_name_count(self):
         corpus = Corpus({"rama": 3, "krishna": 1, "sita": 2})
         assert trivial_case_b(corpus) == 3.0
@@ -594,15 +587,17 @@ class TestCapCount:
         # Rows are costed fewest new segments first, and a cell is listed
         # only while its bound can still win; at the default weights each
         # new segment adds at least 2 * 0.3 to it. A scan by level alone
-        # lists 301 and 316 rows and costs 264 and 276 of them.
+        # lists 301 and 316 rows and costs 264 and 276 of them. Names of
+        # one length and span set share one table, whose cells are listed
+        # once for all of them: a table per name lists 135 and 112 rows.
         corpus = make_planted_corpus(n_names=60, n_units=12, seed=7).corpus
         with caplog.at_level(logging.INFO, logger="namebasis.engine"):
             run_alg1(corpus, RunConfig(min_length=2))
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
             "alg1 iteration 1: 0 of 60 names reached the candidate cap 5000; "
-            "303 rows enumerated, 135 listed, 96 costed in full",
+            "303 rows enumerated, 121 listed, 96 costed in full",
             "alg1 iteration 2: 0 of 60 names reached the candidate cap 5000; "
-            "318 rows enumerated, 112 listed, 72 costed in full",
+            "318 rows enumerated, 97 listed, 72 costed in full",
         ]
 
     def test_tables_list_nothing_when_built(self):
@@ -650,6 +645,70 @@ class TestCapCount:
             f"42398 rows enumerated, {20 + 1 + 2} listed, "
             f"{150 + 9 * 1 + 10 * 2} costed in full",
         ]
+
+
+class TestSharedTables:
+    """Names of one length and one span set share one tiling table per pass."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+
+        def counting(n, spans, cap=5000, *, gaps=True):
+            built.append((n, spans, gaps))
+            return tiling_table(n, spans, cap, gaps=gaps)
+
+        monkeypatch.setattr(engine, "tiling_table", counting)
+        return built
+
+    def test_alg1_round_builds_one_table_per_span_set(self, builds):
+        # rama and raja place "ra" at 0, mara at 2
+        corpus = Corpus({"rama": 1, "raja": 1, "mara": 1})
+        run_iteration_alg1(corpus, basis_of("ra"), RunConfig())
+        assert builds == [
+            (4, frozenset({(2, 4)}), True),
+            (4, frozenset({(0, 2)}), True),
+        ]
+
+    def test_shared_table_counts_and_picks_per_name(self, builds, monkeypatch):
+        # abab places the text "ab" twice, abcd each text once; both tile
+        # as spans (0, 2) and (2, 4), so one table serves both names
+        seen = {}
+
+        def capture(name, table, corpus_freq, cfg, cost_fn):
+            seen[name] = table, corpus_freq
+            return choose_row(name, table, corpus_freq, cfg, cost_fn)
+
+        choose_row = engine._choose_row
+        monkeypatch.setattr(engine, "_choose_row", capture)
+        cfg = RunConfig()
+        _, _, _, chosen = run_iteration_alg1(
+            Corpus({"abab": 1, "abcd": 1}), basis_of("ab", "cd"), cfg
+        )
+        assert len(builds) == 1
+        assert seen["abab"][0] is seen["abcd"][0]
+        for name, (shared, corpus_freq) in seen.items():
+            alone = tiling_table(4, frozenset({(0, 2), (2, 4)}))
+            assert shared.text_rows(name) == alone.text_rows(name)
+            assert shared.total == alone.total
+            assert chosen[name] == choose_row(name, alone, corpus_freq, cfg, tiling_cost)
+        assert seen["abab"][0].text_rows("abab")[0].count("ab") == 2
+
+    def test_segmentation_warns_for_each_unspanned_name(self, builds, caplog):
+        corpus = Corpus({"abxy": 1, "abzw": 1})
+        with caplog.at_level(logging.WARNING, logger="namebasis.engine"):
+            chosen = segment_corpus(corpus, basis_of("ab"), RunConfig())
+        assert [r.getMessage() for r in caplog.records] == [
+            "basis does not span 'abxy'; keeping a gapped sequence",
+            "basis does not span 'abzw'; keeping a gapped sequence",
+        ]
+        spans = frozenset({(0, 2)})
+        assert builds == [(4, spans, False), (4, spans, True)]
+        # each name reads its own texts from the shared gapped table
+        assert {name: seq.texts for name, seq in chosen.items()} == {
+            "abxy": ("abxy",),
+            "abzw": ("abzw",),
+        }
 
 
 class TestCheckConvergence:
