@@ -12,13 +12,13 @@ set, which is then orthogonalized and fed back in. The from-scratch
 algorithm (``alg2``) needs no seed: it picks the cheapest composition
 of every name outright and runs the same grow-and-orthogonalize step,
 ``_grow_and_prune``, once from an empty basis. Both return the basis,
-a frozenset of plain word strings (it is also the key of the grid
-search's surveys), and a trace of one stats row per round.
+a frozenset of plain word strings that keys the grid search's surveys
+(alg2's under the empty basis), and a trace of one stats row per round.
 The final segmentation picks each name's cheapest covering tiling. All
 three picks go through one chooser, ``_choose_row``, over a
-``SegmentTable`` of the name's candidates (built by the tiling search:
-cached per length for alg2, whose compositions depend on nothing else,
-and shared in a pass otherwise), so every candidate is one row of sums
+``SegmentTable`` of the name's candidates (built by the tiling search
+and shared, for a pass or a grid's survey, by the names of one length
+and, for tilings, one span set), so every candidate is one row of sums
 and one scalar cost, the table's ``new`` column says which segments
 are new, its counts give each text's demand share without listing a
 row, and only the winner becomes a ``SequenceCandidate``. The chooser
@@ -52,7 +52,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import config as _config, segmenter
@@ -345,8 +345,8 @@ def _choose_all(
 
     Logs one line for the pass: the names whose table reached the cap,
     the rows the tables count, the rows the pass listed (tables list
-    theirs one cell at a time, as the chooser asks, and a table shared
-    or cached only once) and the rows the chooser costed in full.
+    theirs one cell at a time, as the chooser asks, and a shared table
+    only once) and the rows the chooser costed in full.
     """
     listed, costed = segmenter._rows_listed, _rows_costed
     chosen: dict[str, SequenceCandidate] = {}
@@ -410,8 +410,9 @@ def _tilings(
         yield name, table
 
 
-# alg1's pass 1: each name with its tiling table, and each new text's corpus frequency.
-Survey = tuple[list[tuple[str, SegmentTable]], dict[str, float]]
+# A round's weight-free pass: each name's table and, for alg1, new texts' corpus frequencies.
+Survey = tuple[list[tuple[str, SegmentTable]], dict[str, float] | None]
+Surveys = dict[frozenset[str], Survey]
 
 
 def _survey(corpus: Corpus, basis: frozenset[str], cfg: RunConfig) -> Survey:
@@ -438,7 +439,7 @@ def run_iteration_alg1(
     cfg: RunConfig,
     iteration: int = 1,
     *,
-    surveys: dict[frozenset[str], Survey] | None = None,
+    surveys: Surveys | None = None,
 ) -> tuple[frozenset[str], frozenset[str], IterationStats, dict[str, SequenceCandidate]]:
     """One grow/prune round of the seeded algorithm.
 
@@ -458,10 +459,7 @@ def run_iteration_alg1(
 
 
 def run_alg1(
-    corpus: Corpus,
-    cfg: RunConfig,
-    *,
-    surveys: dict[frozenset[str], Survey] | None = None,
+    corpus: Corpus, cfg: RunConfig, *, surveys: Surveys | None = None
 ) -> tuple[frozenset[str], list[IterationStats]]:
     """Seeded grow/prune induction to a fixed point or iteration cap.
 
@@ -484,18 +482,25 @@ def run_alg1(
     return basis, trace
 
 
-def run_alg2(corpus: Corpus, cfg: RunConfig) -> tuple[frozenset[str], list[IterationStats]]:
+def run_alg2(
+    corpus: Corpus, cfg: RunConfig, *, surveys: Surveys | None = None
+) -> tuple[frozenset[str], list[IterationStats]]:
     """Single-shot induction from exhaustive compositions, no seed.
 
     Every segment is new, so one grow/prune round from an empty basis
-    takes all the chosen words; the trace has that one row.
+    takes all the chosen words; the trace has that one row. The names of
+    one length share one table, kept under the empty basis in ``surveys``.
     """
-    tables = (
-        (name, composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap))
-        for name in corpus
-    )
-    chosen = _choose_all("alg2", tables, None, cfg, composition_cost)
-    _, pruned, stats = _grow_and_prune(frozenset(), chosen.values(), 1, corpus.total_unique)
+    basis: frozenset[str] = frozenset()
+    if surveys is None:
+        surveys = {}
+    if basis not in surveys:
+        table_of = lru_cache(maxsize=None)(composition_table)
+        args = cfg.min_segment, cfg.include_whole, cfg.cap
+        surveys[basis] = ([(name, table_of(len(name), *args)) for name in corpus], None)
+    surveyed, _ = surveys[basis]
+    chosen = _choose_all("alg2", surveyed, None, cfg, composition_cost)
+    _, pruned, stats = _grow_and_prune(basis, chosen.values(), 1, corpus.total_unique)
     return pruned, [stats]
 
 
@@ -558,18 +563,18 @@ def grid_search_weights(
 
     Returns the weights minimizing the final global cost (ties prefer
     the smaller final basis, then the earlier tuple in grid order) and
-    the full (weights, cost) table in grid order. alg1 keeps each
-    input basis's pass 1 for the whole grid, since it does not depend
-    on the weights.
+    the full (weights, cost) table in grid order. A round's survey does
+    not depend on the weights, so each is kept for the whole grid: alg1's
+    pass 1 per input basis, alg2's compositions under the empty basis.
     """
-    surveys: dict[frozenset[str], Survey] = {}
-    run = partial(run_alg1, surveys=surveys) if cfg.algorithm == "alg1" else run_alg2
+    surveys: Surveys = {}
+    run = run_alg1 if cfg.algorithm == "alg1" else run_alg2
     table: list[tuple[WeightSet, float]] = []
     best: tuple[float, int, int] | None = None
     best_weights: WeightSet | None = None
     rounds = 0
     for index, weights in enumerate(grid):
-        basis, trace = run(corpus, replace(cfg, weights=weights))
+        basis, trace = run(corpus, replace(cfg, weights=weights), surveys=surveys)
         rounds += len(trace)
         final = trace[-1]
         table.append((weights, final.cost))
@@ -577,10 +582,9 @@ def grid_search_weights(
         if best is None or key < best:
             best = key
             best_weights = weights
-    if surveys:
-        logger.info(
-            "grid search: %d alg1 surveys built, %d reused over %d rounds",
-            len(surveys), rounds - len(surveys), rounds,
-        )
+    logger.info(
+        "grid search: %d %s surveys built, %d reused over %d rounds",
+        len(surveys), cfg.algorithm, rounds - len(surveys), rounds,
+    )
     assert best_weights is not None
     return best_weights, table

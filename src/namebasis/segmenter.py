@@ -36,13 +36,11 @@ name's rows cell by cell straight from its table, fewest new segments
 first, asks for a cell only while its rows can still win, and builds
 a candidate for the winner only (``SegmentTable.candidate``).
 
-Compositions depend only on the name's length, so their table is built
-once per (length, minimum part, whole name allowed, cap) and cached by
-``composition_table``. Tilings depend on the basis, so ``tiling_table``
-builds a table uncached; the engine shares one, for a pass, among the
-names of one length and span set. ``enumerate_all`` and
-``enumerate_with_basis`` turn every row into a candidate and serve as
-the test oracles.
+``composition_table`` and ``tiling_table`` build a new table on every
+call; the engine shares one, for as long as it decides, among the names
+of one length (compositions) or of one length and span set (tilings).
+``enumerate_all`` and ``enumerate_with_basis`` turn every row into a
+candidate and serve as the test oracles.
 
 A candidate is one flat ``SequenceCandidate`` tuple: the interior cut
 offsets, the segment strings, one new-or-existing flag per segment and
@@ -52,7 +50,6 @@ the count of new segments, all computed once when it is built.
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
 from typing import AbstractSet, Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -489,12 +486,11 @@ def enumerate_with_basis(
     return tiling_table(len(name), occurrence_spans(candidates), cap, gaps=gaps).candidates(name)
 
 
-@lru_cache(maxsize=1024)
 def composition_table(
     n: int, min_part: int, include_whole: bool, cap: int | None
 ) -> SegmentTable:
     """Compositions of a length-``n`` name into parts >= ``min_part``,
-    every part new.
+    every part new: a new table, which names of one length can share.
 
     A composition is a gapless tiling by every span of at least
     ``min_part`` letters (by the whole name only when ``include_whole``),

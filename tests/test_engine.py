@@ -546,14 +546,20 @@ class TestSegmentCorpus:
             assert all(text in basis for text in seq.texts)
 
 
+# alg2's pass on make_planted_corpus(150, 30, seed=7) at the default weights
+ALG2_DEFAULTS_LINE = (
+    "alg2: 2 of 150 names reached the candidate cap 5000; "
+    f"42398 rows enumerated, {20 + 1 + 2} listed, "
+    f"{150 + 9 * 1 + 10 * 2} costed in full"
+)
+
+
 class TestCapCount:
     def test_names_reaching_cap_logged_once_per_pass(self, caplog):
         # with cap 2, rama and ram have two tilings by "ra" and gopal one,
         # 5 tilings enumerated, listed and costed in each pass (none
         # covers, so segmentation costs the gapped ones); rama and gopal
-        # have two or more compositions into parts >= 2. Composition
-        # tables are cached, and a cached table lists nothing again.
-        composition_table.cache_clear()
+        # have two or more compositions into parts >= 2.
         corpus = Corpus({"rama": 1, "ram": 1, "gopal": 1})
         cfg = RunConfig(cap=2, min_length=2)
         basis = basis_of("ra")
@@ -609,12 +615,12 @@ class TestCapCount:
         spans = occurrence_spans(candidate_words(name, {"ab", "bc", "ca", "abc"}))
         listed = segmenter._rows_listed
         tables = [
-            composition_table.__wrapped__(23, 2, True, 5000),
+            composition_table(23, 2, True, 5000),
             tiling_table(len(name), spans, 100),
         ]
         assert segmenter._rows_listed == listed
         uncapped = [
-            composition_table.__wrapped__(23, 2, True, None),
+            composition_table(23, 2, True, None),
             tiling_table(len(name), spans, 10**9),
         ]
         for table, whole, cut, kept in zip(tables, uncapped, (6, 5), (1612, 44)):
@@ -635,16 +641,22 @@ class TestCapCount:
         # the two-part rows of lengths 4 and 5. The cut six-part levels of
         # the two capped names (22 and 23 letters) are counted along
         # their last kept row and never listed.
-        composition_table.cache_clear()
         corpus = make_planted_corpus(n_names=150, n_units=30, seed=7).corpus
         with caplog.at_level(logging.INFO, logger="namebasis.engine"):
             _, [stats] = run_alg2(corpus, RunConfig(algorithm="alg2", min_length=2))
         assert stats.j_total == 0
-        assert [r.getMessage() for r in caplog.records] == [
-            "alg2: 2 of 150 names reached the candidate cap 5000; "
-            f"42398 rows enumerated, {20 + 1 + 2} listed, "
-            f"{150 + 9 * 1 + 10 * 2} costed in full",
-        ]
+        assert [r.getMessage() for r in caplog.records] == [ALG2_DEFAULTS_LINE]
+
+    def test_alg2_run_reports_only_its_own_work(self, caplog):
+        # a second run in one process builds and lists its own tables, so it
+        # logs the same counts as the first
+        corpus = make_planted_corpus(n_names=150, n_units=30, seed=7).corpus
+        cfg = RunConfig(algorithm="alg2", min_length=2)
+        with caplog.at_level(logging.INFO, logger="namebasis.engine"):
+            first = run_alg2(corpus, cfg)
+            second = run_alg2(corpus, cfg)
+        assert first == second
+        assert [r.getMessage() for r in caplog.records] == [ALG2_DEFAULTS_LINE] * 2
 
 
 class TestSharedTables:
@@ -765,7 +777,7 @@ class TestGridSearch:
 
 
 class TestGridSurveys:
-    """Pass 1 kept per input basis for the whole grid changes nothing."""
+    """A survey kept per input basis for the whole grid changes nothing."""
 
     @pytest.fixture(scope="class")
     def planted(self):
@@ -802,6 +814,29 @@ class TestGridSurveys:
             f"grid search: {built} alg1 surveys built, "
             f"{rounds - built} reused over {rounds} rounds"
         )
+
+    def test_alg2_builds_one_table_per_length_for_the_grid(self, planted, caplog, monkeypatch):
+        # alg2's one survey, under the empty basis, holds one table per name length
+        corpus, cfg = planted
+        cfg = dataclasses.replace(cfg, algorithm="alg2")
+        grid = weight_grid(0.5)
+        built = []
+
+        def counting(n, *args):
+            built.append(n)
+            return composition_table(n, *args)
+
+        monkeypatch.setattr(engine, "composition_table", counting)
+        with caplog.at_level(logging.INFO, logger="namebasis.engine"):
+            best, table = grid_search_weights(corpus, cfg, grid)
+        assert sorted(built) == sorted({len(name) for name in corpus})
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert messages[-1] == "grid search: 1 alg2 surveys built, 9 reused over 10 rounds"
+        monkeypatch.undo()
+        fresh = [run_alg2(corpus, dataclasses.replace(cfg, weights=w)) for w in grid]
+        assert table == [(w, trace[-1].cost) for w, (_, trace) in zip(grid, fresh)]
+        keys = [(trace[-1].cost, len(basis), i) for i, (basis, trace) in enumerate(fresh)]
+        assert best == grid[min(keys)[2]]
 
 
 class TestDeterminismAcrossWorkers:

@@ -319,8 +319,7 @@ class TestCountingOracle:
         if isinstance(tiled[0], int):
             min_segment, include_whole = tiled
             seqs = enumerate_all(name, min_segment, include_whole, cap)
-            # an uncached table, so its cells are listed below
-            table = composition_table.__wrapped__(n, min_segment, include_whole, cap)
+            table = composition_table(n, min_segment, include_whole, cap)
         else:
             words, gaps = tiled
             candidates = candidate_words(name, words)
@@ -398,8 +397,7 @@ class TestCellOracle:
         n = len(name)
         if isinstance(tiled[0], int):
             min_part, include_whole = tiled
-            # an uncached table, so its cells are listed below
-            table = composition_table.__wrapped__(n, min_part, include_whole, cap)
+            table = composition_table(n, min_part, include_whole, cap)
             spans = frozenset()  # every part is new
             tilings = {
                 cuts
