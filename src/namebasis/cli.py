@@ -142,9 +142,13 @@ def _load_run(args) -> tuple[RunConfig, Corpus, Path]:
 
 def _cmd_induce(args) -> int:
     cfg, corpus, out = _load_run(args)
-    run = run_alg1 if cfg.algorithm == "alg1" else run_alg2
-    basis, trace = run(corpus, cfg)
-    chosen = segment_corpus(corpus, basis, cfg)
+    # alg1's last round leaves each name's span pattern by the final basis
+    patterns: dict = {}
+    if cfg.algorithm == "alg1":
+        basis, trace = run_alg1(corpus, cfg, patterns=patterns)
+    else:
+        basis, trace = run_alg2(corpus, cfg)
+    chosen = segment_corpus(corpus, basis, cfg, patterns=patterns)
 
     write_basis_file(basis, out / "basis.txt")
     with open(out / "segmentations.tsv", "w", encoding="utf-8") as handle:

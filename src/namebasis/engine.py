@@ -14,14 +14,20 @@ of every name outright and runs the same grow-and-orthogonalize step,
 ``_grow_and_prune``, once from an empty basis. Both return the basis,
 a frozenset of plain word strings that keys the grid search's surveys
 (alg2's under the empty basis), and a trace of one stats row per round.
-The final segmentation picks each name's cheapest covering tiling. All
-three picks go through one chooser, ``_choose_row``, over a
-``SegmentTable`` of the name's candidates (built by the tiling search
-and shared, for a pass or a grid's survey, by the names of one length
-and, for tilings, one span set), so every candidate is one row of sums
-and one scalar cost, the table's ``new`` column says which segments
-are new, its counts give each text's demand share without listing a
-row, and only the winner becomes a ``SequenceCandidate``. The chooser
+The final segmentation picks each name's cheapest covering tiling; a
+run that stops at a fixed point hands it the span patterns its last
+survey found, since the final basis is the one that round surveyed.
+All three picks go through one chooser, ``_choose_row``, over a
+``SegmentTable`` of the name's candidates, so every candidate is one
+row of sums and one scalar cost, the table's ``new`` column says which
+segments are new, its counts give each text's demand share without
+listing a row, and only the winner becomes a ``SequenceCandidate``.
+A tiling table is built on the name's stops (0, its length and every
+end of a basis-word occurrence) and its span pattern, the occurrences
+as pairs of stop indices, so it is shared, for a pass or a grid's
+survey, by every name of one pattern whatever its length; compositions
+are shared by the names of one length. The name reads its texts,
+offsets and squared segment lengths through its stops. The chooser
 is a branch and bound with the same pick as costing every row: rows
 come one cell (segment count ``k``, new-segment count ``e``) at a
 time, fewest new segments first, then fewest segments. A row's cost is
@@ -69,11 +75,13 @@ from .features import (
 from .features import compute_features, cost_alg1, cost_alg2, demand_shares, select_best
 from .ortho import make_ortho
 from .segmenter import (
+    Pattern,
     SegmentTable,
     SequenceCandidate,
     candidate_words,
     composition_table,
     occurrence_spans,
+    span_pattern,
     tiling_table,
     enumerate_all,  # unused here, but perfbench's tracer wraps engine.enumerate_all
     enumerate_with_basis,  # unused here, but perfbench's tracer wraps it too
@@ -231,14 +239,18 @@ _rows_costed = 0
 
 def _choose_row(
     name: str,
+    stops: Sequence[int],
     table: SegmentTable,
     corpus_freq: Mapping[str, float] | None,
     cfg: RunConfig,
     cost_fn: Callable[..., float],
 ) -> SequenceCandidate:
-    """The cheapest row of ``table``, a segmentation table of ``name``.
+    """The cheapest row of ``table``, a segmentation table of ``name``,
+    which reads it through its ``stops``.
 
-    Which segments are new is the table's ``new`` column. A text's
+    Which segments are new is the table's ``new`` column. A row's sum of
+    squared segment lengths is summed from the name's own squares, one
+    per span of the table, for the rows the scan reaches. A text's
     demand share is the share of rows containing it: the table's count
     of rows placing the text, over its row total. Each row's features
     are summed in ``compute_features``' order and costed by ``cost_fn``,
@@ -274,8 +286,9 @@ def _choose_row(
     global _rows_costed
     if not table.total:
         return SequenceCandidate(name, (), (name,), (True,), 1)
-    texts, text_rows = table.text_rows(name)
+    texts, text_rows = table.text_rows(name, stops)
     demand = [count / table.total for count in text_rows]
+    squares = [(stops[end] - stops[start]) ** 2 for start, end in table.spans]
     new = table.new
 
     weights = cfg.resolved_weights
@@ -301,8 +314,8 @@ def _choose_row(
                 >= best_cost
             ):
                 break
-            for row, q in zip(*table.cell(k, eta_new)):
-                len_var = (k * q - n * n) / (k * k)
+            for row in table.cell(k, eta_new):
+                len_var = (k * sum(map(squares.__getitem__, row)) - n * n) / (k * k)
                 demand_avg = left_sum(map(demand.__getitem__, row)) / k
                 new_freq_avg = syntax_avg = None
                 if scored_new and eta_new:
@@ -319,7 +332,7 @@ def _choose_row(
                     for i in fresh:
                         if accepted[i] is None:
                             accepted[i] = accepts_syntax(
-                                texts[i], name, table.spans[i][0], cfg.char_table
+                                texts[i], name, stops[table.spans[i][0]], cfg.char_table
                             )
                         bits[texts[i]] = bits.get(texts[i], True) and accepted[i]
                     syntax_avg = sum(bits[texts[i]] for i in fresh) / eta_new
@@ -331,29 +344,37 @@ def _choose_row(
                 if cost < best_cost:
                     best, best_cost = row, cost
     _rows_costed += costed
-    return table.candidate(name, best)
+    return table.candidate(name, stops, best)
+
+
+# A name with its stops and the table it reads through them.
+Entry = tuple[str, Sequence[int], SegmentTable]
 
 
 def _choose_all(
     label: str,
-    pairs: Iterable[tuple[str, SegmentTable]],
+    entries: Iterable[Entry],
     corpus_freq: Mapping[str, float] | None,
     cfg: RunConfig,
     cost_fn: Callable[..., float],
 ) -> dict[str, SequenceCandidate]:
-    """Each name's pick by ``_choose_row`` from its ``(name, table)`` pair.
+    """Each name's pick by ``_choose_row`` from its ``(name, stops, table)``.
 
     Logs one line for the pass: the names whose table reached the cap,
     the rows the tables count, the rows the pass listed (tables list
     theirs one cell at a time, as the chooser asks, and a shared table
-    only once) and the rows the chooser costed in full.
+    only once) and the rows the chooser costed in full. Warns when the
+    cap decided a pick: a capped name has a covering tiling, but every
+    row the cap keeps has new segments (only gapped tiling tables can).
     """
     listed, costed = segmenter._rows_listed, _rows_costed
     chosen: dict[str, SequenceCandidate] = {}
-    capped = rows = 0
-    for name, table in pairs:
-        chosen[name] = _choose_row(name, table, corpus_freq, cfg, cost_fn)
-        capped += table.total >= cfg.cap
+    capped = lost = rows = 0
+    for name, stops, table in entries:
+        chosen[name] = _choose_row(name, stops, table, corpus_freq, cfg, cost_fn)
+        if table.total >= cfg.cap:
+            capped += 1
+            lost += table.covers and not table.cells[0]
         rows += table.total
     logger.info(
         "%s: %d of %d names reached the candidate cap %d; "
@@ -361,6 +382,11 @@ def _choose_all(
         label, capped, len(chosen), cfg.cap, rows,
         segmenter._rows_listed - listed, _rows_costed - costed,
     )
+    if lost:
+        logger.warning(
+            "%s: the candidate cap %d kept no covering tiling for %d of %d capped names",
+            label, cfg.cap, lost, capped,
+        )
     return chosen
 
 
@@ -389,29 +415,35 @@ def _grow_and_prune(
     return grown, pruned, stats
 
 
-def _tilings(
-    corpus: Corpus, basis: frozenset[str], cap: int, gaps: bool
-) -> Iterator[tuple[str, SegmentTable]]:
-    """Each name of ``corpus`` with its table of tilings by ``basis``.
+def _patterns(corpus: Corpus, basis: frozenset[str]) -> dict[str, Pattern]:
+    """Each name of ``corpus`` with its stops and span pattern by ``basis``."""
+    lengths = sorted({len(word) for word in basis})
+    return {
+        name: span_pattern(len(name), occurrence_spans(candidate_words(name, basis, lengths)))
+        for name in corpus
+    }
 
-    Names of one length whose basis words occupy one span set share one
-    table, for this pass only: a table kept longer keeps its listed
-    cells. With ``gaps`` false, a name the basis does not span gets its
-    gapped table instead, and a warning.
+
+def _tilings(patterns: Mapping[str, Pattern], cap: int, gaps: bool) -> Iterator[Entry]:
+    """Each name of ``patterns`` with its stops and its table of tilings.
+
+    Names of one span pattern share one table, whatever their lengths,
+    for this pass only: a table kept longer keeps its listed cells. With
+    ``gaps`` false, a name the basis does not span gets its gapped table
+    instead, and a warning.
     """
     table_of = lru_cache(maxsize=None)(tiling_table)
-    lengths = sorted({len(word) for word in basis})
-    for name in corpus:
-        spans = occurrence_spans(candidate_words(name, basis, lengths))
-        table = table_of(len(name), spans, cap, gaps=gaps)
+    for name, (stops, pattern) in patterns.items():
+        table = table_of(len(stops) - 1, pattern, cap, gaps=gaps)
         if not table.total:
             logger.warning("basis does not span %r; keeping a gapped sequence", name)
-            table = table_of(len(name), spans, cap, gaps=True)
-        yield name, table
+            table = table_of(len(stops) - 1, pattern, cap, gaps=True)
+        yield name, stops, table
 
 
-# A round's weight-free pass: each name's table and, for alg1, new texts' corpus frequencies.
-Survey = tuple[list[tuple[str, SegmentTable]], dict[str, float] | None]
+# A round's weight-free pass: each name with its stops and table and, for
+# alg1, new texts' corpus frequencies and each name's pattern by the basis.
+Survey = tuple[list[Entry], dict[str, float] | None, dict[str, Pattern] | None]
 Surveys = dict[frozenset[str], Survey]
 
 
@@ -423,14 +455,20 @@ def _survey(corpus: Corpus, basis: frozenset[str], cfg: RunConfig) -> Survey:
     placed by some row) once per name that places it. Rows are listed
     later, as pass 2 reads them.
     """
-    surveyed = list(_tilings(corpus, basis, cfg.cap, gaps=True))
+    patterns = _patterns(corpus, basis)
+    surveyed = list(_tilings(patterns, cfg.cap, gaps=True))
     demand_count: dict[str, int] = {}
-    for name, table in surveyed:
-        new = {name[start:end] for (start, end), is_new in zip(table.spans, table.new) if is_new}
+    for name, stops, table in surveyed:
+        new = {
+            name[stops[start] : stops[end]]
+            for (start, end), is_new in zip(table.spans, table.new)
+            if is_new
+        }
         for text in new:
             demand_count[text] = demand_count.get(text, 0) + 1
     n_total = corpus.total_unique
-    return surveyed, {text: count / n_total for text, count in demand_count.items()}
+    freq = {text: count / n_total for text, count in demand_count.items()}
+    return surveyed, freq, patterns
 
 
 def run_iteration_alg1(
@@ -452,28 +490,38 @@ def run_iteration_alg1(
         surveys = {}
     if basis not in surveys:
         surveys[basis] = _survey(corpus, basis, cfg)
-    surveyed, corpus_freq = surveys[basis]
+    surveyed, corpus_freq, _ = surveys[basis]
     chosen = _choose_all(f"alg1 iteration {iteration}", surveyed, corpus_freq, cfg, tiling_cost)
     grown, pruned, stats = _grow_and_prune(basis, chosen.values(), iteration, corpus.total_unique)
     return grown, pruned, stats, chosen
 
 
 def run_alg1(
-    corpus: Corpus, cfg: RunConfig, *, surveys: Surveys | None = None
+    corpus: Corpus,
+    cfg: RunConfig,
+    *,
+    surveys: Surveys | None = None,
+    patterns: dict[str, Pattern] | None = None,
 ) -> tuple[frozenset[str], list[IterationStats]]:
     """Seeded grow/prune induction to a fixed point or iteration cap.
 
-    ``surveys`` is passed to every round (see ``run_iteration_alg1``).
+    ``surveys`` is passed to every round (see ``run_iteration_alg1``);
+    without it, a round's survey lives for that round only. ``patterns``,
+    when given, receives each name's stops and span pattern by the
+    returned basis if the last round surveyed it, as it does when the
+    run stops at a fixed point, so ``segment_corpus`` need not find
+    them again; otherwise it stays empty.
     """
     basis = seed_basis(corpus, cfg.seed_fraction)
     trace: list[IterationStats] = []
     for iteration in range(1, cfg.max_iterations + 1):
-        _, pruned, stats, _ = run_iteration_alg1(
-            corpus, basis, cfg, iteration, surveys=surveys
-        )
+        kept = {} if surveys is None else surveys
+        _, pruned, stats, _ = run_iteration_alg1(corpus, basis, cfg, iteration, surveys=kept)
         trace.append(stats)
         # At an exact fixed point every further round would repeat this row.
         done = stats.b_m_size - stats.b_size < cfg.epsilon or pruned == basis
+        if pruned == basis and patterns is not None:
+            patterns.update(kept[basis][2])
         basis = pruned
         if done:
             break
@@ -497,15 +545,23 @@ def run_alg2(
     if basis not in surveys:
         table_of = lru_cache(maxsize=None)(composition_table)
         args = cfg.min_segment, cfg.include_whole, cfg.cap
-        surveys[basis] = ([(name, table_of(len(name), *args)) for name in corpus], None)
-    surveyed, _ = surveys[basis]
+        surveys[basis] = (
+            [(name, range(len(name) + 1), table_of(len(name), *args)) for name in corpus],
+            None,
+            None,
+        )
+    surveyed, _, _ = surveys[basis]
     chosen = _choose_all("alg2", surveyed, None, cfg, composition_cost)
     _, pruned, stats = _grow_and_prune(basis, chosen.values(), 1, corpus.total_unique)
     return pruned, [stats]
 
 
 def segment_corpus(
-    corpus: Corpus, basis: frozenset[str], cfg: RunConfig
+    corpus: Corpus,
+    basis: frozenset[str],
+    cfg: RunConfig,
+    *,
+    patterns: Mapping[str, Pattern] | None = None,
 ) -> dict[str, SequenceCandidate]:
     """Best fully-in-basis segmentation of every name.
 
@@ -514,9 +570,11 @@ def segment_corpus(
     tilings. Every name a finished run produced is coverable, but a
     foreign basis may leave gaps, in which case the best of the first
     ``cfg.cap`` gapped tilings is kept and a warning logged.
+    ``patterns`` are the corpus's stops and span patterns by ``basis``,
+    as ``run_alg1`` leaves them; they are found anew when not given.
     """
     cost_fn = tiling_cost if cfg.algorithm == "alg1" else composition_cost
-    tables = _tilings(corpus, basis, cfg.cap, gaps=False)
+    tables = _tilings(patterns or _patterns(corpus, basis), cfg.cap, gaps=False)
     return _choose_all("segmentation", tables, None, cfg, cost_fn)
 
 

@@ -28,19 +28,29 @@ same way, along the path of its last kept row, and never listed whole.
 
 Every candidate is scored from one table type, ``SegmentTable``: the
 counts above, per span whether it is new, and per listed row its span
-indices and its sum of squared segment lengths. The table is the one
-place that decides which segments are new: a tiling's gaps, and every
-part of a composition, so a composition table's cells are its levels
-and a gapless tiling table's have no new segment. The engine costs a
-name's rows cell by cell straight from its table, fewest new segments
-first, asks for a cell only while its rows can still win, and builds
-a candidate for the winner only (``SegmentTable.candidate``).
+indices. The table is the one place that decides which segments are
+new: a tiling's gaps, and every part of a composition, so a composition
+table's cells are its levels and a gapless tiling table's have no new
+segment. The engine costs a name's rows cell by cell straight from its
+table, fewest new segments first, asks for a cell only while its rows
+can still win, and builds a candidate for the winner only
+(``SegmentTable.candidate``).
+
+A table is built on stops, not on letters. Every tile of a tiling
+starts and ends at a stop of the name: 0, its length, or a span's start
+or end (``span_pattern``). A tiling table is built on the name's span
+pattern, its spans as pairs of stop indices, and the name reads it
+through its stops: its texts, its offsets and, in the engine, its
+squared segment lengths. So names of different lengths, with their
+spans at different offsets, share one table when their patterns match.
+A composition table's stops are every offset, ``range(n + 1)``.
 
 ``composition_table`` and ``tiling_table`` build a new table on every
 call; the engine shares one, for as long as it decides, among the names
-of one length (compositions) or of one length and span set (tilings).
-``enumerate_all`` and ``enumerate_with_basis`` turn every row into a
-candidate and serve as the test oracles.
+of one length (compositions) or of one span pattern (tilings).
+``enumerate_all`` and ``enumerate_with_basis`` build their tables on
+every offset, turn every row into a candidate and serve as the test
+oracles.
 
 A candidate is one flat ``SequenceCandidate`` tuple: the interior cut
 offsets, the segment strings, one new-or-existing flag per segment and
@@ -49,7 +59,6 @@ the count of new segments, all computed once when it is built.
 
 from __future__ import annotations
 
-from array import array
 from typing import AbstractSet, Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -109,14 +118,30 @@ def occurrence_spans(candidates: Mapping[str, tuple[int, ...]]) -> frozenset[tup
     )
 
 
-# One listed cell of a SegmentTable, the rows of one level with one count
-# of new segments: its rows and each row's sum of squared segment lengths.
-Cell = tuple[Sequence[Sequence[int]], Sequence[int]]
+# A name's stops and its span pattern, the spans as pairs of stop indices.
+Pattern = tuple[tuple[int, ...], frozenset[tuple[int, int]]]
+
+
+def span_pattern(n: int, spans: AbstractSet[tuple[int, int]]) -> Pattern:
+    """A length-``n`` name's stops and its span pattern.
+
+    The stops are 0, ``n`` and every start and end of ``spans``,
+    ascending; the pattern is ``spans`` as pairs of stop indices. Every
+    tile of a tiling by spans and gaps starts and ends at a stop: a gap
+    starts at 0 or where a span ends, and ends where a span starts or at
+    ``n``. So ``tiling_table(len(stops) - 1, pattern, ...)`` has the
+    rows of the table on the name's offsets, read through the stops, and
+    names of any length with one pattern share it.
+    """
+    stops = sorted({0, n}.union(*spans))
+    index = {stop: i for i, stop in enumerate(stops)}
+    return tuple(stops), frozenset((index[start], index[end]) for start, end in spans)
+
 
 # A move of the tiling search: the tile's end, whether it is a gap, the
 # mask of the (tiles, new tiles) counts that can finish after it, its span
-# index, its squared length and whether it is new.
-Move = tuple[int, bool, int, int, int, bool]
+# index and whether it is new.
+Move = tuple[int, bool, int, int, bool]
 
 
 def _row(spans: int) -> Callable[[Iterable[int]], Sequence[int]]:
@@ -132,8 +157,16 @@ _rows_listed = 0
 
 
 class SegmentTable:
-    """The first ``cap`` tilings of a length-``n`` name, counted in full
-    and listed one cell at a time.
+    """The first ``cap`` tilings of ``[0, n)``, counted in full and listed
+    one cell at a time.
+
+    Positions are stop indices: a name reads a table through its stops,
+    ascending offsets from 0 to its length with ``n + 1`` entries (see
+    ``span_pattern``), so names of any length whose spans fall on their
+    stops alike share one table. A composition table's stops are every
+    offset, ``range(n + 1)``. Nothing in a table depends on a name's
+    letters or offsets; the name's texts, offsets and squared segment
+    lengths are read through its stops.
 
     A tile is either a span from ``spans`` or, when ``gaps`` is true, a
     gap: a new segment, never next to another gap. Rows come fewest
@@ -145,7 +178,7 @@ class SegmentTable:
     ending there was a gap, the number of ways to finish with each tile
     count into one int, one ``n + 1``-bit field per count: adding a tile
     shifts a target's counts up one field, and a position sums its
-    moves' shifted counts. A length-``n`` name has at most
+    moves' shifted counts. ``[0, n)`` has at most
     ``2 ** (n - 1)`` tilings, so no field overflows, and a packed count
     taken mod ``2 ** (n + 1) - 1`` is the sum of its fields. The same
     pass keeps a mask of the ``(tiles, new tiles)`` pairs that can finish,
@@ -162,11 +195,13 @@ class SegmentTable:
         has rows, for each ``e`` up to the last level;
       * ``spans``, every tile some kept row places, with ``new[i]``
         true when ``spans[i]`` is a new segment and ``counts[i]`` the
-        rows that place it.
+        rows that place it;
+      * ``covers``, whether a tiling without gaps exists, kept or not:
+        bit 0 of some field of the backward pass's mask at 0.
 
     ``cell(k, e)`` lists cell ``(k, e)`` on first use and keeps it: its
     rows as indices into ``spans``, left to right, one byte each when
-    they fit, and each row's sum of squared tile lengths. The walk
+    they fit. The walk
     enters a move only when its target can still finish with exactly
     the tiles and new tiles left, and with one tile left the only move
     that finishes ends at ``n``: moves are kept in ascending end order,
@@ -179,15 +214,15 @@ class SegmentTable:
     of kept rows, counted as a full level is, and a walk on the path
     stops at a move that ends past the path's tile.
 
-    ``text_rows(name)`` gives, for each span, the rows placing its text
-    at least once: the span's own count for a text placed at one
-    offset, and otherwise the rows left after one more backward pass
-    that avoids all of the text's spans. They are kept per name, so a
-    table re-read under other weights counts them once.
+    ``text_rows(name, stops)`` gives, for each span, the rows placing
+    its text in ``name`` at least once: the span's own count for a text
+    placed at one offset, and otherwise the rows left after one more
+    backward pass that avoids all of the text's spans. They are kept per
+    name, so a table re-read under other weights counts them once.
     """
 
     __slots__ = (
-        "spans", "new", "counts", "levels", "total", "cells",
+        "spans", "new", "counts", "levels", "total", "cells", "covers",
         "_width", "_moves", "_cells", "_cut", "_full", "_path", "_text_rows",
     )
 
@@ -241,6 +276,8 @@ class SegmentTable:
             kept += count
         self.levels = tuple(levels)
         self.total = sum(levels)
+        # bit 0 of every field: (2 ** (width * (n + 1)) - 1) // field
+        self.covers = bool(finish[0][False] & ((1 << (width * (n + 1))) - 1) // field)
         self._cut = cut
         self._full = len(levels) - 1 - bool(cut)  # the last level kept in full
 
@@ -293,7 +330,7 @@ class SegmentTable:
         new: list[bool] = []
         counts: list[int] = []
         # moves[after_gap][pos]: (end, is_gap, target mask, span index,
-        # square, new) for each kept tile from pos, ascending end
+        # new) for each kept tile from pos, ascending end
         moves: tuple[list[tuple[Move, ...]], list[tuple[Move, ...]]] = ([()] * n, [()] * n)
         for pos in range(n):
             reach = fwd[pos]  # only these may go on with a gap
@@ -313,9 +350,9 @@ class SegmentTable:
                     fwd_gap[end] += before << width
                 else:
                     fwd[end] += before << width
-                move = (end, is_gap, mask, len(tiles), (end - pos) * (end - pos), all_new or is_gap)
+                move = (end, is_gap, mask, len(tiles), all_new or is_gap)
                 tiles.append((pos, end))
-                new.append(move[5])
+                new.append(move[4])
                 counts.append(rows)
                 any_move.append(move)
                 if not is_gap:
@@ -326,10 +363,10 @@ class SegmentTable:
         self.spans = tuple(tiles)
         self.new = tuple(new)
         self.counts = tuple(counts)
-        # _cells[k, e]: the listed rows of cell (k, e) and each row's sum
-        # of squared tile lengths, or None while the cell is unlisted; only
-        # cells with rows are keys, read from the finish mask.
-        self._cells: dict[tuple[int, int], Cell | None] = {}
+        # _cells[k, e]: the listed rows of cell (k, e), or None while the
+        # cell is unlisted; only cells with rows are keys, read from the
+        # finish mask.
+        self._cells: dict[tuple[int, int], list[Sequence[int]] | None] = {}
         by_new: list[list[int]] = [[] for _ in levels]  # e <= k < len(levels)
         for k in range(1, len(levels)):
             fresh = cut_cells if k == cut else finish[0][False] >> (width * k) & field
@@ -341,53 +378,50 @@ class SegmentTable:
         self._text_rows: dict[str, tuple[int, ...]] = {}
         self.cells = tuple(map(tuple, by_new))
 
-    def cell(self, k: int, e: int) -> Cell:
+    def cell(self, k: int, e: int) -> list[Sequence[int]]:
         """The rows of level ``k`` with ``e`` new tiles, each as its span
-        indices left to right, and each row's sum of squared tile lengths.
-        The cell must have rows (``k in cells[e]``); it is listed on first
-        use."""
+        indices left to right. The cell must have rows (``k in cells[e]``);
+        it is listed on first use."""
         listed = self._cells[k, e]
         if listed is None:
             listed = self._cells[k, e] = self._walk(k, e)
         return listed
 
-    def _walk(self, k: int, e: int) -> Cell:
-        """List cell ``(k, e)`` depth first: its rows and their sums of squared lengths."""
+    def _walk(self, k: int, e: int) -> list[Sequence[int]]:
+        """List cell ``(k, e)`` depth first."""
         global _rows_listed
         moves = self._moves
         width = self._width
         pack = _row(len(self.spans))
         tiles: list[int] = []
         rows: list[Sequence[int]] = []
-        q = array("I")
 
-        def descend(pos: int, left: int, after_gap: bool, squares: int, fresh: int, tight: bool):
+        def descend(pos: int, left: int, after_gap: bool, fresh: int, tight: bool):
             """List the rows of ``[pos, n)`` in ``left`` tiles; ``tight``: on the path."""
             if left == 1:
-                _, _, _, i, square, _ = moves[after_gap][pos][-1]
-                rows.append(pack((*tiles, i)))
-                q.append(squares + square)
+                rows.append(pack((*tiles, moves[after_gap][pos][-1][3])))
                 return
             # the target bits a move needs: one more new tile is one bit lower
             old = 1 << (width * (left - 1) + e - fresh)
             new = old >> 1 if fresh < e else 0
             stop = self._path[k - left] if tight else width
-            for end, is_gap, mask, i, square, is_new in moves[after_gap][pos]:
+            for end, is_gap, mask, i, is_new in moves[after_gap][pos]:
                 if end > stop:
                     break
                 if mask & (new if is_new else old):
                     tiles.append(i)
-                    descend(end, left - 1, is_gap, squares + square, fresh + is_new, end == stop)
+                    descend(end, left - 1, is_gap, fresh + is_new, end == stop)
                     tiles.pop()
 
-        descend(0, k, False, 0, 0, k == self._cut)
+        descend(0, k, False, 0, k == self._cut)
         del descend  # it refers to itself: free it now, not at the next collection
-        _rows_listed += len(q)
-        return rows, q
+        _rows_listed += len(rows)
+        return rows
 
-    def candidate(self, name: str, row: Sequence[int]) -> SequenceCandidate:
-        """A row, as its span indices, as a candidate segmentation of ``name``."""
-        spans = list(map(self.spans.__getitem__, row))
+    def candidate(self, name: str, stops: Sequence[int], row: Sequence[int]) -> SequenceCandidate:
+        """A row, as its span indices, as a candidate segmentation of
+        ``name``, read through its ``stops``."""
+        spans = [(stops[start], stops[end]) for start, end in map(self.spans.__getitem__, row)]
         new = tuple(map(self.new.__getitem__, row))
         return SequenceCandidate(
             name,
@@ -397,18 +431,20 @@ class SegmentTable:
             sum(new),
         )
 
-    def candidates(self, name: str) -> list[SequenceCandidate]:
+    def candidates(self, name: str, stops: Sequence[int]) -> list[SequenceCandidate]:
         """Every row, level by level, as a candidate segmentation of ``name``.
         A level's cells merge back into leftmost-boundary order, which is
         the order of the rows' span indices, since spans are numbered by
         start, then end."""
-        rows = sorted((k, row) for k, e in list(self._cells) for row in self.cell(k, e)[0])
-        return [self.candidate(name, row) for _, row in rows]
+        rows = sorted((k, row) for k, e in list(self._cells) for row in self.cell(k, e))
+        return [self.candidate(name, stops, row) for _, row in rows]
 
-    def text_rows(self, name: str) -> tuple[list[str], tuple[int, ...]]:
-        """Each span's text in ``name``, and the rows placing that text at
-        least once. The counts are kept per name."""
-        texts = [name[start:end] for start, end in self.spans]
+    def text_rows(
+        self, name: str, stops: Sequence[int]
+    ) -> tuple[list[str], tuple[int, ...]]:
+        """Each span's text in ``name``, read through its ``stops``, and the
+        rows placing that text at least once. The counts are kept per name."""
+        texts = [name[stops[start] : stops[end]] for start, end in self.spans]
         kept = self._text_rows.get(name)
         if kept is None:
             placed: dict[str, list[int]] = {}
@@ -434,7 +470,7 @@ class SegmentTable:
         back = [(1, 1)] * (n + 1)
         for pos in range(n - 1, -1, -1):
             to_span = to_gap = 0
-            for end, is_gap, _, i, _, _ in moves[False][pos]:
+            for end, is_gap, _, i, _ in moves[False][pos]:
                 if i not in spans:
                     if is_gap:
                         to_gap += back[end][True]
@@ -446,7 +482,7 @@ class SegmentTable:
         pos, after_gap, left = 0, False, self._cut
         for stop in self._path:
             left -= 1
-            for end, is_gap, _, i, _, _ in moves[after_gap][pos]:
+            for end, is_gap, _, i, _ in moves[after_gap][pos]:
                 if end == stop:
                     break
                 if i not in spans:
@@ -462,9 +498,10 @@ class SegmentTable:
 def tiling_table(
     n: int, spans: Container[tuple[int, int]], cap: int = 5000, *, gaps: bool = True
 ) -> SegmentTable:
-    """The table of the first ``cap`` tilings of a length-``n`` name by
-    ``spans`` and, with ``gaps``, new-segment gaps; a gap is exactly a
-    new segment."""
+    """The table of the first ``cap`` tilings of ``[0, n)`` by ``spans``
+    and, with ``gaps``, new-segment gaps; a gap is exactly a new segment.
+    Positions are a name's offsets or, for a table that names of one
+    span pattern share, its stop indices (``span_pattern``)."""
     return SegmentTable(n, spans, cap, gaps, all_new=False)
 
 
@@ -483,7 +520,8 @@ def enumerate_with_basis(
     ``gaps=False`` keeps only the tilings made of occurrences alone,
     and may return none.
     """
-    return tiling_table(len(name), occurrence_spans(candidates), cap, gaps=gaps).candidates(name)
+    table = tiling_table(len(name), occurrence_spans(candidates), cap, gaps=gaps)
+    return table.candidates(name, range(len(name) + 1))
 
 
 def composition_table(
@@ -494,7 +532,8 @@ def composition_table(
 
     A composition is a gapless tiling by every span of at least
     ``min_part`` letters (by the whole name only when ``include_whole``),
-    so the tiling search lists them, with every span new. ``cap=None``
+    so the tiling search lists them, with every span new; a name reads
+    it through the stops ``range(n + 1)``. ``cap=None``
     passes ``2 ** n``, more than a length-``n`` name has compositions.
     """
     spans = {(start, end) for start in range(n) for end in range(start + min_part, n + 1)}
@@ -517,4 +556,5 @@ def enumerate_all(
     """
     if min_segment < 1:
         raise ValueError(f"min_segment must be >= 1, got {min_segment}")
-    return composition_table(len(name), min_segment, include_whole, cap).candidates(name)
+    table = composition_table(len(name), min_segment, include_whole, cap)
+    return table.candidates(name, range(len(name) + 1))

@@ -115,6 +115,29 @@ class TestInduce:
             "emitted cost 2.0 is not below the cheaper trivial basis (2.0)"
         ]
 
+    def test_warns_when_the_cap_drops_every_covering_tiling(self, tmp_path, caplog):
+        # With cap 1, rama keeps only its first row, itself as one new
+        # segment, though the seed basis {ra, ma} covers it; the round
+        # says so on stderr. The output is unchanged by the warning.
+        names = tmp_path / "names.tsv"
+        names.write_text("ra\t10\nma\t10\nrama\t1\n", encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text("min_length = 2\ncap = 1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="namebasis.engine"):
+            code = main(
+                ["induce", "--names", str(names), "--input-format", "name_freq",
+                 "--config", str(config), "--out", str(out)]
+            )
+        assert code == 0
+        assert (out / "segmentations.tsv").read_text(encoding="utf-8") == (
+            "ma\tma\nra\tra\nrama\tra ma\n"
+        )
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", "alg1 iteration 1: the candidate cap 1 kept no covering tiling "
+             "for 1 of 3 capped names")
+        ]
+
     def test_outputs_byte_identical_across_runs(self, tmp_path, planted_files):
         planted, names, config = planted_files
         outs = []

@@ -4,7 +4,7 @@ import logging
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from namebasis import engine, segmenter
+from namebasis import cli, engine, segmenter
 from namebasis.config import ConfigError
 from namebasis.corpus import Corpus
 from namebasis.engine import (
@@ -40,10 +40,11 @@ from namebasis.segmenter import (
     enumerate_all,
     enumerate_with_basis,
     occurrence_spans,
+    span_pattern,
     tiling_table,
 )
 from namebasis.syntax import accepts_syntax
-from namebasis.synthetic import make_planted_corpus
+from namebasis.synthetic import make_planted_corpus, write_corpus
 
 # A large-run trace whose pruned-basis column creeps back up near
 # convergence; exercises both checker conditions including failures.
@@ -163,9 +164,9 @@ class TestIterationAlg1:
         # xax at one; each still counts once per name
         seen = []
 
-        def capture(name, table, corpus_freq, cfg, cost_fn):
+        def capture(name, stops, table, corpus_freq, cfg, cost_fn):
             seen.append(corpus_freq)
-            return choose_row(name, table, corpus_freq, cfg, cost_fn)
+            return choose_row(name, stops, table, corpus_freq, cfg, cost_fn)
 
         choose_row = engine._choose_row
         monkeypatch.setattr(engine, "_choose_row", capture)
@@ -260,7 +261,7 @@ def oracle_composition(name, cfg):
 
 def table_composition(name, cfg):
     table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
-    return _choose_row(name, table, None, cfg, composition_cost)
+    return _choose_row(name, range(len(name) + 1), table, None, cfg, composition_cost)
 
 
 class TestCompositionOracle:
@@ -336,9 +337,10 @@ def oracle_demand(seqs_by_name, n_total):
 
 
 def table_tiling(name, basis, corpus_freq, cfg, gaps, flavour):
-    spans = occurrence_spans(candidate_words(name, basis))
-    table = tiling_table(len(name), spans, cfg.cap, gaps=gaps)
-    return _choose_row(name, table, corpus_freq, cfg, FLAVOURS[flavour][0])
+    """The chooser's pick from the name's table built on its span pattern."""
+    stops, pattern = span_pattern(len(name), occurrence_spans(candidate_words(name, basis)))
+    table = tiling_table(len(stops) - 1, pattern, cfg.cap, gaps=gaps)
+    return _choose_row(name, stops, table, corpus_freq, cfg, FLAVOURS[flavour][0])
 
 
 class TestTilingOracle:
@@ -557,9 +559,10 @@ ALG2_DEFAULTS_LINE = (
 class TestCapCount:
     def test_names_reaching_cap_logged_once_per_pass(self, caplog):
         # with cap 2, rama and ram have two tilings by "ra" and gopal one,
-        # 5 tilings enumerated, listed and costed in each pass (none
-        # covers, so segmentation costs the gapped ones); rama and gopal
-        # have two or more compositions into parts >= 2.
+        # 5 tilings enumerated and costed in each pass (none covers, so
+        # segmentation costs the gapped ones); rama and ram place "ra" at
+        # 0 and share one table, so 3 rows are listed; rama and gopal
+        # have two or more compositions into parts >= 2, one table each.
         corpus = Corpus({"rama": 1, "ram": 1, "gopal": 1})
         cfg = RunConfig(cap=2, min_length=2)
         basis = basis_of("ra")
@@ -569,11 +572,11 @@ class TestCapCount:
             segment_corpus(corpus, basis, cfg)
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
             "alg1 iteration 1: 2 of 3 names reached the candidate cap 2; "
-            "5 rows enumerated, 5 listed, 5 costed in full",
+            "5 rows enumerated, 3 listed, 5 costed in full",
             "alg2: 2 of 3 names reached the candidate cap 2; "
             "5 rows enumerated, 5 listed, 5 costed in full",
             "segmentation: 2 of 3 names reached the candidate cap 2; "
-            "5 rows enumerated, 5 listed, 5 costed in full",
+            "5 rows enumerated, 3 listed, 5 costed in full",
         ]
 
     def test_segmentation_counts_covering_tilings_only(self, caplog):
@@ -594,16 +597,17 @@ class TestCapCount:
         # only while its bound can still win; at the default weights each
         # new segment adds at least 2 * 0.3 to it. A scan by level alone
         # lists 301 and 316 rows and costs 264 and 276 of them. Names of
-        # one length and span set share one table, whose cells are listed
-        # once for all of them: a table per name lists 135 and 112 rows.
+        # one span pattern share one table, whose cells are listed once
+        # for all of them: a table per name lists 135 and 112 rows, a
+        # table per length and span set 121 and 97.
         corpus = make_planted_corpus(n_names=60, n_units=12, seed=7).corpus
         with caplog.at_level(logging.INFO, logger="namebasis.engine"):
             run_alg1(corpus, RunConfig(min_length=2))
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
             "alg1 iteration 1: 0 of 60 names reached the candidate cap 5000; "
-            "303 rows enumerated, 121 listed, 96 costed in full",
+            "303 rows enumerated, 76 listed, 96 costed in full",
             "alg1 iteration 2: 0 of 60 names reached the candidate cap 5000; "
-            "318 rows enumerated, 97 listed, 72 costed in full",
+            "318 rows enumerated, 52 listed, 72 costed in full",
         ]
 
     def test_tables_list_nothing_when_built(self):
@@ -660,7 +664,7 @@ class TestCapCount:
 
 
 class TestSharedTables:
-    """Names of one length and one span set share one tiling table per pass."""
+    """Names of one span pattern share one tiling table per pass."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -673,23 +677,30 @@ class TestSharedTables:
         monkeypatch.setattr(engine, "tiling_table", counting)
         return built
 
-    def test_alg1_round_builds_one_table_per_span_set(self, builds):
-        # rama and raja place "ra" at 0, mara at 2
-        corpus = Corpus({"rama": 1, "raja": 1, "mara": 1})
-        run_iteration_alg1(corpus, basis_of("ra"), RunConfig())
+    def test_alg1_round_builds_one_table_per_span_pattern(self, builds):
+        # mara places "ra" at 2 of 4 letters, between stops 1 and 2 of
+        # (0, 2, 4); rama at 0 of 4 and ramas at 0 of 5, both between
+        # stops 0 and 1, of (0, 2, 4) and (0, 2, 5): one table for both
+        corpus = Corpus({"mara": 1, "rama": 1, "ramas": 1})
+        _, _, _, chosen = run_iteration_alg1(corpus, basis_of("ra"), RunConfig())
         assert builds == [
-            (4, frozenset({(2, 4)}), True),
-            (4, frozenset({(0, 2)}), True),
+            (2, frozenset({(1, 2)}), True),
+            (2, frozenset({(0, 1)}), True),
         ]
+        assert {name: seq.texts for name, seq in chosen.items()} == {
+            "mara": ("ma", "ra"),
+            "rama": ("ra", "ma"),
+            "ramas": ("ramas",),
+        }
 
     def test_shared_table_counts_and_picks_per_name(self, builds, monkeypatch):
         # abab places the text "ab" twice, abcd each text once; both tile
         # as spans (0, 2) and (2, 4), so one table serves both names
         seen = {}
 
-        def capture(name, table, corpus_freq, cfg, cost_fn):
-            seen[name] = table, corpus_freq
-            return choose_row(name, table, corpus_freq, cfg, cost_fn)
+        def capture(name, stops, table, corpus_freq, cfg, cost_fn):
+            seen[name] = stops, table, corpus_freq
+            return choose_row(name, stops, table, corpus_freq, cfg, cost_fn)
 
         choose_row = engine._choose_row
         monkeypatch.setattr(engine, "_choose_row", capture)
@@ -698,13 +709,16 @@ class TestSharedTables:
             Corpus({"abab": 1, "abcd": 1}), basis_of("ab", "cd"), cfg
         )
         assert len(builds) == 1
-        assert seen["abab"][0] is seen["abcd"][0]
-        for name, (shared, corpus_freq) in seen.items():
+        assert seen["abab"][1] is seen["abcd"][1]
+        offsets = range(5)
+        for name, (stops, shared, corpus_freq) in seen.items():
+            assert stops == (0, 2, 4)
             alone = tiling_table(4, frozenset({(0, 2), (2, 4)}))
-            assert shared.text_rows(name) == alone.text_rows(name)
+            assert shared.text_rows(name, stops) == alone.text_rows(name, offsets)
             assert shared.total == alone.total
-            assert chosen[name] == choose_row(name, alone, corpus_freq, cfg, tiling_cost)
-        assert seen["abab"][0].text_rows("abab")[0].count("ab") == 2
+            picked = choose_row(name, offsets, alone, corpus_freq, cfg, tiling_cost)
+            assert chosen[name] == picked
+        assert seen["abab"][1].text_rows("abab", (0, 2, 4))[0].count("ab") == 2
 
     def test_segmentation_warns_for_each_unspanned_name(self, builds, caplog):
         corpus = Corpus({"abxy": 1, "abzw": 1})
@@ -714,13 +728,50 @@ class TestSharedTables:
             "basis does not span 'abxy'; keeping a gapped sequence",
             "basis does not span 'abzw'; keeping a gapped sequence",
         ]
-        spans = frozenset({(0, 2)})
-        assert builds == [(4, spans, False), (4, spans, True)]
+        pattern = frozenset({(0, 1)})  # "ab" from stop 0 to stop 1 of (0, 2, 4)
+        assert builds == [(2, pattern, False), (2, pattern, True)]
         # each name reads its own texts from the shared gapped table
         assert {name: seq.texts for name, seq in chosen.items()} == {
             "abxy": ("abxy",),
             "abzw": ("abzw",),
         }
+
+    def test_segmentation_reuses_the_last_rounds_patterns(self, tmp_path, monkeypatch):
+        # A converged alg1 run ends on the basis its last round surveyed,
+        # so induce finds each name's basis words in the survey passes
+        # only, and segments with the patterns the last one found.
+        planted = make_planted_corpus(n_names=60, n_units=8, seed=41)
+        names = tmp_path / "names.tsv"
+        write_corpus(planted, names, format="name_freq")
+        config = tmp_path / "run.cfg"
+        config.write_text("min_length = 2\n", encoding="utf-8")
+        calls = []
+
+        def counting(name, words, lengths=None):
+            calls.append(name)
+            return find(name, words, lengths)
+
+        find = engine.candidate_words
+        monkeypatch.setattr(engine, "candidate_words", counting)
+        out = tmp_path / "out"
+        assert cli.main(
+            ["induce", "--names", str(names), "--input-format", "name_freq",
+             "--config", str(config), "--out", str(out)]
+        ) == 0
+        trace = cli.read_stats_csv(out / "stats.csv")
+        assert len(trace) < RunConfig().max_iterations  # a fixed point, as epsilon is 0
+        corpus = planted.corpus
+        names_seen = sorted(corpus)
+        assert calls == names_seen * len(trace)
+        # the patterns give the segmentation a fresh scan would
+        monkeypatch.setattr(engine, "candidate_words", find)
+        cfg = RunConfig(min_length=2)
+        patterns = {}
+        basis, _ = run_alg1(corpus, cfg, patterns=patterns)
+        assert list(patterns) == names_seen
+        assert segment_corpus(corpus, basis, cfg, patterns=patterns) == segment_corpus(
+            corpus, basis, cfg
+        )
 
 
 class TestCheckConvergence:

@@ -6,13 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_tilings, spans_of
 from namebasis.corpus import Corpus
-from namebasis.engine import RunConfig, _survey
+from namebasis.engine import RunConfig, _choose_row, _survey, weight_grid
+from namebasis.features import tiling_cost
 from namebasis.segmenter import (
     candidate_words,
     composition_table,
     enumerate_all,
     enumerate_with_basis,
     occurrence_spans,
+    span_pattern,
     tiling_table,
 )
 
@@ -221,7 +223,7 @@ class TestEnumerateAll:
     )
     # 300 compositions place more than 256 spans, too many for one byte an index
     @example(n=25, min_segment=1, include_whole=True, cap=300, tiled=None)
-    def test_table_rows_counts_and_squares(self, n, min_segment, include_whole, cap, tiled):
+    def test_table_rows_and_counts(self, n, min_segment, include_whole, cap, tiled):
         if tiled is None:
             table = composition_table(n, min_segment, include_whole, cap)
             existing = frozenset()  # every part is new
@@ -249,25 +251,24 @@ class TestEnumerateAll:
                 }
             expected = sorted(tilings, key=lambda cuts: (len(cuts), cuts))[:cap]
         rows = sorted(
-            (k, row, q, eta_new)
+            (k, row, eta_new)
             for eta_new, ks in enumerate(table.cells)
             for k in ks
-            for row, q in zip(*table.cell(k, eta_new))
+            for row in table.cell(k, eta_new)
         )
         assert table.total == len(rows)
-        assert [tuple(table.spans[i][1] for i in row[:-1]) for _, row, _, _ in rows] == expected
+        assert [tuple(table.spans[i][1] for i in row[:-1]) for _, row, _ in rows] == expected
         assert len(set(table.spans)) == len(table.spans)
         assert table.new == tuple(span not in existing for span in table.spans)
-        for k, row, q, eta_new in rows:
+        for k, row, eta_new in rows:
             placed = [table.spans[i] for i in row]
             assert len(placed) == k
             assert [start for start, _ in placed] == [0] + [end for _, end in placed[:-1]]
             assert placed[-1][1] == n
-            assert q == sum((end - start) ** 2 for start, end in placed)
             assert eta_new == sum(span not in existing for span in placed)
         # every span is placed by some row, and counted once per row
         for i, count in enumerate(table.counts):
-            assert count == sum(i in row for _, row, _, _ in rows) > 0
+            assert count == sum(i in row for _, row, _ in rows) > 0
 
     def test_cap(self):
         seqs = enumerate_all("abcdef", min_segment=1, include_whole=True, cap=4)
@@ -328,7 +329,7 @@ class TestCountingOracle:
             if gaps:
                 # pass 1 of alg1 counts a text new for a name when a row
                 # places it as a new segment
-                (_, corpus_freq) = _survey(
+                _, corpus_freq, _ = _survey(
                     Corpus({name: 1}), frozenset(words), RunConfig(cap=cap or 10**9)
                 )
                 assert set(corpus_freq) == {
@@ -339,7 +340,8 @@ class TestCountingOracle:
         assert list(table.levels[1:]) == [
             sum(seq.eta_total == k for seq in seqs) for k in range(1, len(table.levels))
         ]
-        texts, text_rows = table.text_rows(name)
+        offsets = range(n + 1)
+        texts, text_rows = table.text_rows(name, offsets)
         for text, count in zip(texts, text_rows):
             assert count == sum(text in seq.texts for seq in seqs)
         assert set(texts) == {text for seq in seqs for text in seq.texts}
@@ -353,13 +355,13 @@ class TestCountingOracle:
         shuffle.shuffle(cells)
         for k, e in cells:
             table.cell(k, e)
-        assert table.candidates(name) == seqs
+        assert table.candidates(name, offsets) == seqs
         # the counts serve any name of the table's length (a composition
         # table is shared by all of them); once every cell is listed, a
         # new name's texts are counted from the listed rows
         other = name[::-1]
-        texts, text_rows = table.text_rows(other)
-        rows = table.candidates(other)
+        texts, text_rows = table.text_rows(other, offsets)
+        rows = table.candidates(other, offsets)
         for text, count in zip(texts, text_rows):
             assert count == sum(text in row.texts for row in rows)
 
@@ -419,27 +421,85 @@ class TestCellOracle:
         for cuts in sorted(tilings, key=lambda cuts: (len(cuts), cuts))[:cap]:
             placed = list(zip((0, *cuts), (*cuts, n)))
             fresh = sum(span not in spans for span in placed)
-            square = sum((end - start) ** 2 for start, end in placed)
-            expected.setdefault((len(placed), fresh), []).append((cuts, square))
+            expected.setdefault((len(placed), fresh), []).append(cuts)
 
-        # cells with rows, as the table knows them before listing any
+        # cells with rows, as the table knows them before listing any, and
+        # whether a covering tiling exists, kept under the cap or not
         assert {(k, e) for e, levels in enumerate(table.cells) for k in levels} == set(expected)
+        assert table.covers == any(set(zip((0, *cuts), (*cuts, n))) <= spans for cuts in tilings)
         assert all(list(levels) == sorted(levels) for levels in table.cells)
         order = sorted(expected)
         shuffle.shuffle(order)
         for k, e in order:
-            rows, q = table.cell(k, e)
-            listed = [
-                (tuple(table.spans[i][1] for i in row[:-1]), square)
-                for row, square in zip(rows, q)
-            ]
-            assert listed == expected[k, e]
+            rows = table.cell(k, e)
+            assert [tuple(table.spans[i][1] for i in row[:-1]) for row in rows] == expected[k, e]
             assert all(sum(map(table.new.__getitem__, row)) == e for row in rows)
         # a text's rows, counted once every cell is listed
-        texts, text_rows = table.text_rows(name)
+        texts, text_rows = table.text_rows(name, range(n + 1))
         for text, count in zip(texts, text_rows):
             assert count == sum(
                 text in {name[a:b] for a, b in zip((0, *cuts), (*cuts, n))}
                 for rows in expected.values()
-                for cuts, _ in rows
+                for cuts in rows
+            )
+
+
+class TestPatternOracle:
+    """A table built on a name's span pattern, read through its stops,
+    against the table built on the name's offsets."""
+
+    @given(
+        name=st.text(alphabet="abe", min_size=1, max_size=10),
+        words=st.sets(st.text(alphabet="abe", min_size=1, max_size=3), max_size=5),
+        gaps=st.booleans(),
+        cap=st.one_of(st.integers(1, 20), st.none()),
+        weights=st.sampled_from(weight_grid(0.25)),
+        pav_inverted=st.booleans(),
+    )
+    @settings(max_examples=400)
+    # "ab" at offsets 0 and 3: one text at two offsets, its rows counted
+    # by a pass that avoids both spans
+    @example("abeabe", {"ab"}, True, None, weight_grid(0.25)[0], False)
+    # "ee" is a gap from stop 1 to stop 2, the last, of (0, 2, 4)
+    @example("abee", {"ab"}, True, None, weight_grid(0.25)[0], False)
+    # the cap keeps 3 of level 2's rows, so level 2 is cut and counted
+    # along the path of its last kept row
+    @example("ababab", {"a", "b", "ab"}, True, 3, weight_grid(0.25)[0], False)
+    def test_pattern_table_matches_offsets_table(
+        self, name, words, gaps, cap, weights, pav_inverted
+    ):
+        n = len(name)
+        spans = occurrence_spans(candidate_words(name, words))
+        stops, pattern = span_pattern(n, spans)
+        offsets = range(n + 1)
+        cap = cap or 10**9
+        raw = tiling_table(n, spans, cap, gaps=gaps)
+        shared = tiling_table(len(stops) - 1, pattern, cap, gaps=gaps)
+
+        assert stops[0] == 0 and stops[-1] == n and list(stops) == sorted(set(stops))
+        assert (shared.levels, shared.total, shared.cells) == (raw.levels, raw.total, raw.cells)
+        assert [(stops[a], stops[b]) for a, b in shared.spans] == list(raw.spans)
+        assert (shared.new, shared.counts, shared.covers) == (raw.new, raw.counts, raw.covers)
+        assert shared.text_rows(name, stops) == raw.text_rows(name, offsets)
+        for e, levels in enumerate(raw.cells):
+            for k in levels:
+                rows = shared.cell(k, e)
+                assert rows == raw.cell(k, e)
+                for row in rows:
+                    assert [
+                        (stops[shared.spans[i][1]] - stops[shared.spans[i][0]]) ** 2
+                        for i in row
+                    ] == [(raw.spans[i][1] - raw.spans[i][0]) ** 2 for i in row]
+        assert shared.candidates(name, stops) == raw.candidates(name, offsets)
+
+        if raw.total:
+            texts, _ = raw.text_rows(name, offsets)
+            corpus_freq = {  # any fixed share per new text
+                text: (1 + sum(map(ord, text)) % 3) / 3
+                for text, is_new in zip(texts, raw.new)
+                if is_new
+            }
+            cfg = RunConfig(cap=cap, weights=weights, pav_inverted=pav_inverted)
+            assert _choose_row(name, stops, shared, corpus_freq, cfg, tiling_cost) == _choose_row(
+                name, offsets, raw, corpus_freq, cfg, tiling_cost
             )
