@@ -356,9 +356,9 @@ class TestCountingOracle:
         for k, e in cells:
             table.cell(k, e)
         assert table.candidates(name, offsets) == seqs
-        # the counts serve any name of the table's length (a composition
-        # table is shared by all of them); once every cell is listed, a
-        # new name's texts are counted from the listed rows
+        # the counts serve any name read through the same stops (a
+        # composition table is shared by every name of its length); a new
+        # name's repeated texts are counted by one more backward pass
         other = name[::-1]
         texts, text_rows = table.text_rows(other, offsets)
         rows = table.candidates(other, offsets)
