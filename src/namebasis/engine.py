@@ -23,11 +23,11 @@ row of sums and one scalar cost, the table's ``new`` column says which
 segments are new, its counts give each text's demand share without
 listing a row, and only the winner becomes a ``SequenceCandidate``.
 A tiling table is built on the name's stops (0, its length and every
-end of a basis-word occurrence) and its span pattern, the occurrences
-as pairs of stop indices, so it is shared, for a pass or a grid's
-survey, by every name of one pattern whatever its length; compositions
-are shared by the names of one length. The name reads its texts,
-offsets and squared segment lengths through its stops. The chooser
+start and end of a basis-word occurrence) and its span pattern, the
+occurrences as pairs of stop indices, so it is shared, for a pass or a
+grid's survey, by every name of one pattern whatever its length;
+compositions are shared by the names of one length. The name reads its
+texts, offsets and squared segment lengths through its stops. The chooser
 is a branch and bound with the same pick as costing every row: rows
 come one cell (segment count ``k``, new-segment count ``e``) at a
 time, fewest new segments first, then fewest segments. A row's cost is

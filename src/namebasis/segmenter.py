@@ -4,15 +4,15 @@ One search, ``SegmentTable`` (built by ``tiling_table``), counts and
 lists a name's candidate segmentations: the tilings of the name by a
 set of spans, optionally with gaps. Its two uses are
 
-  * alg1's tilings (``enumerate_with_basis``): the spans are the
-    occurrences of current basis words, and every maximal uncovered run
-    becomes exactly one not-yet-in-basis ("new") segment, so no two
-    adjacent segments are both new, and the whole name as a single
-    segment is always a candidate. With ``gaps=False`` it lists only
-    the covering tilings, those made of occurrences alone.
-  * alg2's compositions (``enumerate_all``): a composition is a tiling
-    by every span of at least ``min_part`` letters, without gaps, and
-    every part is new (there is no basis to start from).
+  * alg1's tilings (``tiling_table``): the spans are the occurrences
+    of current basis words, and every maximal uncovered run becomes
+    exactly one not-yet-in-basis ("new") segment, so no two adjacent
+    segments are both new, and the whole name as a single segment is
+    always a candidate. With ``gaps=False`` it lists only the covering
+    tilings, those made of occurrences alone.
+  * alg2's compositions (``composition_table``): a composition is a
+    tiling by every span of at least ``min_part`` letters, without
+    gaps, and every part is new (there is no basis to start from).
 
 The search orders distinct boundary sets in ascending segment-count
 order ("levels"), with ties in leftmost-boundary lexicographic order.
@@ -23,8 +23,9 @@ demand share is a count over the row total. The backward pass also
 marks which (segment count, new-segment count) pairs, the "cells",
 have rows. Rows are listed one cell at a time, only when asked for, by
 a depth-first pass that enters a move only when the segments and new
-segments left can still finish. The level the cap cuts is counted the
-same way, along the path of its last kept row, and never listed whole.
+segments left can still finish. The level the cap cuts is counted in
+the same forward pass, which finds the level's last kept row by rank on
+the way, and is never listed whole.
 
 Every candidate is scored from one table type, ``SegmentTable``: the
 counts above, per span whether it is new, and per listed row its span
@@ -49,8 +50,9 @@ A composition table's stops are every offset, ``range(n + 1)``.
 call; the engine shares one, for as long as it decides, among the names
 of one length (compositions) or of one span pattern (tilings).
 ``enumerate_all`` and ``enumerate_with_basis`` build their tables on
-every offset, turn every row into a candidate and serve as the test
-oracles.
+every offset and turn every row into a candidate: they are the tests'
+listing oracles, and the engine imports them only for perfbench's
+tracer.
 
 A candidate is one flat ``SequenceCandidate`` tuple: the interior cut
 offsets, the segment strings, one new-or-existing flag per segment and
@@ -209,10 +211,13 @@ class SegmentTable:
 
     A level's rows come depth first over moves in ascending end order,
     so the kept rows of the level the cap cuts are those whose tile ends
-    come, left to right, no later than its last kept row's: the path,
-    found by rank. Each earlier sibling of a path tile roots a subtree
-    of kept rows, counted as a full level is, and a walk on the path
-    stops at a move that ends past the path's tile.
+    come, left to right, no later than its last kept row's: the path.
+    The forward pass finds it by rank, reaching each path position
+    before anything after it. A move from there that ends before the
+    path's tile is a sibling: its rows on the cut level are all kept and
+    counted forward beside the full levels', and its finish mask marks
+    their cells. A walk on the path stops at a move that ends past the
+    path's tile.
 
     ``text_rows(name, stops)`` gives, for each span, the rows placing
     its text in ``name`` at least once: the span's own count for a text
@@ -281,41 +286,6 @@ class SegmentTable:
         self._cut = cut
         self._full = len(levels) - 1 - bool(cut)  # the last level kept in full
 
-        # Down the path by rank, each sibling passed over seeds a forward
-        # count of the cut level's kept rows at its end, and its finish mask
-        # marks their cells. cut_rows[pos, end]: those rows placing the tile.
-        self._path: list[int] = []  # the tile ends of the cut level's last kept row
-        cut_rows: dict[tuple[int, int], int] = {}
-        cut_cells = 0
-        if cut:
-            cut_fwd = ([0] * (n + 1), [0] * (n + 1))  # [after_gap][pos], by tiles so far
-            rank, pos, after_gap, fresh = levels[cut], 0, False, 0
-            for depth in range(cut):
-                left = cut - depth - 1  # tiles after this one
-                for end, is_gap, count, mask in steps[pos]:
-                    rows = count >> (width * left) & field
-                    if not rows or is_gap and after_gap:
-                        continue
-                    is_new = all_new or is_gap
-                    if rank <= rows:
-                        break
-                    rank -= rows
-                    cut_rows[pos, end] = rows
-                    cut_fwd[is_gap][end] += 1 << (width * (depth + 1))
-                    cut_cells |= (mask >> (width * left) & field) << (fresh + is_new)
-                cut_rows[pos, end] = rank  # the path tile: the rank left below it
-                self._path.append(end)
-                pos, after_gap, fresh = end, is_gap, fresh + is_new
-            cut_cells |= 1 << fresh
-            for pos in range(n):
-                reach, reach_gap = cut_fwd[False][pos], cut_fwd[True][pos]
-                for end, is_gap, count, _ in steps[pos]:
-                    before = reach if is_gap else reach + reach_gap
-                    if before:
-                        cut_fwd[is_gap][end] += before << width
-                        rows = before * count >> (width * (cut - 1)) & field
-                        cut_rows[pos, end] = cut_rows.get((pos, end), 0) + rows
-
         # A product of forward and backward counts has the rows of level
         # t + 1 in field t, and counts mod 2**width - 1 is the sum of their
         # fields (at most the name's 2**(n - 1) tilings, so exact). A
@@ -326,6 +296,11 @@ class SegmentTable:
         fwd = [0] * (n + 1)  # ways to reach pos, the last tile a span
         fwd_gap = [0] * (n + 1)  # ... the last tile a gap
         fwd[0] = 1
+        # cut_fwd[after_gap][pos]: ways to reach pos, by tiles so far, on
+        # the cut level's kept rows that have left the path at a sibling
+        self._path: list[int] = []  # the tile ends of the cut level's last kept row
+        cut_fwd = ([0] * (n + 1), [0] * (n + 1)) if cut else ([], [])
+        path_pos, path_gap, rank, fresh, cut_cells = 0, False, levels[cut], 0, 0
         tiles: list[tuple[int, int]] = []
         new: list[bool] = []
         counts: list[int] = []
@@ -343,22 +318,41 @@ class SegmentTable:
                 before = reach if is_gap else reach_any
                 if not before:
                     continue
-                rows = (before * count & full) % field + (cut and cut_rows.get((pos, end), 0))
+                rows = (before * count & full) % field
+                is_new = all_new or is_gap
+                if cut:
+                    cut_before = cut_fwd[False][pos] + (0 if is_gap else cut_fwd[True][pos])
+                    if pos == path_pos and not (is_gap and path_gap):
+                        depth = len(self._path)
+                        left = cut - depth - 1  # tiles after this one
+                        here = count >> (width * left) & field
+                        if rank <= here:  # the path's tile: the rank left below it
+                            rows += rank
+                            self._path.append(end)
+                            path_pos, path_gap, fresh = end, is_gap, fresh + is_new
+                        elif here:  # a sibling
+                            rank -= here
+                            cut_before += 1 << (width * depth)  # the path so far
+                            cut_cells |= (mask >> (width * left) & field) << (fresh + is_new)
+                    if cut_before:
+                        cut_fwd[is_gap][end] += cut_before << width
+                        rows += cut_before * count >> (width * (cut - 1)) & field
                 if not rows:
                     continue
                 if is_gap:
                     fwd_gap[end] += before << width
                 else:
                     fwd[end] += before << width
-                move = (end, is_gap, mask, len(tiles), all_new or is_gap)
+                move = (end, is_gap, mask, len(tiles), is_new)
                 tiles.append((pos, end))
-                new.append(move[4])
+                new.append(is_new)
                 counts.append(rows)
                 any_move.append(move)
                 if not is_gap:
                     span_move.append(move)
             moves[False][pos] = tuple(any_move)
             moves[True][pos] = tuple(span_move)
+        cut_cells |= 1 << fresh  # the path row's cell
         self._moves = moves
         self.spans = tuple(tiles)
         self.new = tuple(new)

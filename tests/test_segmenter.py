@@ -503,3 +503,61 @@ class TestPatternOracle:
             assert _choose_row(name, stops, shared, corpus_freq, cfg, tiling_cost) == _choose_row(
                 name, offsets, raw, corpus_freq, cfg, tiling_cost
             )
+
+
+class TestCutPositions:
+    """A capped table against the first ``cap`` rows of the uncapped
+    table's listing, at every cap that cuts a level."""
+
+    @pytest.mark.parametrize(
+        "name, tiled",
+        [
+            # a basis and gaps, or a minimum part and include_whole
+            ("banana", ({"an", "na", "ban"}, True)),
+            ("abab", ({"ab", "b"}, True)),
+            ("aaaaaa", ({"a", "aa", "aaa"}, False)),
+            ("a" * 9, (2, True)),
+            ("abcabcab", (1, False)),
+        ],
+    )
+    def test_every_cut_keeps_the_listing_prefix(self, name, tiled):
+        n = len(name)
+        offsets = range(n + 1)
+
+        def build(cap):
+            if isinstance(tiled[0], int):
+                return composition_table(n, *tiled, cap)
+            words, gaps = tiled
+            spans = occurrence_spans(candidate_words(name, words))
+            return tiling_table(n, spans, cap or 10**9, gaps=gaps)
+
+        whole = build(None)
+        listing = whole.candidates(name, offsets)
+        assert whole.total == len(listing) > 1
+        for cap in range(1, whole.total):
+            table = build(cap)
+            kept = listing[:cap]
+            placed = [tuple(zip((0, *seq.boundaries), (*seq.boundaries, n))) for seq in kept]
+            last = kept[-1].eta_total
+            assert table.levels == tuple(
+                sum(seq.eta_total == k for seq in kept) for k in range(last + 1)
+            )
+            assert table.total == cap
+            assert table.covers == whole.covers
+            assert table.spans == tuple(sorted({span for row in placed for span in row}))
+            assert table.new == tuple(whole.new[whole.spans.index(span)] for span in table.spans)
+            assert table.counts == tuple(
+                sum(span in row for row in placed) for span in table.spans
+            )
+            texts, text_rows = table.text_rows(name, offsets)
+            assert text_rows == tuple(sum(text in seq.texts for seq in kept) for text in texts)
+            cells = {(seq.eta_total, seq.eta_new) for seq in kept}
+            assert table.cells == tuple(
+                tuple(sorted(k for k, e in cells if e == fresh)) for fresh in range(last + 1)
+            )
+            for k, e in cells:
+                assert [tuple(map(table.spans.__getitem__, row)) for row in table.cell(k, e)] == [
+                    row
+                    for seq, row in zip(kept, placed)
+                    if (seq.eta_total, seq.eta_new) == (k, e)
+                ]
