@@ -80,7 +80,6 @@ from .segmenter import (
     SequenceCandidate,
     candidate_words,
     composition_table,
-    occurrence_spans,
     span_pattern,
     tiling_table,
     enumerate_all,  # unused here, but perfbench's tracer wraps engine.enumerate_all
@@ -419,7 +418,7 @@ def _patterns(corpus: Corpus, basis: frozenset[str]) -> dict[str, Pattern]:
     """Each name of ``corpus`` with its stops and span pattern by ``basis``."""
     lengths = sorted({len(word) for word in basis})
     return {
-        name: span_pattern(len(name), occurrence_spans(candidate_words(name, basis, lengths)))
+        name: span_pattern(len(name), candidate_words(name, basis, lengths))
         for name in corpus
     }
 

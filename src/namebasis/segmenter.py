@@ -5,11 +5,11 @@ lists a name's candidate segmentations: the tilings of the name by a
 set of spans, optionally with gaps. Its two uses are
 
   * alg1's tilings (``tiling_table``): the spans are the occurrences
-    of current basis words, and every maximal uncovered run becomes
-    exactly one not-yet-in-basis ("new") segment, so no two adjacent
-    segments are both new, and the whole name as a single segment is
-    always a candidate. With ``gaps=False`` it lists only the covering
-    tilings, those made of occurrences alone.
+    of current basis words that ``candidate_words`` finds, and every
+    maximal uncovered run becomes exactly one not-yet-in-basis ("new")
+    segment, so no two adjacent segments are both new, and the whole
+    name as a single segment is always a candidate. With ``gaps=False``
+    it lists only the covering tilings, those made of occurrences alone.
   * alg2's compositions (``composition_table``): a composition is a
     tiling by every span of at least ``min_part`` letters, without
     gaps, and every part is new (there is no basis to start from).
@@ -21,11 +21,11 @@ kept. A backward and a forward pass count, without listing a row, the
 rows of every level and the rows that place each span, so a span's
 demand share is a count over the row total. The backward pass also
 marks which (segment count, new-segment count) pairs, the "cells",
-have rows. Rows are listed one cell at a time, only when asked for, by
-a depth-first pass that enters a move only when the segments and new
-segments left can still finish. The level the cap cuts is counted in
-the same forward pass, which finds the level's last kept row by rank on
-the way, and is never listed whole.
+have rows. Rows are listed one cell at a time, only when asked for, and
+kept, by a depth-first pass that enters a move only when the segments
+and new segments left can still finish. The level the cap cuts is
+counted in the same forward pass, which finds the level's last kept row
+by rank on the way, and is never listed whole.
 
 Every candidate is scored from one table type, ``SegmentTable``: the
 counts above, per span whether it is new, and per listed row its span
@@ -61,7 +61,7 @@ the count of new segments, all computed once when it is built.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Container, Iterable, NamedTuple, Sequence
 
 
 class SequenceCandidate(NamedTuple):
@@ -89,10 +89,10 @@ class SequenceCandidate(NamedTuple):
 
 def candidate_words(
     name: str, words: Container[str], lengths: Iterable[int] | None = None
-) -> dict[str, tuple[int, ...]]:
-    """Basis words occurring as substrings of ``name``, with all offsets.
+) -> frozenset[tuple[int, int]]:
+    """Every occurrence of a basis word in ``name``, as a ``(start, end)`` span.
 
-    The name itself is included when it is a basis member. Only the
+    The whole name is a span when it is a basis member. Only the
     substrings of ``lengths``, the distinct word lengths in ascending
     order, are tested against ``words``; when None, they are read from
     ``words``, which must then be iterable. A caller scanning many names
@@ -101,23 +101,15 @@ def candidate_words(
     if lengths is None:
         lengths = sorted({len(word) for word in words})  # type: ignore[attr-defined]
     n = len(name)
-    found: dict[str, list[int]] = {}
+    found: list[tuple[int, int]] = []
     for start in range(n):
         for length in lengths:
             end = start + length
             if end > n:
                 break
-            piece = name[start:end]
-            if piece in words:
-                found.setdefault(piece, []).append(start)
-    return {word: tuple(offsets) for word, offsets in found.items()}
-
-
-def occurrence_spans(candidates: Mapping[str, tuple[int, ...]]) -> frozenset[tuple[int, int]]:
-    """The ``(start, end)`` spans of a ``candidate_words`` mapping."""
-    return frozenset(
-        (start, start + len(word)) for word, offsets in candidates.items() for start in offsets
-    )
+            if name[start:end] in words:
+                found.append((start, end))
+    return frozenset(found)
 
 
 # A name's stops and its span pattern, the spans as pairs of stop indices.
@@ -148,7 +140,9 @@ Move = tuple[int, bool, int, int, bool]
 
 def _row(spans: int) -> Callable[[Iterable[int]], Sequence[int]]:
     """How a row of indices into ``spans`` spans is kept: one byte an
-    index when the indices fit, not a pointer each."""
+    index when the indices fit, not a pointer each. Plain tuple rows
+    raise alg1's max RSS on the 2000-name, 200-unit planted corpus from
+    79.5 to 103.6 MB."""
     return bytes if spans <= 256 else tuple
 
 
@@ -180,16 +174,16 @@ class SegmentTable:
     ending there was a gap, the number of ways to finish with each tile
     count into one int, one ``n + 1``-bit field per count: adding a tile
     shifts a target's counts up one field, and a position sums its
-    moves' shifted counts. ``[0, n)`` has at most
-    ``2 ** (n - 1)`` tilings, so no field overflows, and a packed count
-    taken mod ``2 ** (n + 1) - 1`` is the sum of its fields. The same
-    pass keeps a mask of the ``(tiles, new tiles)`` pairs that can finish,
-    bit ``e`` of field ``t``: adding a tile shifts it up one field, and
-    one bit more when the tile is new, and a position ORs its moves'
-    shifted masks. A matching forward pass counts the ways to reach each
-    position, so a tile's rows, per level, are one product of the counts
-    on either side of it. From these the table knows, without listing a
-    row:
+    moves' shifted counts. ``[0, n)`` has at most ``2 ** (n - 1)``
+    tilings, so no field overflows, and a packed count taken mod
+    ``2 ** (n + 1) - 1`` is the sum of its fields. The same pass keeps a
+    mask of the ``(tiles, new tiles)`` pairs that can finish, bit ``e``
+    of field ``t``: adding a tile shifts it up one field, and one bit
+    more when the tile is new, and a position ORs its moves' shifted
+    masks. A matching forward pass counts the ways to reach each
+    position, again by whether the last tile was a gap, so a tile's
+    rows, per level, are one product of the counts on either side of
+    it. From these the table knows, without listing a row:
 
       * ``levels[k]``, the rows of level ``k`` (after the cap) and
         ``total``, their sum;
@@ -201,13 +195,14 @@ class SegmentTable:
       * ``covers``, whether a tiling without gaps exists, kept or not:
         bit 0 of some field of the backward pass's mask at 0.
 
-    ``cell(k, e)`` lists cell ``(k, e)`` on first use and keeps it: its
-    rows as indices into ``spans``, left to right, one byte each when
-    they fit. The walk
-    enters a move only when its target can still finish with exactly
-    the tiles and new tiles left, and with one tile left the only move
-    that finishes ends at ``n``: moves are kept in ascending end order,
-    so it is the last one.
+    Each position keeps one list of moves, the tiles from it that kept
+    rows place, in ascending end order; after a gap, only spans are
+    taken. ``cell(k, e)`` lists cell ``(k, e)`` on first use and keeps
+    it from then on: its rows as indices into ``spans``, left to right,
+    one byte each when they fit. The walk enters a move only when its
+    target can still finish with exactly the tiles and new tiles left,
+    and with one tile left the only move that finishes ends at ``n``,
+    the last one.
 
     A level's rows come depth first over moves in ascending end order,
     so the kept rows of the level the cap cuts are those whose tile ends
@@ -293,27 +288,25 @@ class SegmentTable:
         # its kept rows of the cut level; tiles that no kept row places
         # are left out, along with the prefixes through them.
         full = (1 << (width * self._full)) - 1
-        fwd = [0] * (n + 1)  # ways to reach pos, the last tile a span
-        fwd_gap = [0] * (n + 1)  # ... the last tile a gap
-        fwd[0] = 1
-        # cut_fwd[after_gap][pos]: ways to reach pos, by tiles so far, on
-        # the cut level's kept rows that have left the path at a sibling
+        # fwd[after_gap][pos]: ways to reach pos, by tiles so far; cut_fwd
+        # the same on the cut level's kept rows that left the path at a sibling
+        fwd = ([0] * (n + 1), [0] * (n + 1))
+        fwd[False][0] = 1
         self._path: list[int] = []  # the tile ends of the cut level's last kept row
         cut_fwd = ([0] * (n + 1), [0] * (n + 1)) if cut else ([], [])
         path_pos, path_gap, rank, fresh, cut_cells = 0, False, levels[cut], 0, 0
         tiles: list[tuple[int, int]] = []
         new: list[bool] = []
         counts: list[int] = []
-        # moves[after_gap][pos]: (end, is_gap, target mask, span index,
-        # new) for each kept tile from pos, ascending end
-        moves: tuple[list[tuple[Move, ...]], list[tuple[Move, ...]]] = ([()] * n, [()] * n)
+        # moves[pos]: (end, is_gap, target mask, span index, new) for each
+        # kept tile from pos, ascending end; after a gap, only spans
+        moves: list[tuple[Move, ...]] = [()] * n
         for pos in range(n):
-            reach = fwd[pos]  # only these may go on with a gap
-            reach_any = reach + fwd_gap[pos]
+            reach = fwd[False][pos]  # only these may go on with a gap
+            reach_any = reach + fwd[True][pos]
             if not reach_any:
                 continue
-            any_move: list[Move] = []
-            span_move: list[Move] = []
+            kept_moves: list[Move] = []
             for end, is_gap, count, mask in steps[pos]:
                 before = reach if is_gap else reach_any
                 if not before:
@@ -339,36 +332,25 @@ class SegmentTable:
                         rows += cut_before * count >> (width * (cut - 1)) & field
                 if not rows:
                     continue
-                if is_gap:
-                    fwd_gap[end] += before << width
-                else:
-                    fwd[end] += before << width
-                move = (end, is_gap, mask, len(tiles), is_new)
+                fwd[is_gap][end] += before << width
+                kept_moves.append((end, is_gap, mask, len(tiles), is_new))
                 tiles.append((pos, end))
                 new.append(is_new)
                 counts.append(rows)
-                any_move.append(move)
-                if not is_gap:
-                    span_move.append(move)
-            moves[False][pos] = tuple(any_move)
-            moves[True][pos] = tuple(span_move)
+            moves[pos] = tuple(kept_moves)
         cut_cells |= 1 << fresh  # the path row's cell
         self._moves = moves
         self.spans = tuple(tiles)
         self.new = tuple(new)
         self.counts = tuple(counts)
-        # _cells[k, e]: the listed rows of cell (k, e), or None while the
-        # cell is unlisted; only cells with rows are keys, read from the
-        # finish mask.
-        self._cells: dict[tuple[int, int], list[Sequence[int]] | None] = {}
         by_new: list[list[int]] = [[] for _ in levels]  # e <= k < len(levels)
         for k in range(1, len(levels)):
             fresh = cut_cells if k == cut else finish[0][False] >> (width * k) & field
             while fresh:
                 e = (fresh & -fresh).bit_length() - 1
-                self._cells[k, e] = None
                 by_new[e].append(k)
                 fresh &= fresh - 1
+        self._cells: dict[tuple[int, int], list[Sequence[int]]] = {}  # (k, e): listed rows
         self._text_rows: dict[str, tuple[int, ...]] = {}
         self.cells = tuple(map(tuple, by_new))
 
@@ -376,7 +358,7 @@ class SegmentTable:
         """The rows of level ``k`` with ``e`` new tiles, each as its span
         indices left to right. The cell must have rows (``k in cells[e]``);
         it is listed on first use."""
-        listed = self._cells[k, e]
+        listed = self._cells.get((k, e))
         if listed is None:
             listed = self._cells[k, e] = self._walk(k, e)
         return listed
@@ -393,16 +375,16 @@ class SegmentTable:
         def descend(pos: int, left: int, after_gap: bool, fresh: int, tight: bool):
             """List the rows of ``[pos, n)`` in ``left`` tiles; ``tight``: on the path."""
             if left == 1:
-                rows.append(pack((*tiles, moves[after_gap][pos][-1][3])))
+                rows.append(pack((*tiles, moves[pos][-1][3])))
                 return
             # the target bits a move needs: one more new tile is one bit lower
             old = 1 << (width * (left - 1) + e - fresh)
             new = old >> 1 if fresh < e else 0
             stop = self._path[k - left] if tight else width
-            for end, is_gap, mask, i, is_new in moves[after_gap][pos]:
+            for end, is_gap, mask, i, is_new in moves[pos]:
                 if end > stop:
                     break
-                if mask & (new if is_new else old):
+                if mask & (new if is_new else old) and not (is_gap and after_gap):
                     tiles.append(i)
                     descend(end, left - 1, is_gap, fresh + is_new, end == stop)
                     tiles.pop()
@@ -430,7 +412,8 @@ class SegmentTable:
         A level's cells merge back into leftmost-boundary order, which is
         the order of the rows' span indices, since spans are numbered by
         start, then end."""
-        rows = sorted((k, row) for k, e in list(self._cells) for row in self.cell(k, e))
+        cells = [(k, e) for e, ks in enumerate(self.cells) for k in ks]
+        rows = sorted((k, row) for k, e in cells for row in self.cell(k, e))
         return [self.candidate(name, stops, row) for _, row in rows]
 
     def text_rows(
@@ -460,11 +443,11 @@ class SegmentTable:
         width = self._width
         field = (1 << width) - 1
         moves = self._moves
-        n = len(moves[False])
+        n = len(moves)
         back = [(1, 1)] * (n + 1)
         for pos in range(n - 1, -1, -1):
             to_span = to_gap = 0
-            for end, is_gap, _, i, _ in moves[False][pos]:
+            for end, is_gap, _, i, _ in moves[pos]:
                 if i not in spans:
                     if is_gap:
                         to_gap += back[end][True]
@@ -476,10 +459,10 @@ class SegmentTable:
         pos, after_gap, left = 0, False, self._cut
         for stop in self._path:
             left -= 1
-            for end, is_gap, _, i, _ in moves[after_gap][pos]:
+            for end, is_gap, _, i, _ in moves[pos]:
                 if end == stop:
                     break
-                if i not in spans:
+                if i not in spans and not (is_gap and after_gap):
                     avoiding += back[end][is_gap] >> (width * left) & field
             if i in spans:
                 break  # every row left places the path's tile
@@ -501,20 +484,20 @@ def tiling_table(
 
 def enumerate_with_basis(
     name: str,
-    candidates: Mapping[str, tuple[int, ...]],
+    spans: Container[tuple[int, int]],
     cap: int = 5000,
     *,
     gaps: bool = True,
 ) -> list[SequenceCandidate]:
-    """The first ``cap`` tilings of ``name`` by the candidate occurrences.
+    """The first ``cap`` tilings of ``name`` by ``candidate_words``' spans.
 
     Gaps between placed words become one new segment each; with gaps,
     the full name as a single segment is always among the results (as
-    an existing segment when the name is itself a candidate word).
+    an existing segment when ``(0, len(name))`` is a span).
     ``gaps=False`` keeps only the tilings made of occurrences alone,
     and may return none.
     """
-    table = tiling_table(len(name), occurrence_spans(candidates), cap, gaps=gaps)
+    table = tiling_table(len(name), spans, cap, gaps=gaps)
     return table.candidates(name, range(len(name) + 1))
 
 

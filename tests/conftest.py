@@ -57,12 +57,3 @@ def brute_constructions(word, others):
         return found
 
     return set(explode(word))
-
-
-def spans_of(candidates):
-    """(start, end) spans from a candidate_words mapping."""
-    return [
-        (start, start + len(word))
-        for word, offsets in candidates.items()
-        for start in offsets
-    ]

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_tilings, spans_of
+from conftest import brute_tilings
 from namebasis.corpus import Corpus
 from namebasis.engine import (
     IterationStats,
@@ -182,11 +182,11 @@ def test_07_invariant_suite_report():
 )
 @settings(max_examples=200)
 def test_08_enumeration_matches_independent_tiler(name, words):
-    candidates = candidate_words(name, words)
-    seqs = enumerate_with_basis(name, candidates, cap=10**9)
+    spans = candidate_words(name, words)
+    seqs = enumerate_with_basis(name, spans, cap=10**9)
     boundaries = {s.boundaries for s in seqs}
     assert len(boundaries) == len(seqs)
-    assert boundaries == brute_tilings(name, spans_of(candidates))
+    assert boundaries == brute_tilings(name, spans)
 
 
 def test_08_enumeration_report():

@@ -39,7 +39,6 @@ from namebasis.segmenter import (
     composition_table,
     enumerate_all,
     enumerate_with_basis,
-    occurrence_spans,
     span_pattern,
     tiling_table,
 )
@@ -255,7 +254,7 @@ def oracle_composition(name, cfg):
     """alg2's pick by scoring every composition as a full candidate."""
     seqs = enumerate_all(name, cfg.min_segment, cfg.include_whole, cap=cfg.cap)
     if not seqs:
-        seqs = enumerate_with_basis(name, {}, cap=1)
+        seqs = enumerate_with_basis(name, frozenset(), cap=1)
     return choose(seqs, None, cfg, cost_alg2)
 
 
@@ -338,7 +337,7 @@ def oracle_demand(seqs_by_name, n_total):
 
 def table_tiling(name, basis, corpus_freq, cfg, gaps, flavour):
     """The chooser's pick from the name's table built on its span pattern."""
-    stops, pattern = span_pattern(len(name), occurrence_spans(candidate_words(name, basis)))
+    stops, pattern = span_pattern(len(name), candidate_words(name, basis))
     table = tiling_table(len(stops) - 1, pattern, cfg.cap, gaps=gaps)
     return _choose_row(name, stops, table, corpus_freq, cfg, FLAVOURS[flavour][0])
 
@@ -616,7 +615,7 @@ class TestCapCount:
         # Building either lists no row; the cut level's cells, listed on
         # demand, together list exactly the rows the cap keeps.
         name = "abc" * 4
-        spans = occurrence_spans(candidate_words(name, {"ab", "bc", "ca", "abc"}))
+        spans = candidate_words(name, {"ab", "bc", "ca", "abc"})
         listed = segmenter._rows_listed
         tables = [
             composition_table(23, 2, True, 5000),

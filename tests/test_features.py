@@ -67,7 +67,7 @@ class TestDemandShares:
         assert shares["ab"] == pytest.approx(2 / 7)
 
     def test_repeat_counts_once_per_sequence(self):
-        seqs = enumerate_with_basis("aa", {"a": (0, 1)})
+        seqs = enumerate_with_basis("aa", {(0, 1), (1, 2)})
         shares = demand_shares(seqs)
         assert shares["a"] == pytest.approx(1 / 2)  # in the split sequence only
 
@@ -84,7 +84,7 @@ class TestComputeFeatures:
         seq = next(
             s
             for s in enumerate_with_basis(
-                "ramakanth", {"ra": (0,), "ma": (2,), "kanth": (4,)}
+                "ramakanth", {(0, 2), (2, 4), (4, 9)}
             )
             if s.texts == ("ra", "ma", "kanth")
         )
@@ -97,7 +97,7 @@ class TestComputeFeatures:
         assert features.new_freq_avg is None and features.syntax_avg is None
 
     def test_single_segment_degenerate(self):
-        seq = enumerate_with_basis("mahesha", {})[0]
+        seq = enumerate_with_basis("mahesha", frozenset())[0]
         features = compute_features(
             seq, {"mahesha": 0.25}, {"mahesha": 1.0}, {"mahesha": True}
         )
@@ -107,17 +107,17 @@ class TestComputeFeatures:
         assert features.new_freq_avg == 1.0 and features.syntax_avg == 1.0
 
     def test_missing_demand_entry(self):
-        seq = enumerate_with_basis("abc", {})[0]
+        seq = enumerate_with_basis("abc", frozenset())[0]
         with pytest.raises(KeyError, match="demand"):
             compute_features(seq, {}, {}, {})
 
     def test_missing_syntax_entry(self):
-        seq = enumerate_with_basis("abc", {})[0]
+        seq = enumerate_with_basis("abc", frozenset())[0]
         with pytest.raises(KeyError, match="syntax"):
             compute_features(seq, {"abc": 1.0}, {"abc": 0.5}, {})
 
     def test_none_corpus_freq_leaves_feature_undefined(self):
-        seq = enumerate_with_basis("abc", {})[0]
+        seq = enumerate_with_basis("abc", frozenset())[0]
         features = compute_features(seq, {"abc": 1.0}, None, {"abc": True})
         assert features.new_freq_avg is None
         assert features.syntax_avg == 1.0
@@ -284,7 +284,7 @@ class TestSelectBest:
         assert select_best(seqs, [0.5, 0.3, 0.9]) is seqs[1]
 
     def test_tie_prefers_fewer_new_words(self):
-        seqs = enumerate_with_basis("abcd", {"ab": (0,), "cd": (2,)})
+        seqs = enumerate_with_basis("abcd", {(0, 2), (2, 4)})
         split = next(s for s in seqs if s.texts == ("ab", "cd"))  # eta_new == 0
         whole = next(s for s in seqs if s.texts == ("abcd",))  # eta_new == 1
         assert select_best([whole, split], [1.0, 1.0]) is split

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_tilings, spans_of
+from conftest import brute_tilings
 from namebasis.corpus import Corpus
 from namebasis.engine import RunConfig, _choose_row, _survey, weight_grid
 from namebasis.features import tiling_cost
@@ -13,7 +13,6 @@ from namebasis.segmenter import (
     composition_table,
     enumerate_all,
     enumerate_with_basis,
-    occurrence_spans,
     span_pattern,
     tiling_table,
 )
@@ -37,20 +36,37 @@ def basis_of(*texts):
 class TestCandidateWords:
     def test_krishna_occurrences(self):
         found = candidate_words("krishna", basis_of("krish", "na", "ram"))
-        assert found == {"krish": (0,), "na": (5,)}
+        assert found == {(0, 5), (5, 7)}
 
     def test_no_occurrence(self):
-        assert candidate_words("abc", basis_of("xyz")) == {}
+        assert candidate_words("abc", basis_of("xyz")) == frozenset()
 
     def test_overlapping_occurrences_all_reported(self):
-        assert candidate_words("aaa", basis_of("aa")) == {"aa": (0, 1)}
+        assert candidate_words("aaa", basis_of("aa")) == {(0, 2), (1, 3)}
 
     def test_whole_name_included_when_in_basis(self):
         found = candidate_words("rama", basis_of("rama", "ra"))
-        assert found == {"ra": (0,), "rama": (0,)}
+        assert found == {(0, 2), (0, 4)}
 
     def test_plain_set_works_too(self):
-        assert candidate_words("aba", {"a", "ab"}) == {"a": (0, 2), "ab": (0,)}
+        assert candidate_words("aba", {"a", "ab"}) == {(0, 1), (2, 3), (0, 2)}
+
+    @given(
+        name=st.text(alphabet="abc", max_size=10),
+        words=st.sets(st.text(alphabet="abc", min_size=1, max_size=4), max_size=6),
+    )
+    def test_matches_every_substring(self, name, words):
+        n = len(name)
+        expected = {
+            (start, end)
+            for start in range(n)
+            for end in range(start + 1, n + 1)
+            if name[start:end] in words
+        }
+        lengths = sorted({len(word) for word in words})
+        for found in (candidate_words(name, words), candidate_words(name, words, lengths)):
+            assert isinstance(found, frozenset)
+            assert found == expected
 
 
 class TestEnumerateWithBasis:
@@ -67,18 +83,18 @@ class TestEnumerateWithBasis:
         }
 
     def test_one_occurrence_plus_whole_name(self):
-        seqs = enumerate_with_basis("abcd", {"ab": (0,)})
+        seqs = enumerate_with_basis("abcd", {(0, 2)})
         assert [s.texts for s in seqs] == [("abcd",), ("ab", "cd")]
         assert seqs[1].new == (False, True)
 
     def test_empty_candidates_single_new_segment(self):
-        seqs = enumerate_with_basis("abc", {})
+        seqs = enumerate_with_basis("abc", frozenset())
         assert len(seqs) == 1
         assert seqs[0].texts == ("abc",)
         assert seqs[0].new[0]
 
     def test_whole_name_existing_when_in_candidates(self):
-        seqs = enumerate_with_basis("rama", {"rama": (0,), "ra": (0,)})
+        seqs = enumerate_with_basis("rama", {(0, 4), (0, 2)})
         whole = seqs[0]
         assert whole.texts == ("rama",)
         assert not whole.new[0]
@@ -86,30 +102,30 @@ class TestEnumerateWithBasis:
     def test_gap_that_spells_a_candidate_is_existing(self):
         # both halves of "aa" are occurrences of "a"; the canonical
         # candidate marks them existing however it was generated
-        seqs = enumerate_with_basis("aa", {"a": (0, 1)})
+        seqs = enumerate_with_basis("aa", {(0, 1), (1, 2)})
         split = next(s for s in seqs if s.eta_total == 2)
         assert not any(split.new)
 
     def test_no_adjacent_new_segments(self):
-        seqs = enumerate_with_basis("abcdef", {"cd": (2,)})
+        seqs = enumerate_with_basis("abcdef", {(2, 4)})
         for seq in seqs:
             for left, right in zip(seq.new, seq.new[1:]):
                 assert not (left and right)
 
     def test_cap_keeps_fewest_segments(self):
-        candidates = candidate_words("aaaaaa", basis_of("a", "aa", "aaa"))
-        seqs = enumerate_with_basis("aaaaaa", candidates, cap=3)
+        spans = candidate_words("aaaaaa", basis_of("a", "aa", "aaa"))
+        seqs = enumerate_with_basis("aaaaaa", spans, cap=3)
         assert len(seqs) == 3
         assert [s.boundaries for s in seqs] == [(), (1,), (2,)]
 
     def test_cap_validation(self):
         with pytest.raises(ValueError):
-            enumerate_with_basis("ab", {}, cap=0)
+            enumerate_with_basis("ab", frozenset(), cap=0)
 
     def test_deterministic_order(self):
-        candidates = candidate_words("banana", basis_of("an", "na", "ban"))
-        first = enumerate_with_basis("banana", candidates)
-        second = enumerate_with_basis("banana", candidates)
+        spans = candidate_words("banana", basis_of("an", "na", "ban"))
+        first = enumerate_with_basis("banana", spans)
+        second = enumerate_with_basis("banana", spans)
         assert [s.boundaries for s in first] == [s.boundaries for s in second]
         etas = [s.eta_total for s in first]
         assert etas == sorted(etas)
@@ -122,9 +138,9 @@ class TestOracleEquivalence:
     )
     @settings(max_examples=300)
     def test_matches_brute_force_tiler(self, name, words):
-        candidates = candidate_words(name, words)
-        seqs = enumerate_with_basis(name, candidates, cap=10**9)
-        assert {s.boundaries for s in seqs} == brute_tilings(name, spans_of(candidates))
+        spans = candidate_words(name, words)
+        seqs = enumerate_with_basis(name, spans, cap=10**9)
+        assert {s.boundaries for s in seqs} == brute_tilings(name, spans)
         assert len({s.boundaries for s in seqs}) == len(seqs)  # no duplicates
 
     @given(
@@ -135,8 +151,7 @@ class TestOracleEquivalence:
     )
     @settings(max_examples=300)
     def test_order_and_cap_match_brute_force(self, name, words, cap, gaps):
-        candidates = candidate_words(name, words)
-        spans = set(spans_of(candidates))
+        spans = candidate_words(name, words)
         tilings = brute_tilings(name, spans)
         if not gaps:
             tilings = {
@@ -144,7 +159,7 @@ class TestOracleEquivalence:
                 if set(zip((0, *cuts), (*cuts, len(name)))) <= spans
             }
         expected = sorted(tilings, key=lambda c: (len(c), c))[:cap]
-        seqs = enumerate_with_basis(name, candidates, cap, gaps=gaps)
+        seqs = enumerate_with_basis(name, spans, cap, gaps=gaps)
         assert [s.boundaries for s in seqs] == expected
 
     @given(
@@ -242,7 +257,7 @@ class TestEnumerateAll:
         else:
             name, words, gaps = tiled
             n = len(name)
-            existing = occurrence_spans(candidate_words(name, words))
+            existing = candidate_words(name, words)
             table = tiling_table(n, existing, cap or 10**9, gaps=gaps)
             tilings = brute_tilings(name, existing)
             if not gaps:
@@ -323,9 +338,9 @@ class TestCountingOracle:
             table = composition_table(n, min_segment, include_whole, cap)
         else:
             words, gaps = tiled
-            candidates = candidate_words(name, words)
-            seqs = enumerate_with_basis(name, candidates, cap or 10**9, gaps=gaps)
-            table = tiling_table(n, occurrence_spans(candidates), cap or 10**9, gaps=gaps)
+            spans = candidate_words(name, words)
+            seqs = enumerate_with_basis(name, spans, cap or 10**9, gaps=gaps)
+            table = tiling_table(n, spans, cap or 10**9, gaps=gaps)
             if gaps:
                 # pass 1 of alg1 counts a text new for a name when a row
                 # places it as a new segment
@@ -409,7 +424,7 @@ class TestCellOracle:
             }
         else:
             words, gaps = tiled
-            spans = occurrence_spans(candidate_words(name, words))
+            spans = candidate_words(name, words)
             table = tiling_table(n, spans, cap or 10**9, gaps=gaps)
             tilings = brute_tilings(name, spans)
             if not gaps:
@@ -469,7 +484,7 @@ class TestPatternOracle:
         self, name, words, gaps, cap, weights, pav_inverted
     ):
         n = len(name)
-        spans = occurrence_spans(candidate_words(name, words))
+        spans = candidate_words(name, words)
         stops, pattern = span_pattern(n, spans)
         offsets = range(n + 1)
         cap = cap or 10**9
@@ -518,6 +533,9 @@ class TestCutPositions:
             ("aaaaaa", ({"a", "aa", "aaa"}, False)),
             ("a" * 9, (2, True)),
             ("abcabcab", (1, False)),
+            # the cut path runs through a gap: its siblings after that gap
+            # are spans only, and the gap text "aaa" is placed at two offsets
+            ("aaaabbb", ({"a", "bb"}, True)),
         ],
     )
     def test_every_cut_keeps_the_listing_prefix(self, name, tiled):
@@ -528,7 +546,7 @@ class TestCutPositions:
             if isinstance(tiled[0], int):
                 return composition_table(n, *tiled, cap)
             words, gaps = tiled
-            spans = occurrence_spans(candidate_words(name, words))
+            spans = candidate_words(name, words)
             return tiling_table(n, spans, cap or 10**9, gaps=gaps)
 
         whole = build(None)
