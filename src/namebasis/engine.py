@@ -61,7 +61,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import config as _config, segmenter
+from . import config as _config
 from .corpus import Corpus
 from .features import (
     ALG1_DEFAULT_WEIGHTS,
@@ -231,11 +231,6 @@ def seed_basis(corpus: Corpus, k: float) -> frozenset[str]:
     return make_ortho(frozenset(name for name in corpus if corpus.frequency(name) >= threshold))
 
 
-# Rows _choose_row has costed in full. It returns the winner alone, so it
-# counts here, and each pass logs how far the count moved while it ran.
-_rows_costed = 0
-
-
 def _choose_row(
     name: str,
     stops: Sequence[int],
@@ -243,9 +238,10 @@ def _choose_row(
     corpus_freq: Mapping[str, float] | None,
     cfg: RunConfig,
     cost_fn: Callable[..., float],
-) -> SequenceCandidate:
+) -> tuple[SequenceCandidate, int, int]:
     """The cheapest row of ``table``, a segmentation table of ``name``,
-    which reads it through its ``stops``.
+    which reads it through its ``stops``, the rows costed in full and the
+    rows the table listed for this call (a shared table lists a cell once).
 
     Which segments are new is the table's ``new`` column. A row's sum of
     squared segment lengths is summed from the name's own squares, one
@@ -282,9 +278,9 @@ def _choose_row(
     through the same body with the same arguments as an exhaustive scan,
     so the pick is the same.
     """
-    global _rows_costed
     if not table.total:
-        return SequenceCandidate(name, (), (name,), (True,), 1)
+        return SequenceCandidate(name, (), (name,), (True,), 1), 0, 0
+    listed = table.listed
     texts, text_rows = table.text_rows(name, stops)
     demand = [count / table.total for count in text_rows]
     squares = [(stops[end] - stops[start]) ** 2 for start, end in table.spans]
@@ -342,8 +338,7 @@ def _choose_row(
                 costed += 1
                 if cost < best_cost:
                     best, best_cost = row, cost
-    _rows_costed += costed
-    return table.candidate(name, stops, best)
+    return table.candidate(name, stops, best), costed, table.listed - listed
 
 
 # A name with its stops and the table it reads through them.
@@ -360,17 +355,19 @@ def _choose_all(
     """Each name's pick by ``_choose_row`` from its ``(name, stops, table)``.
 
     Logs one line for the pass: the names whose table reached the cap,
-    the rows the tables count, the rows the pass listed (tables list
-    theirs one cell at a time, as the chooser asks, and a shared table
-    only once) and the rows the chooser costed in full. Warns when the
-    cap decided a pick: a capped name has a covering tiling, but every
-    row the cap keeps has new segments (only gapped tiling tables can).
+    the rows the tables count, and the sums of ``_choose_row``'s counts,
+    the rows listed (tables list theirs one cell at a time, as the chooser
+    asks, and a shared table only once) and costed in full. Warns when
+    the cap decided a pick: a capped name has a covering tiling, but
+    every row the cap keeps has new segments (only gapped tiling tables
+    can).
     """
-    listed, costed = segmenter._rows_listed, _rows_costed
     chosen: dict[str, SequenceCandidate] = {}
-    capped = lost = rows = 0
+    capped = lost = rows = listed = costed = 0
     for name, stops, table in entries:
-        chosen[name] = _choose_row(name, stops, table, corpus_freq, cfg, cost_fn)
+        chosen[name], costs, lists = _choose_row(name, stops, table, corpus_freq, cfg, cost_fn)
+        costed += costs
+        listed += lists
         if table.total >= cfg.cap:
             capped += 1
             lost += table.covers and not table.cells[0]
@@ -378,8 +375,7 @@ def _choose_all(
     logger.info(
         "%s: %d of %d names reached the candidate cap %d; "
         "%d rows enumerated, %d listed, %d costed in full",
-        label, capped, len(chosen), cfg.cap, rows,
-        segmenter._rows_listed - listed, _rows_costed - costed,
+        label, capped, len(chosen), cfg.cap, rows, listed, costed,
     )
     if lost:
         logger.warning(

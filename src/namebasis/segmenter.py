@@ -146,12 +146,6 @@ def _row(spans: int) -> Callable[[Iterable[int]], Sequence[int]]:
     return bytes if spans <= 256 else tuple
 
 
-# Rows listed by every SegmentTable so far. Tables list their rows one
-# cell at a time, on demand, so the engine logs how far this moved in
-# each pass.
-_rows_listed = 0
-
-
 class SegmentTable:
     """The first ``cap`` tilings of ``[0, n)``, counted in full and listed
     one cell at a time.
@@ -199,10 +193,11 @@ class SegmentTable:
     rows place, in ascending end order; after a gap, only spans are
     taken. ``cell(k, e)`` lists cell ``(k, e)`` on first use and keeps
     it from then on: its rows as indices into ``spans``, left to right,
-    one byte each when they fit. The walk enters a move only when its
-    target can still finish with exactly the tiles and new tiles left,
-    and with one tile left the only move that finishes ends at ``n``,
-    the last one.
+    one byte each when they fit. ``listed`` is the rows the kept cells
+    hold, so the chooser counts its own listing. The walk enters a move
+    only when its target can still finish with exactly the tiles and new
+    tiles left, and with one tile left the only move that finishes ends
+    at ``n``, the last one.
 
     A level's rows come depth first over moves in ascending end order,
     so the kept rows of the level the cap cuts are those whose tile ends
@@ -363,9 +358,13 @@ class SegmentTable:
             listed = self._cells[k, e] = self._walk(k, e)
         return listed
 
+    @property
+    def listed(self) -> int:
+        """The rows listed so far, by every cell kept."""
+        return sum(map(len, self._cells.values()))
+
     def _walk(self, k: int, e: int) -> list[Sequence[int]]:
         """List cell ``(k, e)`` depth first."""
-        global _rows_listed
         moves = self._moves
         width = self._width
         pack = _row(len(self.spans))
@@ -391,7 +390,6 @@ class SegmentTable:
 
         descend(0, k, False, 0, k == self._cut)
         del descend  # it refers to itself: free it now, not at the next collection
-        _rows_listed += len(rows)
         return rows
 
     def candidate(self, name: str, stops: Sequence[int], row: Sequence[int]) -> SequenceCandidate:

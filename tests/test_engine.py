@@ -1,11 +1,12 @@
 import dataclasses
 import logging
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from namebasis import cli, engine, segmenter
-from namebasis.config import ConfigError
+from namebasis import cli, engine
+from namebasis.config import ConfigError, read_kv
 from namebasis.corpus import Corpus
 from namebasis.engine import (
     IterationStats,
@@ -42,7 +43,7 @@ from namebasis.segmenter import (
     span_pattern,
     tiling_table,
 )
-from namebasis.syntax import accepts_syntax
+from namebasis.syntax import CharClassTable, accepts_syntax
 from namebasis.synthetic import make_planted_corpus, write_corpus
 
 # A large-run trace whose pruned-basis column creeps back up near
@@ -260,7 +261,7 @@ def oracle_composition(name, cfg):
 
 def table_composition(name, cfg):
     table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
-    return _choose_row(name, range(len(name) + 1), table, None, cfg, composition_cost)
+    return _choose_row(name, range(len(name) + 1), table, None, cfg, composition_cost)[0]
 
 
 class TestCompositionOracle:
@@ -339,7 +340,7 @@ def table_tiling(name, basis, corpus_freq, cfg, gaps, flavour):
     """The chooser's pick from the name's table built on its span pattern."""
     stops, pattern = span_pattern(len(name), candidate_words(name, basis))
     table = tiling_table(len(stops) - 1, pattern, cfg.cap, gaps=gaps)
-    return _choose_row(name, stops, table, corpus_freq, cfg, FLAVOURS[flavour][0])
+    return _choose_row(name, stops, table, corpus_freq, cfg, FLAVOURS[flavour][0])[0]
 
 
 class TestTilingOracle:
@@ -609,6 +610,43 @@ class TestCapCount:
             "318 rows enumerated, 52 listed, 72 costed in full",
         ]
 
+    def test_shared_survey_logs_each_pass_its_own_counts(self, caplog):
+        # A second pass over one survey under other weights reads cells the
+        # first listed, so it lists none, and logs its own 88 rows costed
+        # (a fresh survey lists 40 for them), not 96 + 88.
+        corpus = make_planted_corpus(n_names=60, n_units=12, seed=7).corpus
+        cfg = RunConfig(min_length=2)
+        other = dataclasses.replace(cfg, weights=WeightSet(0.1, 0.1, 0.1, 0.7))
+        basis = seed_basis(corpus, cfg.seed_fraction)
+        surveys = {}
+        with caplog.at_level(logging.INFO, logger="namebasis.engine"):
+            run_iteration_alg1(corpus, basis, cfg, surveys=surveys)
+            run_iteration_alg1(corpus, basis, other, surveys=surveys)
+            run_iteration_alg1(corpus, basis, other)
+        head = "alg1 iteration 1: 0 of 60 names reached the candidate cap 5000; "
+        assert [r.getMessage() for r in caplog.records] == [
+            head + "303 rows enumerated, 76 listed, 96 costed in full",
+            head + "303 rows enumerated, 0 listed, 88 costed in full",
+            head + "303 rows enumerated, 40 listed, 88 costed in full",
+        ]
+
+    def test_round_counts_do_not_depend_on_earlier_work(self, caplog):
+        # a grid on another corpus in between leaves the round's line as it was
+        corpus = make_planted_corpus(n_names=60, n_units=12, seed=7).corpus
+        other = make_planted_corpus(n_names=40, n_units=8, seed=3).corpus
+        cfg = RunConfig(min_length=2)
+        basis = seed_basis(corpus, cfg.seed_fraction)
+        with caplog.at_level(logging.INFO, logger="namebasis.engine"):
+            run_iteration_alg1(corpus, basis, cfg)
+            grid_search_weights(other, dataclasses.replace(cfg, max_iterations=3), weight_grid(0.5))
+            run_iteration_alg1(corpus, basis, cfg)
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert len(messages) > 3
+        assert messages[0] == messages[-1] == (
+            "alg1 iteration 1: 0 of 60 names reached the candidate cap 5000; "
+            "303 rows enumerated, 76 listed, 96 costed in full"
+        )
+
     def test_tables_list_nothing_when_built(self):
         # The cap cuts level 6 of a 23-letter name's compositions after
         # 1,612 rows and level 5 of a gapped tiling after 44 of its 56.
@@ -616,12 +654,11 @@ class TestCapCount:
         # demand, together list exactly the rows the cap keeps.
         name = "abc" * 4
         spans = candidate_words(name, {"ab", "bc", "ca", "abc"})
-        listed = segmenter._rows_listed
         tables = [
             composition_table(23, 2, True, 5000),
             tiling_table(len(name), spans, 100),
         ]
-        assert segmenter._rows_listed == listed
+        assert [table.listed for table in tables] == [0, 0]
         uncapped = [
             composition_table(23, 2, True, None),
             tiling_table(len(name), spans, 10**9),
@@ -632,8 +669,7 @@ class TestCapCount:
             for e, levels in enumerate(table.cells):
                 if cut in levels:
                     table.cell(cut, e)
-            assert segmenter._rows_listed - listed == kept
-            listed = segmenter._rows_listed
+            assert table.listed == kept
 
     def test_alg2_defaults_cost_few_rows_past_the_whole_name(self, caplog):
         # At the default weights the whole name wins, at 0.4 / n + 0.3 /
@@ -694,12 +730,14 @@ class TestSharedTables:
 
     def test_shared_table_counts_and_picks_per_name(self, builds, monkeypatch):
         # abab places the text "ab" twice, abcd each text once; both tile
-        # as spans (0, 2) and (2, 4), so one table serves both names
+        # as spans (0, 2) and (2, 4), so one table serves both names, and
+        # the cells the first name lists are not listed again for the second
         seen = {}
 
         def capture(name, stops, table, corpus_freq, cfg, cost_fn):
-            seen[name] = stops, table, corpus_freq
-            return choose_row(name, stops, table, corpus_freq, cfg, cost_fn)
+            returned = choose_row(name, stops, table, corpus_freq, cfg, cost_fn)
+            seen[name] = stops, table, corpus_freq, returned
+            return returned
 
         choose_row = engine._choose_row
         monkeypatch.setattr(engine, "_choose_row", capture)
@@ -710,14 +748,16 @@ class TestSharedTables:
         assert len(builds) == 1
         assert seen["abab"][1] is seen["abcd"][1]
         offsets = range(5)
-        for name, (stops, shared, corpus_freq) in seen.items():
+        for name, (stops, shared, corpus_freq, returned) in seen.items():
             assert stops == (0, 2, 4)
             alone = tiling_table(4, frozenset({(0, 2), (2, 4)}))
             assert shared.text_rows(name, stops) == alone.text_rows(name, offsets)
             assert shared.total == alone.total
-            picked = choose_row(name, offsets, alone, corpus_freq, cfg, tiling_cost)
-            assert chosen[name] == picked
+            picked, costed, listed = choose_row(name, offsets, alone, corpus_freq, cfg, tiling_cost)
+            assert returned[:2] == (chosen[name], costed) and picked == chosen[name]
+            assert listed == alone.listed > 0
         assert seen["abab"][1].text_rows("abab", (0, 2, 4))[0].count("ab") == 2
+        assert [returned[2] for *_, returned in seen.values()] == [seen["abab"][1].listed, 0]
 
     def test_segmentation_warns_for_each_unspanned_name(self, builds, caplog):
         corpus = Corpus({"abxy": 1, "abzw": 1})
@@ -961,6 +1001,19 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(**{key: -1})
         assert getattr(RunConfig.from_mapping({key: "1"}), key) == 1
+
+    def test_readme_keys_block_is_a_config_of_the_defaults(self, tmp_path):
+        # the README's "Keys and defaults" block, pasted as a config file,
+        # sets every key but weights, whose default depends on the algorithm
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        path = tmp_path / "run.cfg"
+        path.write_text(readme.split("Keys and defaults", 1)[1].split("```\n")[1], encoding="utf-8")
+        values = read_kv(path)
+        cfg, default = RunConfig.from_mapping(values), RunConfig()
+        keys = {f.name for f in dataclasses.fields(RunConfig)} - {"weights", "char_table"}
+        assert set(values) == keys | set(CharClassTable.KEYS)
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(cfg, f.name) == getattr(default, f.name), f.name
 
     def test_workers_accepted(self):
         assert RunConfig.from_mapping({"workers": "2"}).workers == 2
