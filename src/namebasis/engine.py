@@ -21,7 +21,8 @@ All three picks go through one chooser, ``_choose_row``, over a
 ``SegmentTable`` of the name's candidates, so every candidate is one
 row of sums and one scalar cost, the table's ``new`` column says which
 segments are new, its counts give each text's demand share without
-listing a row, and only the winner becomes a ``SequenceCandidate``.
+listing a row, a name's span features are read only for the rows the
+chooser costs, and only the winner becomes a ``SequenceCandidate``.
 A tiling table is built on the name's stops (0, its length and every
 start and end of a basis-word occurrence) and its span pattern, the
 occurrences as pairs of stop indices, so it is shared, for a pass or a
@@ -59,6 +60,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import config as _config
@@ -243,23 +245,30 @@ def _choose_row(
     which reads it through its ``stops``, the rows costed in full and the
     rows the table listed for this call (a shared table lists a cell once).
 
-    Which segments are new is the table's ``new`` column. A row's sum of
-    squared segment lengths is summed from the name's own squares, one
-    per span of the table, for the rows the scan reaches. A text's
-    demand share is the share of rows containing it: the table's count
-    of rows placing the text, over its row total. Each row's features
-    are summed in ``compute_features``' order and costed by ``cost_fn``,
-    which takes ``tiling_cost``'s arguments. The new-word features
-    (corpus frequency, syntax bit) are only built when
-    ``weights.extra > 0``, since the cost ignores them otherwise, and a
-    span's syntax bit only when a row that places it is costed. Rows
-    come one cell (segment count ``k``, new-segment count ``e``) at a
-    time, ``e`` ascending, then ``k`` ascending, and by boundaries within
-    a cell. That is ``select_best``'s tie order (fewer new segments, then
-    fewer joins, then leftmost boundaries), so the first row of least
-    cost is its pick; only it becomes a candidate. A table with no rows
-    (alg2's, for a name with no composition) keeps the name whole, as
-    one new segment.
+    Which segments are new is the table's ``new`` column. A span's text,
+    squared length, demand share and, for a new span, corpus frequency
+    are read the first time the scan enters a cell with a row placing
+    it, so a name pays for the spans of the rows it costs, not for every
+    span of its table. A text's demand share is the share of rows
+    containing it: for a text the name holds once, the table's count of
+    rows placing its one span, over its row total; only a text the name
+    holds more than once reads ``SegmentTable.text_rows``, which counts
+    the rows placing any of its spans, and gives the shares read after
+    it. Each row's features are summed in
+    ``compute_features``' order and costed by ``cost_fn``, which takes
+    ``tiling_cost``'s arguments. The new-word features (corpus
+    frequency, syntax bit) are only built when ``weights.extra > 0``,
+    since the cost ignores them otherwise, and a span's syntax bit only
+    when a row that places it is costed. Rows come one cell (segment
+    count ``k``, new-segment count ``e``) at a time, ``e`` ascending,
+    then ``k`` ascending, and by boundaries within a cell. That is
+    ``select_best``'s tie order (fewer new segments, then fewer joins,
+    then leftmost boundaries), so the first row of least cost is its
+    pick; only it becomes a candidate. A table with no rows (alg2's, for
+    a name with no composition) keeps the name whole, as one new
+    segment. A table with one row lists it, as the scan would, and picks
+    it without costing it: every cost is finite, so the scan would pick
+    it whatever it costs.
 
     The scan is a branch and bound that keeps that pick exact, by the
     cost bodies' contract (see ``features``): every term is >= 0, and
@@ -278,23 +287,34 @@ def _choose_row(
     through the same body with the same arguments as an exhaustive scan,
     so the pick is the same.
     """
-    if not table.total:
+    total = table.total
+    if not total:
         return SequenceCandidate(name, (), (name,), (True,), 1), 0, 0
     listed = table.listed
-    texts, text_rows = table.text_rows(name, stops)
-    demand = [count / table.total for count in text_rows]
-    squares = [(stops[end] - stops[start]) ** 2 for start, end in table.spans]
-    new = table.new
+    if total == 1:
+        e, k = next((e, levels[0]) for e, levels in enumerate(table.cells) if levels)
+        return table.candidate(name, stops, table.cell(k, e)[0]), 0, table.listed - listed
+    spans, counts, new = table.spans, table.counts, table.new
 
     weights = cfg.resolved_weights
     inverted = cfg.pav_inverted
     scored_new = weights.extra > 0.0
     if scored_new:
-        accepted: list[bool | None] = [None] * len(texts)
-        if corpus_freq is not None:
-            freq = [corpus_freq[text] if is_new else 0.0 for text, is_new in zip(texts, new)]
+        accepted: list[bool | None] = [None] * len(spans)
+    read_freq = scored_new and corpus_freq is not None
+    # by span index, read when the scan first reaches the span
+    texts = [""] * len(spans)
+    squares = [0] * len(spans)  # 0 until then: a span has at least one letter
+    demand = [0.0] * len(spans)
+    freq = [0.0] * len(spans)
+    unread = len(spans)
+    # each text's rows by text_rows, read once the scan reaches a text the
+    # name holds more than once; it then gives every later share
+    placing: tuple[int, ...] | None = None
 
+    square_of, share_of = squares.__getitem__, demand.__getitem__
     n = len(name)
+    n_squared = n * n
     # the cheapest demand average: a share of at most 1, inverted or not
     least_demand = 1.0 if inverted else 0.0
     best: Sequence[int] = ()
@@ -309,9 +329,26 @@ def _choose_row(
                 >= best_cost
             ):
                 break
-            for row in table.cell(k, eta_new):
-                len_var = (k * sum(map(squares.__getitem__, row)) - n * n) / (k * k)
-                demand_avg = left_sum(map(demand.__getitem__, row)) / k
+            rows = table.cell(k, eta_new)
+            for i in chain.from_iterable(rows) if unread else ():
+                if squares[i]:
+                    continue
+                unread -= 1
+                first, last = spans[i]
+                start = stops[first]
+                end = stops[last]
+                text = texts[i] = name[start:end]
+                squares[i] = (end - start) ** 2
+                if placing is None and (
+                    name.find(text) != start or name.find(text, start + 1) >= 0
+                ):
+                    placing = table.text_rows(name, stops)[1]
+                demand[i] = (counts if placing is None else placing)[i] / total
+                if read_freq and new[i]:
+                    freq[i] = corpus_freq[text]
+            for row in rows:
+                len_var = (k * sum(map(square_of, row)) - n_squared) / (k * k)
+                demand_avg = left_sum(map(share_of, row)) / k
                 new_freq_avg = syntax_avg = None
                 if scored_new and eta_new:
                     if (
@@ -327,7 +364,7 @@ def _choose_row(
                     for i in fresh:
                         if accepted[i] is None:
                             accepted[i] = accepts_syntax(
-                                texts[i], name, stops[table.spans[i][0]], cfg.char_table
+                                texts[i], name, stops[spans[i][0]], cfg.char_table
                             )
                         bits[texts[i]] = bits.get(texts[i], True) and accepted[i]
                     syntax_avg = sum(bits[texts[i]] for i in fresh) / eta_new
@@ -357,7 +394,8 @@ def _choose_all(
     Logs one line for the pass: the names whose table reached the cap,
     the rows the tables count, and the sums of ``_choose_row``'s counts,
     the rows listed (tables list theirs one cell at a time, as the chooser
-    asks, and a shared table only once) and costed in full. Warns when
+    asks, and a shared table only once) and costed in full (a one-row
+    table's row is listed but not costed, since it is the pick). Warns when
     the cap decided a pick: a capped name has a covering tiling, but
     every row the cap keeps has new segments (only gapped tiling tables
     can).

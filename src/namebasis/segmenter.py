@@ -209,11 +209,14 @@ class SegmentTable:
     their cells. A walk on the path stops at a move that ends past the
     path's tile.
 
-    ``text_rows(name, stops)`` gives, for each span, the rows placing
-    its text in ``name`` at least once: the span's own count for a text
-    placed at one offset, and otherwise the rows left after one more
-    backward pass that avoids all of the text's spans. They are kept per
-    name, so a table re-read under other weights counts them once.
+    A span's own count is its demand for a text the name holds once;
+    the chooser calls ``text_rows(name, stops)`` only when it reaches a
+    text the name holds more than once. It gives, for each span, the
+    rows placing its text in ``name`` at least once: the span's own
+    count for a text that one span of the table places, and otherwise
+    the rows left after one more backward pass that avoids all of the
+    text's spans. They are kept per name, so a grid search that re-reads
+    a table under other weights counts them once.
     """
 
     __slots__ = (

@@ -36,6 +36,8 @@ from namebasis.features import (
 )
 from namebasis.ortho import is_constructible, is_ortho
 from namebasis.segmenter import (
+    SegmentTable,
+    SequenceCandidate,
     candidate_words,
     composition_table,
     enumerate_all,
@@ -280,6 +282,21 @@ class TestCompositionOracle:
     # 4, so ('aa', 'ab', 'aa') accepts none of its texts; counting the
     # placements alone would give it one in three and pick it.
     @example("aaabaa", 1, True, 10**9, WeightSet(0.0, 0.5, 0.25, 0.25), True)
+    # Each way the chooser finds a demand share. With no length weight,
+    # the scan costs every row, so it reaches every span. Every text of
+    # "abcdef" is placed once; "anan" holds "an" at 0 and 2 and "aaaa"
+    # holds "aa" at 0, 1 and 2, so they count the rows placing any of the
+    # text's spans (each span's own count picks another row for both);
+    # the rows "abab" keeps at cap 2 place "a" at 0 only, where the name
+    # holds it at 2 too. "aaa" holds "aa" first at 0, and again at 1: a
+    # name must be searched past a text's offset too. "abc" has one part
+    # of at least 2 letters, so its one row is picked without costing.
+    @example("abcdef", 2, True, 10**9, WeightSet(0.0, 0.0, 1.0, 0.0), False)
+    @example("anan", 1, True, 10**9, WeightSet(0.0, 0.0, 0.5, 0.5), True)
+    @example("aaaa", 1, False, 10**9, WeightSet(0.0, 0.0, 0.25, 0.75), False)
+    @example("aaa", 1, True, 10**9, WeightSet(0.25, 0.0, 0.75, 0.0), True)
+    @example("abab", 1, True, 2, WeightSet(0.0, 0.0, 1.0, 0.0), False)
+    @example("abc", 2, True, 10**9, WeightSet(0.0, 0.0, 1.0, 0.0), False)
     @settings(max_examples=400)
     def test_matches_full_scoring(
         self, name, min_segment, include_whole, cap, weights, pav_inverted
@@ -321,6 +338,65 @@ class TestCompositionOracle:
         chosen = table_composition(name, cfg)
         assert chosen == oracle_composition(name, cfg)
         assert chosen.texts == (name,)
+
+
+class TestReachedSpans:
+    """The chooser reads a span's demand share only when a costed row
+    places it, and counts rows placing a text only for a text the name
+    holds more than once."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = dict.fromkeys(("text_rows", "_rows_placing"), 0)
+        for attr in calls:
+
+            def counting(self, *args, attr=attr, read=getattr(SegmentTable, attr)):
+                calls[attr] += 1
+                return read(self, *args)
+
+            monkeypatch.setattr(SegmentTable, attr, counting)
+        return calls
+
+    # demand weight only, so the scan costs every row
+    cfg = RunConfig(algorithm="alg2", weights=WeightSet(0.0, 0.0, 1.0, 0.0))
+
+    def test_texts_placed_once_need_no_count(self, reads):
+        table = composition_table(10, 2, True, self.cfg.cap)
+        _, costed, _ = _choose_row("abcdefghij", range(11), table, None, self.cfg, composition_cost)
+        assert costed == table.total == 34
+        assert reads == {"text_rows": 0, "_rows_placing": 0}
+
+    def test_a_text_held_twice_is_counted_once(self, reads):
+        # "an" is two spans of "anan", placed by one of its two rows
+        table = composition_table(4, 2, True, self.cfg.cap)
+        chosen, costed, _ = _choose_row("anan", range(5), table, None, self.cfg, composition_cost)
+        assert costed == table.total == 2
+        assert reads == {"text_rows": 1, "_rows_placing": 1}
+        assert chosen == oracle_composition("anan", self.cfg)
+
+    @pytest.mark.parametrize(
+        "table, stops, picked",
+        [
+            pytest.param(
+                composition_table(3, 2, True, 5000),
+                range(4),
+                SequenceCandidate("abc", (), ("abc",), (True,), 1),
+                id="composition",
+            ),
+            pytest.param(
+                tiling_table(2, frozenset({(0, 1), (1, 2)}), gaps=False),
+                (0, 2, 4),
+                SequenceCandidate("rama", (2,), ("ra", "ma"), (False, False), 0),
+                id="covering-tiling",
+            ),
+        ],
+    )
+    def test_one_row_table_is_listed_not_costed(self, reads, table, stops, picked):
+        assert table.total == 1
+        assert _choose_row(picked.name, stops, table, None, self.cfg, composition_cost) == (
+            picked, 0, 1
+        )
+        assert reads == {"text_rows": 0, "_rows_placing": 0}
 
 
 # Each cost flavour as the table chooser takes it, and as the oracle does.
@@ -441,6 +517,29 @@ class TestTilingOracle:
         "alg1",
         True,
     )
+    # Each way the chooser finds a demand share, with demand weight only,
+    # so every row is costed: "babe" places each text once; "anan" by
+    # "an" holds "an" at 0 and 2; "aaaa" by "aa" at 0, 1 and 2, where each
+    # span's own count picks another row; "abab" by "aba" has the gap "b"
+    # at 3 and no span at 1. "rama" by "ra" and "ma" has one covering row,
+    # picked without costing.
+    @example(
+        "babe", frozenset({"ba", "be"}), 5000, WeightSet(0.0, 0.0, 1.0, 0.0), False, None,
+        "alg1", True,
+    )
+    @example(
+        "anan", frozenset({"an"}), 5000, WeightSet(0.0, 0.0, 1.0, 0.0), False, None, "alg1", True
+    )
+    @example(
+        "aaaa", frozenset({"aa"}), 5000, WeightSet(0.0, 0.0, 1.0, 0.0), False, None, "alg1", True
+    )
+    @example(
+        "abab", frozenset({"aba"}), 5000, WeightSet(0.0, 0.0, 1.0, 0.0), False, None, "alg2", True
+    )
+    @example(
+        "rama", frozenset({"ra", "ma"}), 5000, WeightSet(0.0, 0.0, 1.0, 0.0), False, None,
+        "alg1", False,
+    )
     @settings(max_examples=400)
     def test_matches_full_scoring(
         self, name, basis, cap, weights, pav_inverted, n_total, flavour, gaps
@@ -552,17 +651,19 @@ class TestSegmentCorpus:
 ALG2_DEFAULTS_LINE = (
     "alg2: 2 of 150 names reached the candidate cap 5000; "
     f"42398 rows enumerated, {20 + 1 + 2} listed, "
-    f"{150 + 9 * 1 + 10 * 2} costed in full"
+    f"{150 - 12 + 9 * 1 + 10 * 2} costed in full"
 )
 
 
 class TestCapCount:
     def test_names_reaching_cap_logged_once_per_pass(self, caplog):
         # with cap 2, rama and ram have two tilings by "ra" and gopal one,
-        # 5 tilings enumerated and costed in each pass (none covers, so
-        # segmentation costs the gapped ones); rama and ram place "ra" at
-        # 0 and share one table, so 3 rows are listed; rama and gopal
-        # have two or more compositions into parts >= 2, one table each.
+        # 5 tilings enumerated in each pass (none covers, so segmentation
+        # reads the gapped ones); rama and ram place "ra" at 0 and share
+        # one table, so 3 rows are listed; rama and gopal have two or more
+        # compositions into parts >= 2, one table each. Each pass has one
+        # one-row table (gopal's tilings, ram's compositions), listed but
+        # not costed, so 4 rows are costed in full.
         corpus = Corpus({"rama": 1, "ram": 1, "gopal": 1})
         cfg = RunConfig(cap=2, min_length=2)
         basis = basis_of("ra")
@@ -572,11 +673,11 @@ class TestCapCount:
             segment_corpus(corpus, basis, cfg)
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
             "alg1 iteration 1: 2 of 3 names reached the candidate cap 2; "
-            "5 rows enumerated, 3 listed, 5 costed in full",
+            "5 rows enumerated, 3 listed, 4 costed in full",
             "alg2: 2 of 3 names reached the candidate cap 2; "
-            "5 rows enumerated, 5 listed, 5 costed in full",
+            "5 rows enumerated, 5 listed, 4 costed in full",
             "segmentation: 2 of 3 names reached the candidate cap 2; "
-            "5 rows enumerated, 3 listed, 5 costed in full",
+            "5 rows enumerated, 3 listed, 4 costed in full",
         ]
 
     def test_segmentation_counts_covering_tilings_only(self, caplog):
@@ -599,21 +700,22 @@ class TestCapCount:
         # lists 301 and 316 rows and costs 264 and 276 of them. Names of
         # one span pattern share one table, whose cells are listed once
         # for all of them: a table per name lists 135 and 112 rows, a
-        # table per length and span set 121 and 97.
+        # table per length and span set 121 and 97. The 11 names of each
+        # round whose table has one row list it but do not cost it.
         corpus = make_planted_corpus(n_names=60, n_units=12, seed=7).corpus
         with caplog.at_level(logging.INFO, logger="namebasis.engine"):
             run_alg1(corpus, RunConfig(min_length=2))
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
             "alg1 iteration 1: 0 of 60 names reached the candidate cap 5000; "
-            "303 rows enumerated, 76 listed, 96 costed in full",
+            "303 rows enumerated, 76 listed, 85 costed in full",
             "alg1 iteration 2: 0 of 60 names reached the candidate cap 5000; "
-            "318 rows enumerated, 52 listed, 72 costed in full",
+            "318 rows enumerated, 52 listed, 61 costed in full",
         ]
 
     def test_shared_survey_logs_each_pass_its_own_counts(self, caplog):
         # A second pass over one survey under other weights reads cells the
-        # first listed, so it lists none, and logs its own 88 rows costed
-        # (a fresh survey lists 40 for them), not 96 + 88.
+        # first listed, so it lists none, and logs its own 77 rows costed
+        # (a fresh survey lists 40 for them), not 85 + 77.
         corpus = make_planted_corpus(n_names=60, n_units=12, seed=7).corpus
         cfg = RunConfig(min_length=2)
         other = dataclasses.replace(cfg, weights=WeightSet(0.1, 0.1, 0.1, 0.7))
@@ -625,9 +727,9 @@ class TestCapCount:
             run_iteration_alg1(corpus, basis, other)
         head = "alg1 iteration 1: 0 of 60 names reached the candidate cap 5000; "
         assert [r.getMessage() for r in caplog.records] == [
-            head + "303 rows enumerated, 76 listed, 96 costed in full",
-            head + "303 rows enumerated, 0 listed, 88 costed in full",
-            head + "303 rows enumerated, 40 listed, 88 costed in full",
+            head + "303 rows enumerated, 76 listed, 85 costed in full",
+            head + "303 rows enumerated, 0 listed, 77 costed in full",
+            head + "303 rows enumerated, 40 listed, 77 costed in full",
         ]
 
     def test_round_counts_do_not_depend_on_earlier_work(self, caplog):
@@ -644,7 +746,7 @@ class TestCapCount:
         assert len(messages) > 3
         assert messages[0] == messages[-1] == (
             "alg1 iteration 1: 0 of 60 names reached the candidate cap 5000; "
-            "303 rows enumerated, 76 listed, 96 costed in full"
+            "303 rows enumerated, 76 listed, 85 costed in full"
         )
 
     def test_tables_list_nothing_when_built(self):
@@ -675,7 +777,9 @@ class TestCapCount:
         # At the default weights the whole name wins, at 0.4 / n + 0.3 /
         # rows. A k-part row costs at least 0.4 k / n, so the scan stops
         # at the first two-part row, except on the 9 names of 4 letters
-        # and 10 of 5, whose 1 and 2 two-part rows are costed too.
+        # and 10 of 5, whose 1 and 2 two-part rows are costed too. The 12
+        # names of 2 and 3 letters have the whole name as their one row,
+        # which is listed but not costed.
         # Listed: the whole-name row of each of the 20 name lengths and
         # the two-part rows of lengths 4 and 5. The cut six-part levels of
         # the two capped names (22 and 23 letters) are counted along
