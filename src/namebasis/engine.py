@@ -23,6 +23,7 @@ row of sums and one scalar cost, the table's ``new`` column says which
 segments are new, its counts give each text's demand share without
 listing a row, a name's span features are read only for the rows the
 chooser costs, and only the winner becomes a ``SequenceCandidate``.
+The chooser groups a name's spans by text; the table keeps no name.
 A tiling table is built on the name's stops (0, its length and every
 start and end of a basis-word occurrence) and its span pattern, the
 occurrences as pairs of stop indices, so it is shared, for a pass or a
@@ -251,12 +252,14 @@ def _choose_row(
     it, so a name pays for the spans of the rows it costs, not for every
     span of its table. A text's demand share is the share of rows
     containing it: for a text the name holds once, the table's count of
-    rows placing its one span, over its row total; only a text the name
-    holds more than once reads ``SegmentTable.text_rows``, which counts
-    the rows placing any of its spans, and gives the shares read after
-    it. Each row's features are summed in
-    ``compute_features``' order and costed by ``cost_fn``, which takes
-    ``tiling_cost``'s arguments. The new-word features (corpus
+    rows placing its one span, over its row total. The first text the
+    name holds more than once groups the table's spans by their text,
+    and every share read after it is set for its whole group at once: a
+    text of one span keeps that span's count, and a text of several asks
+    ``SegmentTable.rows_placing``, which the names sharing the table
+    share, for the rows placing any of them. Each row's features are
+    summed in ``compute_features``' order and costed by ``cost_fn``,
+    which takes ``tiling_cost``'s arguments. The new-word features (corpus
     frequency, syntax bit) are only built when ``weights.extra > 0``,
     since the cost ignores them otherwise, and a span's syntax bit only
     when a row that places it is costed. Rows come one cell (segment
@@ -308,9 +311,9 @@ def _choose_row(
     demand = [0.0] * len(spans)
     freq = [0.0] * len(spans)
     unread = len(spans)
-    # each text's rows by text_rows, read once the scan reaches a text the
-    # name holds more than once; it then gives every later share
-    placing: tuple[int, ...] | None = None
+    # the span indices of each text, grouped once the scan reaches a text
+    # the name holds more than once; later shares are read by group
+    groups: dict[str, list[int]] | None = None
 
     square_of, share_of = squares.__getitem__, demand.__getitem__
     n = len(name)
@@ -339,11 +342,19 @@ def _choose_row(
                 end = stops[last]
                 text = texts[i] = name[start:end]
                 squares[i] = (end - start) ** 2
-                if placing is None and (
+                if groups is None and (
                     name.find(text) != start or name.find(text, start + 1) >= 0
                 ):
-                    placing = table.text_rows(name, stops)[1]
-                demand[i] = (counts if placing is None else placing)[i] / total
+                    groups = {}
+                    for j, (a, b) in enumerate(spans):
+                        groups.setdefault(name[stops[a] : stops[b]], []).append(j)
+                if groups is None:
+                    demand[i] = counts[i] / total
+                elif not demand[i]:  # a share is > 0; set for the group at once
+                    group = groups[text]
+                    placed = table.rows_placing(frozenset(group)) if len(group) > 1 else counts[i]
+                    for j in group:
+                        demand[j] = placed / total
                 if read_freq and new[i]:
                     freq[i] = corpus_freq[text]
             for row in rows:

@@ -19,7 +19,9 @@ order ("levels"), with ties in leftmost-boundary lexicographic order.
 When a cap is given, the first ``cap`` candidates in that order are
 kept. A backward and a forward pass count, without listing a row, the
 rows of every level and the rows that place each span, so a span's
-demand share is a count over the row total. The backward pass also
+demand share is a count over the row total; a text a name holds at
+several spans takes one more backward pass, over the rows placing any
+of them, kept per span set. The backward pass also
 marks which (segment count, new-segment count) pairs, the "cells",
 have rows. Rows are listed one cell at a time, only when asked for, and
 kept, by a depth-first pass that enters a move only when the segments
@@ -48,11 +50,11 @@ A composition table's stops are every offset, ``range(n + 1)``.
 
 ``composition_table`` and ``tiling_table`` build a new table on every
 call; the engine shares one, for as long as it decides, among the names
-of one length (compositions) or of one span pattern (tilings).
-``enumerate_all`` and ``enumerate_with_basis`` build their tables on
-every offset and turn every row into a candidate: they are the tests'
-listing oracles, and the engine imports them only for perfbench's
-tracer.
+of one length (compositions) or of one span pattern (tilings), and a
+table keeps nothing per name. ``enumerate_all`` and
+``enumerate_with_basis`` build their tables on every offset and turn
+every row into a candidate: they are the tests' listing oracles, and
+the engine imports them only for perfbench's tracer.
 
 A candidate is one flat ``SequenceCandidate`` tuple: the interior cut
 offsets, the segment strings, one new-or-existing flag per segment and
@@ -88,18 +90,15 @@ class SequenceCandidate(NamedTuple):
 
 
 def candidate_words(
-    name: str, words: Container[str], lengths: Iterable[int] | None = None
+    name: str, words: Container[str], lengths: Iterable[int]
 ) -> frozenset[tuple[int, int]]:
     """Every occurrence of a basis word in ``name``, as a ``(start, end)`` span.
 
     The whole name is a span when it is a basis member. Only the
     substrings of ``lengths``, the distinct word lengths in ascending
-    order, are tested against ``words``; when None, they are read from
-    ``words``, which must then be iterable. A caller scanning many names
-    builds a frozenset of the words and their lengths once.
+    order, are tested against ``words``, so a caller scanning many names
+    finds the lengths once.
     """
-    if lengths is None:
-        lengths = sorted({len(word) for word in words})  # type: ignore[attr-defined]
     n = len(name)
     found: list[tuple[int, int]] = []
     for start in range(n):
@@ -193,11 +192,11 @@ class SegmentTable:
     rows place, in ascending end order; after a gap, only spans are
     taken. ``cell(k, e)`` lists cell ``(k, e)`` on first use and keeps
     it from then on: its rows as indices into ``spans``, left to right,
-    one byte each when they fit. ``listed`` is the rows the kept cells
-    hold, so the chooser counts its own listing. The walk enters a move
-    only when its target can still finish with exactly the tiles and new
-    tiles left, and with one tile left the only move that finishes ends
-    at ``n``, the last one.
+    one byte each when they fit. ``listed`` adds up the rows of the
+    cells as they are listed, so the chooser counts its own listing. The
+    walk enters a move only when its target can still finish with
+    exactly the tiles and new tiles left, and with one tile left the
+    only move that finishes ends at ``n``, the last one.
 
     A level's rows come depth first over moves in ascending end order,
     so the kept rows of the level the cap cuts are those whose tile ends
@@ -209,19 +208,18 @@ class SegmentTable:
     their cells. A walk on the path stops at a move that ends past the
     path's tile.
 
-    A span's own count is its demand for a text the name holds once;
-    the chooser calls ``text_rows(name, stops)`` only when it reaches a
-    text the name holds more than once. It gives, for each span, the
-    rows placing its text in ``name`` at least once: the span's own
-    count for a text that one span of the table places, and otherwise
-    the rows left after one more backward pass that avoids all of the
-    text's spans. They are kept per name, so a grid search that re-reads
-    a table under other weights counts them once.
+    A span's own count is its demand for a text the name holds once.
+    For a text held at several spans, the chooser asks ``rows_placing``
+    for the rows placing any of them: the rows left after one more
+    backward pass that avoids them all. Counts are kept per span set, so
+    every name that groups the spans alike, and a grid search that
+    re-reads the table, counts them once. No name is kept: one is passed
+    only to ``candidate`` and ``candidates``, to read its texts.
     """
 
     __slots__ = (
-        "spans", "new", "counts", "levels", "total", "cells", "covers",
-        "_width", "_moves", "_cells", "_cut", "_full", "_path", "_text_rows",
+        "spans", "new", "counts", "levels", "total", "cells", "covers", "listed",
+        "_width", "_moves", "_cells", "_cut", "_full", "_path", "_placing",
     )
 
     def __init__(
@@ -349,22 +347,19 @@ class SegmentTable:
                 by_new[e].append(k)
                 fresh &= fresh - 1
         self._cells: dict[tuple[int, int], list[Sequence[int]]] = {}  # (k, e): listed rows
-        self._text_rows: dict[str, tuple[int, ...]] = {}
+        self.listed = 0  # the rows of the cells in _cells
+        self._placing: dict[frozenset[int], int] = {}  # rows_placing's counts
         self.cells = tuple(map(tuple, by_new))
 
     def cell(self, k: int, e: int) -> list[Sequence[int]]:
         """The rows of level ``k`` with ``e`` new tiles, each as its span
         indices left to right. The cell must have rows (``k in cells[e]``);
         it is listed on first use."""
-        listed = self._cells.get((k, e))
-        if listed is None:
-            listed = self._cells[k, e] = self._walk(k, e)
-        return listed
-
-    @property
-    def listed(self) -> int:
-        """The rows listed so far, by every cell kept."""
-        return sum(map(len, self._cells.values()))
+        rows = self._cells.get((k, e))
+        if rows is None:
+            rows = self._cells[k, e] = self._walk(k, e)
+            self.listed += len(rows)
+        return rows
 
     def _walk(self, k: int, e: int) -> list[Sequence[int]]:
         """List cell ``(k, e)`` depth first."""
@@ -417,30 +412,15 @@ class SegmentTable:
         rows = sorted((k, row) for k, e in cells for row in self.cell(k, e))
         return [self.candidate(name, stops, row) for _, row in rows]
 
-    def text_rows(
-        self, name: str, stops: Sequence[int]
-    ) -> tuple[list[str], tuple[int, ...]]:
-        """Each span's text in ``name``, read through its ``stops``, and the
-        rows placing that text at least once. The counts are kept per name."""
-        texts = [name[stops[start] : stops[end]] for start, end in self.spans]
-        kept = self._text_rows.get(name)
-        if kept is None:
-            placed: dict[str, list[int]] = {}
-            for i, text in enumerate(texts):
-                placed.setdefault(text, []).append(i)
-            rows = [0] * len(texts)
-            for spans in placed.values():
-                count = self.counts[spans[0]] if len(spans) == 1 else self._rows_placing(set(spans))
-                for i in spans:
-                    rows[i] = count
-            kept = self._text_rows[name] = tuple(rows)
-        return texts, kept
-
-    def _rows_placing(self, spans: AbstractSet[int]) -> int:
+    def rows_placing(self, spans: frozenset[int]) -> int:
         """Rows placing any of the span indices ``spans``: all rows less
         those one backward pass counts without ``spans``, in the full
         levels and below each sibling of the cut level's path, and the
-        path row if it avoids them."""
+        path row if it avoids them. Kept per span set, so every name
+        that groups the table's spans alike reads one count."""
+        kept = self._placing.get(spans)
+        if kept is not None:
+            return kept
         width = self._width
         field = (1 << width) - 1
         moves = self._moves
@@ -470,11 +450,12 @@ class SegmentTable:
             pos, after_gap = end, is_gap
         else:
             avoiding += bool(self._path)  # the path row
-        return self.total - avoiding
+        kept = self._placing[spans] = self.total - avoiding
+        return kept
 
 
 def tiling_table(
-    n: int, spans: Container[tuple[int, int]], cap: int = 5000, *, gaps: bool = True
+    n: int, spans: Container[tuple[int, int]], cap: int, *, gaps: bool
 ) -> SegmentTable:
     """The table of the first ``cap`` tilings of ``[0, n)`` by ``spans``
     and, with ``gaps``, new-segment gaps; a gap is exactly a new segment.

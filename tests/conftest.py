@@ -39,6 +39,30 @@ def brute_tilings(name, occurrences):
     return results
 
 
+def lengths_of(words):
+    """The distinct lengths of ``words``, ascending, as ``candidate_words``
+    takes them."""
+    return sorted({len(word) for word in words})
+
+
+def check_rows_placing(table, name, stops, rows):
+    """``table.rows_placing`` of each text's spans against a count of the
+    ``rows`` that place any of them.
+
+    A text's spans are the table's spans whose text in ``name``, read
+    through ``stops``, is that text; each of ``rows`` is one row's
+    ``(start, end)`` offsets. Returns each text's span indices.
+    """
+    groups = {}
+    for i, (start, end) in enumerate(table.spans):
+        groups.setdefault(name[stops[start] : stops[end]], []).append(i)
+    for group in groups.values():
+        placed = {(stops[table.spans[i][0]], stops[table.spans[i][1]]) for i in group}
+        count = sum(not placed.isdisjoint(row) for row in rows)
+        assert table.rows_placing(frozenset(group)) == count
+    return groups
+
+
 def brute_constructions(word, others):
     """All segmentations of ``word`` into elements of ``others``,
     as a set of piece tuples (elements may repeat)."""

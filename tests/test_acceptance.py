@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_tilings
+from conftest import brute_tilings, lengths_of
 from namebasis.corpus import Corpus
 from namebasis.engine import (
     IterationStats,
@@ -60,9 +60,8 @@ def test_01_golden_krishna():
     started = time.perf_counter()
     assert is_constructible("krishna", KRISHNA_POOL)
     # the constructions are the covering tilings by the pool's occurrences
-    covering = enumerate_with_basis(
-        "krishna", candidate_words("krishna", KRISHNA_POOL), 2 ** len("krishna"), gaps=False
-    )
+    spans = candidate_words("krishna", KRISHNA_POOL, lengths_of(KRISHNA_POOL))
+    covering = enumerate_with_basis("krishna", spans, 2 ** len("krishna"), gaps=False)
     assert len(covering) == 4
     pruned = make_ortho(frozenset(KRISHNA_POOL | {"krishna"}))
     assert "krishna" not in pruned
@@ -182,7 +181,7 @@ def test_07_invariant_suite_report():
 )
 @settings(max_examples=200)
 def test_08_enumeration_matches_independent_tiler(name, words):
-    spans = candidate_words(name, words)
+    spans = candidate_words(name, words, lengths_of(words))
     seqs = enumerate_with_basis(name, spans, cap=10**9)
     boundaries = {s.boundaries for s in seqs}
     assert len(boundaries) == len(seqs)

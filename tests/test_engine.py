@@ -3,8 +3,9 @@ import logging
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import check_rows_placing, lengths_of
 from namebasis import cli, engine
 from namebasis.config import ConfigError, read_kv
 from namebasis.corpus import Corpus
@@ -343,18 +344,19 @@ class TestCompositionOracle:
 class TestReachedSpans:
     """The chooser reads a span's demand share only when a costed row
     places it, and counts rows placing a text only for a text the name
-    holds more than once."""
+    holds at more than one span, which the table keeps per span set."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        calls = dict.fromkeys(("text_rows", "_rows_placing"), 0)
-        for attr in calls:
+        """Each ``rows_placing`` call: whether its count was kept already."""
+        calls = []
+        read = SegmentTable.rows_placing
 
-            def counting(self, *args, attr=attr, read=getattr(SegmentTable, attr)):
-                calls[attr] += 1
-                return read(self, *args)
+        def counting(self, spans):
+            calls.append(spans in self._placing)
+            return read(self, spans)
 
-            monkeypatch.setattr(SegmentTable, attr, counting)
+        monkeypatch.setattr(SegmentTable, "rows_placing", counting)
         return calls
 
     # demand weight only, so the scan costs every row
@@ -364,15 +366,21 @@ class TestReachedSpans:
         table = composition_table(10, 2, True, self.cfg.cap)
         _, costed, _ = _choose_row("abcdefghij", range(11), table, None, self.cfg, composition_cost)
         assert costed == table.total == 34
-        assert reads == {"text_rows": 0, "_rows_placing": 0}
+        assert reads == []
 
     def test_a_text_held_twice_is_counted_once(self, reads):
         # "an" is two spans of "anan", placed by one of its two rows
         table = composition_table(4, 2, True, self.cfg.cap)
         chosen, costed, _ = _choose_row("anan", range(5), table, None, self.cfg, composition_cost)
         assert costed == table.total == 2
-        assert reads == {"text_rows": 1, "_rows_placing": 1}
+        assert reads == [False]
         assert chosen == oracle_composition("anan", self.cfg)
+        # "inin" groups the spans alike: it reads the kept count, and no
+        # second backward pass runs
+        chosen, costed, _ = _choose_row("inin", range(5), table, None, self.cfg, composition_cost)
+        assert costed == 2
+        assert reads == [False, True]
+        assert chosen == oracle_composition("inin", self.cfg)
 
     @pytest.mark.parametrize(
         "table, stops, picked",
@@ -384,7 +392,7 @@ class TestReachedSpans:
                 id="composition",
             ),
             pytest.param(
-                tiling_table(2, frozenset({(0, 1), (1, 2)}), gaps=False),
+                tiling_table(2, frozenset({(0, 1), (1, 2)}), 5000, gaps=False),
                 (0, 2, 4),
                 SequenceCandidate("rama", (2,), ("ra", "ma"), (False, False), 0),
                 id="covering-tiling",
@@ -396,7 +404,7 @@ class TestReachedSpans:
         assert _choose_row(picked.name, stops, table, None, self.cfg, composition_cost) == (
             picked, 0, 1
         )
-        assert reads == {"text_rows": 0, "_rows_placing": 0}
+        assert reads == []
 
 
 # Each cost flavour as the table chooser takes it, and as the oracle does.
@@ -414,7 +422,8 @@ def oracle_demand(seqs_by_name, n_total):
 
 def table_tiling(name, basis, corpus_freq, cfg, gaps, flavour):
     """The chooser's pick from the name's table built on its span pattern."""
-    stops, pattern = span_pattern(len(name), candidate_words(name, basis))
+    spans = candidate_words(name, basis, lengths_of(basis))
+    stops, pattern = span_pattern(len(name), spans)
     table = tiling_table(len(stops) - 1, pattern, cfg.cap, gaps=gaps)
     return _choose_row(name, stops, table, corpus_freq, cfg, FLAVOURS[flavour][0])[0]
 
@@ -545,7 +554,8 @@ class TestTilingOracle:
         self, name, basis, cap, weights, pav_inverted, n_total, flavour, gaps
     ):
         cfg = RunConfig(cap=cap, weights=weights, pav_inverted=pav_inverted)
-        seqs = enumerate_with_basis(name, candidate_words(name, basis), cap, gaps=gaps)
+        spans = candidate_words(name, basis, lengths_of(basis))
+        seqs = enumerate_with_basis(name, spans, cap, gaps=gaps)
         if not seqs:
             return  # no covering tiling; segment_corpus falls back to gaps
         corpus_freq = None
@@ -582,8 +592,9 @@ class TestTilingOracle:
         basis = bases[round_]
         cfg = RunConfig(weights=weights, pav_inverted=pav_inverted)
         names = sorted(corpus)
+        lengths = lengths_of(basis)
         gapped = {
-            name: enumerate_with_basis(name, candidate_words(name, basis), cfg.cap)
+            name: enumerate_with_basis(name, candidate_words(name, basis, lengths), cfg.cap)
             for name in names
         }
         corpus_freq = oracle_demand(gapped, corpus.total_unique)
@@ -598,7 +609,7 @@ class TestTilingOracle:
                     seqs, None, cfg, oracle_cost
                 )
             covering = enumerate_with_basis(
-                name, candidate_words(name, basis), cfg.cap, gaps=False
+                name, candidate_words(name, basis, lengths), cfg.cap, gaps=False
             )
             if covering:
                 assert table_tiling(name, basis, None, cfg, False, "alg1") == choose(
@@ -755,15 +766,15 @@ class TestCapCount:
         # Building either lists no row; the cut level's cells, listed on
         # demand, together list exactly the rows the cap keeps.
         name = "abc" * 4
-        spans = candidate_words(name, {"ab", "bc", "ca", "abc"})
+        spans = candidate_words(name, {"ab", "bc", "ca", "abc"}, [2, 3])
         tables = [
             composition_table(23, 2, True, 5000),
-            tiling_table(len(name), spans, 100),
+            tiling_table(len(name), spans, 100, gaps=True),
         ]
         assert [table.listed for table in tables] == [0, 0]
         uncapped = [
             composition_table(23, 2, True, None),
-            tiling_table(len(name), spans, 10**9),
+            tiling_table(len(name), spans, 10**9, gaps=True),
         ]
         for table, whole, cut, kept in zip(tables, uncapped, (6, 5), (1612, 44)):
             assert (len(table.levels) - 1, table.levels[cut]) == (cut, kept)
@@ -809,7 +820,7 @@ class TestSharedTables:
     def builds(self, monkeypatch):
         built = []
 
-        def counting(n, spans, cap=5000, *, gaps=True):
+        def counting(n, spans, cap, *, gaps):
             built.append((n, spans, gaps))
             return tiling_table(n, spans, cap, gaps=gaps)
 
@@ -852,16 +863,107 @@ class TestSharedTables:
         assert len(builds) == 1
         assert seen["abab"][1] is seen["abcd"][1]
         offsets = range(5)
+        groups = {}
         for name, (stops, shared, corpus_freq, returned) in seen.items():
             assert stops == (0, 2, 4)
-            alone = tiling_table(4, frozenset({(0, 2), (2, 4)}))
-            assert shared.text_rows(name, stops) == alone.text_rows(name, offsets)
+            alone = tiling_table(4, frozenset({(0, 2), (2, 4)}), cfg.cap, gaps=True)
             assert shared.total == alone.total
             picked, costed, listed = choose_row(name, offsets, alone, corpus_freq, cfg, tiling_cost)
             assert returned[:2] == (chosen[name], costed) and picked == chosen[name]
             assert listed == alone.listed > 0
-        assert seen["abab"][1].text_rows("abab", (0, 2, 4))[0].count("ab") == 2
+            placed = [
+                tuple(zip((0, *seq.boundaries), (*seq.boundaries, 4)))
+                for seq in alone.candidates(name, offsets)
+            ]
+            groups[name] = check_rows_placing(shared, name, stops, placed)
+            assert groups[name] == check_rows_placing(alone, name, offsets, placed)
+        assert len(groups["abab"]["ab"]) == 2
+        assert max(map(len, groups["abcd"].values())) == 1
         assert [returned[2] for *_, returned in seen.values()] == [seen["abab"][1].listed, 0]
+
+    @given(
+        first=st.text(alphabet="abcdn", min_size=1, max_size=8),
+        # the second name: for compositions, this text cut to the first's
+        # length; for tilings, the first with each of a, b, c, d, n relabeled
+        other=st.text(alphabet="abcdn", min_size=8, max_size=8),
+        relabel=st.text(alphabet="abcdn", min_size=5, max_size=5),
+        # a basis and gaps, or a minimum part and include_whole
+        tiled=st.one_of(
+            st.tuples(
+                st.frozensets(st.text(alphabet="abcdn", min_size=1, max_size=3), max_size=5),
+                st.booleans(),
+            ),
+            st.tuples(st.integers(1, 3), st.booleans()),
+        ),
+        cap=st.one_of(st.integers(1, 20), st.just(5000)),
+        weights=st.sampled_from(weight_grid(0.25)),
+        pav_inverted=st.booleans(),
+    )
+    # "abab" groups the spans of "ab" (stops 0 to 1 and 1 to 2 of (0, 2,
+    # 4)), "abcd" keeps them apart; "anan" groups the compositions' spans
+    # of "an", "anna" none
+    @example(
+        "abcd", "aaaaaaaa", "ababn", (frozenset({"ab", "cd"}), True), 5000,
+        WeightSet(0.0, 0.0, 1.0, 0.0), False,
+    )
+    @example("anna", "anannnnn", "abcdn", (2, True), 5000, WeightSet(0.0, 0.0, 1.0, 0.0), False)
+    @example("anna", "anannnnn", "abcdn", (1, False), 5000, WeightSet(0.0, 0.0, 0.5, 0.5), True)
+    @settings(max_examples=300)
+    def test_names_sharing_a_table_choose_as_alone(
+        self, first, other, relabel, tiled, cap, weights, pav_inverted
+    ):
+        """Two names that share a table, its listed cells and its kept
+        ``rows_placing`` counts, in either order, choose as on a fresh one."""
+        n = len(first)
+        cfg = RunConfig(cap=cap, weights=weights, pav_inverted=pav_inverted)
+        corpus_freq = None
+        if isinstance(tiled[0], int):
+            second = other[:n]
+            stops = range(n + 1)
+            cost_fn = composition_cost
+
+            def build():
+                return composition_table(n, *tiled, cap)
+
+        else:
+            basis, gaps = tiled
+            letters = str.maketrans("abcdn", relabel)
+            second = first.translate(letters)
+            stops, pattern = span_pattern(n, candidate_words(first, basis, lengths_of(basis)))
+            relabeled = {word.translate(letters) for word in basis}
+            spans = candidate_words(second, relabeled, lengths_of(relabeled))
+            assume(span_pattern(n, spans) == (stops, pattern))
+            cost_fn = tiling_cost
+
+            def build():
+                return tiling_table(len(stops) - 1, pattern, cap, gaps=gaps)
+
+            table = build()
+            new = [
+                name[stops[start] : stops[end]]
+                for name in (first, second)
+                for (start, end), is_new in zip(table.spans, table.new)
+                if is_new
+            ]
+            # any fixed share per new text
+            corpus_freq = {text: (1 + sum(map(ord, text)) % 3) / 3 for text in new}
+        alone = {
+            name: _choose_row(name, stops, build(), corpus_freq, cfg, cost_fn)
+            for name in (first, second)
+        }
+        listed = set()
+        for one, two in ((first, second), (second, first)):
+            shared = build()
+            picked = _choose_row(one, stops, shared, corpus_freq, cfg, cost_fn)
+            assert picked == alone[one]
+            picked = _choose_row(two, stops, shared, corpus_freq, cfg, cost_fn)
+            assert picked[:2] == alone[two][:2]
+            # the second name lists only the cells the first left unlisted
+            assert alone[one][2] + picked[2] == shared.listed
+            assert max(alone[one][2], alone[two][2]) <= shared.listed
+            assert shared.listed <= alone[one][2] + alone[two][2]
+            listed.add(shared.listed)
+        assert len(listed) == 1
 
     def test_segmentation_warns_for_each_unspanned_name(self, builds, caplog):
         corpus = Corpus({"abxy": 1, "abzw": 1})
@@ -890,7 +992,7 @@ class TestSharedTables:
         config.write_text("min_length = 2\n", encoding="utf-8")
         calls = []
 
-        def counting(name, words, lengths=None):
+        def counting(name, words, lengths):
             calls.append(name)
             return find(name, words, lengths)
 

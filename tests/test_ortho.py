@@ -2,7 +2,7 @@ from itertools import accumulate
 
 from hypothesis import given, strategies as st
 
-from conftest import brute_constructions
+from conftest import brute_constructions, lengths_of
 from namebasis.cli import write_basis_file
 from namebasis.ortho import (
     first_construction,
@@ -25,7 +25,7 @@ def basis_of(*texts):
 def count_constructions(word, pool):
     """Constructions of ``word`` from ``pool``, counted by the segment
     table: they are the covering tilings by the pool's occurrences."""
-    candidates = candidate_words(word, pool)
+    candidates = candidate_words(word, pool, lengths_of(pool))
     return len(enumerate_with_basis(word, candidates, 2 ** len(word), gaps=False))
 
 

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_tilings
+from conftest import brute_tilings, check_rows_placing, lengths_of
 from namebasis.corpus import Corpus
 from namebasis.engine import RunConfig, _choose_row, _survey, weight_grid
 from namebasis.features import tiling_cost
@@ -35,21 +35,21 @@ def basis_of(*texts):
 
 class TestCandidateWords:
     def test_krishna_occurrences(self):
-        found = candidate_words("krishna", basis_of("krish", "na", "ram"))
+        found = candidate_words("krishna", basis_of("krish", "na", "ram"), [2, 3, 5])
         assert found == {(0, 5), (5, 7)}
 
     def test_no_occurrence(self):
-        assert candidate_words("abc", basis_of("xyz")) == frozenset()
+        assert candidate_words("abc", basis_of("xyz"), [3]) == frozenset()
 
     def test_overlapping_occurrences_all_reported(self):
-        assert candidate_words("aaa", basis_of("aa")) == {(0, 2), (1, 3)}
+        assert candidate_words("aaa", basis_of("aa"), [2]) == {(0, 2), (1, 3)}
 
     def test_whole_name_included_when_in_basis(self):
-        found = candidate_words("rama", basis_of("rama", "ra"))
+        found = candidate_words("rama", basis_of("rama", "ra"), [2, 4])
         assert found == {(0, 2), (0, 4)}
 
     def test_plain_set_works_too(self):
-        assert candidate_words("aba", {"a", "ab"}) == {(0, 1), (2, 3), (0, 2)}
+        assert candidate_words("aba", {"a", "ab"}, [1, 2]) == {(0, 1), (2, 3), (0, 2)}
 
     @given(
         name=st.text(alphabet="abc", max_size=10),
@@ -63,16 +63,16 @@ class TestCandidateWords:
             for end in range(start + 1, n + 1)
             if name[start:end] in words
         }
-        lengths = sorted({len(word) for word in words})
-        for found in (candidate_words(name, words), candidate_words(name, words, lengths)):
-            assert isinstance(found, frozenset)
-            assert found == expected
+        found = candidate_words(name, words, sorted({len(word) for word in words}))
+        assert isinstance(found, frozenset)
+        assert found == expected
 
 
 class TestEnumerateWithBasis:
     def test_krishna_fully_existing_tilings(self):
         seqs = enumerate_with_basis(
-            "krishna", candidate_words("krishna", basis_of(*KRISHNA_BASIS))
+            "krishna",
+            candidate_words("krishna", basis_of(*KRISHNA_BASIS), lengths_of(KRISHNA_BASIS)),
         )
         covered = {s.texts for s in seqs if s.eta_new == 0}
         assert covered == {
@@ -113,7 +113,7 @@ class TestEnumerateWithBasis:
                 assert not (left and right)
 
     def test_cap_keeps_fewest_segments(self):
-        spans = candidate_words("aaaaaa", basis_of("a", "aa", "aaa"))
+        spans = candidate_words("aaaaaa", basis_of("a", "aa", "aaa"), [1, 2, 3])
         seqs = enumerate_with_basis("aaaaaa", spans, cap=3)
         assert len(seqs) == 3
         assert [s.boundaries for s in seqs] == [(), (1,), (2,)]
@@ -123,7 +123,7 @@ class TestEnumerateWithBasis:
             enumerate_with_basis("ab", frozenset(), cap=0)
 
     def test_deterministic_order(self):
-        spans = candidate_words("banana", basis_of("an", "na", "ban"))
+        spans = candidate_words("banana", basis_of("an", "na", "ban"), [2, 3])
         first = enumerate_with_basis("banana", spans)
         second = enumerate_with_basis("banana", spans)
         assert [s.boundaries for s in first] == [s.boundaries for s in second]
@@ -138,7 +138,7 @@ class TestOracleEquivalence:
     )
     @settings(max_examples=300)
     def test_matches_brute_force_tiler(self, name, words):
-        spans = candidate_words(name, words)
+        spans = candidate_words(name, words, lengths_of(words))
         seqs = enumerate_with_basis(name, spans, cap=10**9)
         assert {s.boundaries for s in seqs} == brute_tilings(name, spans)
         assert len({s.boundaries for s in seqs}) == len(seqs)  # no duplicates
@@ -151,7 +151,7 @@ class TestOracleEquivalence:
     )
     @settings(max_examples=300)
     def test_order_and_cap_match_brute_force(self, name, words, cap, gaps):
-        spans = candidate_words(name, words)
+        spans = candidate_words(name, words, lengths_of(words))
         tilings = brute_tilings(name, spans)
         if not gaps:
             tilings = {
@@ -167,7 +167,8 @@ class TestOracleEquivalence:
         words=st.sets(st.text(alphabet="abc", min_size=1, max_size=3), max_size=5),
     )
     def test_every_candidate_reconstructs_name(self, name, words):
-        for seq in enumerate_with_basis(name, candidate_words(name, words)):
+        spans = candidate_words(name, words, lengths_of(words))
+        for seq in enumerate_with_basis(name, spans):
             assert "".join(seq.texts) == seq.name
             assert seq.eta_new == sum(seq.new)
             assert len(seq.new) == seq.eta_total
@@ -257,7 +258,7 @@ class TestEnumerateAll:
         else:
             name, words, gaps = tiled
             n = len(name)
-            existing = candidate_words(name, words)
+            existing = candidate_words(name, words, lengths_of(words))
             table = tiling_table(n, existing, cap or 10**9, gaps=gaps)
             tilings = brute_tilings(name, existing)
             if not gaps:
@@ -338,7 +339,7 @@ class TestCountingOracle:
             table = composition_table(n, min_segment, include_whole, cap)
         else:
             words, gaps = tiled
-            spans = candidate_words(name, words)
+            spans = candidate_words(name, words, lengths_of(words))
             seqs = enumerate_with_basis(name, spans, cap or 10**9, gaps=gaps)
             table = tiling_table(n, spans, cap or 10**9, gaps=gaps)
             if gaps:
@@ -356,14 +357,11 @@ class TestCountingOracle:
             sum(seq.eta_total == k for seq in seqs) for k in range(1, len(table.levels))
         ]
         offsets = range(n + 1)
-        texts, text_rows = table.text_rows(name, offsets)
-        for text, count in zip(texts, text_rows):
-            assert count == sum(text in seq.texts for seq in seqs)
+        placed = [tuple(zip((0, *seq.boundaries), (*seq.boundaries, n))) for seq in seqs]
+        texts = check_rows_placing(table, name, offsets, placed)
         assert set(texts) == {text for seq in seqs for text in seq.texts}
         for span, count in zip(table.spans, table.counts):
-            assert count == sum(
-                span in zip((0, *seq.boundaries), (*seq.boundaries, n)) for seq in seqs
-            )
+            assert count == sum(span in row for row in placed)
 
         # cells listed on demand, in any order, join into the listing
         cells = [(k, e) for e, ks in enumerate(table.cells) for k in ks]
@@ -371,14 +369,10 @@ class TestCountingOracle:
         for k, e in cells:
             table.cell(k, e)
         assert table.candidates(name, offsets) == seqs
-        # the counts serve any name read through the same stops (a
-        # composition table is shared by every name of its length); a new
-        # name's repeated texts are counted by one more backward pass
-        other = name[::-1]
-        texts, text_rows = table.text_rows(other, offsets)
-        rows = table.candidates(other, offsets)
-        for text, count in zip(texts, text_rows):
-            assert count == sum(text in row.texts for row in rows)
+        # the counts, kept per span set, serve any name read through the
+        # same stops (a composition table is shared by every name of its
+        # length), whether it groups the spans alike or not
+        check_rows_placing(table, name[::-1], offsets, placed)
 
 
 class TestCellOracle:
@@ -424,7 +418,7 @@ class TestCellOracle:
             }
         else:
             words, gaps = tiled
-            spans = candidate_words(name, words)
+            spans = candidate_words(name, words, lengths_of(words))
             table = tiling_table(n, spans, cap or 10**9, gaps=gaps)
             tilings = brute_tilings(name, spans)
             if not gaps:
@@ -450,13 +444,8 @@ class TestCellOracle:
             assert [tuple(table.spans[i][1] for i in row[:-1]) for row in rows] == expected[k, e]
             assert all(sum(map(table.new.__getitem__, row)) == e for row in rows)
         # a text's rows, counted once every cell is listed
-        texts, text_rows = table.text_rows(name, range(n + 1))
-        for text, count in zip(texts, text_rows):
-            assert count == sum(
-                text in {name[a:b] for a, b in zip((0, *cuts), (*cuts, n))}
-                for rows in expected.values()
-                for cuts in rows
-            )
+        placed = [set(zip((0, *cuts), (*cuts, n))) for rows in expected.values() for cuts in rows]
+        check_rows_placing(table, name, range(n + 1), placed)
 
 
 class TestPatternOracle:
@@ -484,7 +473,7 @@ class TestPatternOracle:
         self, name, words, gaps, cap, weights, pav_inverted
     ):
         n = len(name)
-        spans = candidate_words(name, words)
+        spans = candidate_words(name, words, lengths_of(words))
         stops, pattern = span_pattern(n, spans)
         offsets = range(n + 1)
         cap = cap or 10**9
@@ -495,7 +484,6 @@ class TestPatternOracle:
         assert (shared.levels, shared.total, shared.cells) == (raw.levels, raw.total, raw.cells)
         assert [(stops[a], stops[b]) for a, b in shared.spans] == list(raw.spans)
         assert (shared.new, shared.counts, shared.covers) == (raw.new, raw.counts, raw.covers)
-        assert shared.text_rows(name, stops) == raw.text_rows(name, offsets)
         for e, levels in enumerate(raw.cells):
             for k in levels:
                 rows = shared.cell(k, e)
@@ -505,13 +493,17 @@ class TestPatternOracle:
                         (stops[shared.spans[i][1]] - stops[shared.spans[i][0]]) ** 2
                         for i in row
                     ] == [(raw.spans[i][1] - raw.spans[i][0]) ** 2 for i in row]
-        assert shared.candidates(name, stops) == raw.candidates(name, offsets)
+        seqs = raw.candidates(name, offsets)
+        assert shared.candidates(name, stops) == seqs
+        placed = [tuple(zip((0, *seq.boundaries), (*seq.boundaries, n))) for seq in seqs]
+        assert check_rows_placing(shared, name, stops, placed) == check_rows_placing(
+            raw, name, offsets, placed
+        )
 
         if raw.total:
-            texts, _ = raw.text_rows(name, offsets)
             corpus_freq = {  # any fixed share per new text
-                text: (1 + sum(map(ord, text)) % 3) / 3
-                for text, is_new in zip(texts, raw.new)
+                name[start:end]: (1 + sum(map(ord, name[start:end])) % 3) / 3
+                for (start, end), is_new in zip(raw.spans, raw.new)
                 if is_new
             }
             cfg = RunConfig(cap=cap, weights=weights, pav_inverted=pav_inverted)
@@ -546,7 +538,7 @@ class TestCutPositions:
             if isinstance(tiled[0], int):
                 return composition_table(n, *tiled, cap)
             words, gaps = tiled
-            spans = candidate_words(name, words)
+            spans = candidate_words(name, words, lengths_of(words))
             return tiling_table(n, spans, cap or 10**9, gaps=gaps)
 
         whole = build(None)
@@ -567,8 +559,7 @@ class TestCutPositions:
             assert table.counts == tuple(
                 sum(span in row for row in placed) for span in table.spans
             )
-            texts, text_rows = table.text_rows(name, offsets)
-            assert text_rows == tuple(sum(text in seq.texts for seq in kept) for text in texts)
+            check_rows_placing(table, name, offsets, placed)
             cells = {(seq.eta_total, seq.eta_new) for seq in kept}
             assert table.cells == tuple(
                 tuple(sorted(k for k, e in cells if e == fresh)) for fresh in range(last + 1)
