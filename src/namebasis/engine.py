@@ -1,19 +1,19 @@
 """Basis induction: seeding, grow/prune iterations, convergence, search.
 
-The seeded algorithm (``alg1``) starts from a frequency seed and
-iterates two passes per round. Pass 1, ``_survey``, builds every name's
-tiling table by the current basis and collects the corpus-wide demand
-for each not-yet-in-basis word (a word counts at most once per name
-however many of the name's tilings want it). It does not depend on the
-weights, so the grid search keeps one survey per input basis and reuses
-it across weight sets. The demand shares feed the cost of pass 2, which
-picks each name's cheapest tiling and adds its new words to the grown
-set, which is then orthogonalized and fed back in. The from-scratch
-algorithm (``alg2``) needs no seed: it picks the cheapest composition
-of every name outright and runs the same grow-and-orthogonalize step,
-``_grow_and_prune``, once from an empty basis. Both return the basis,
-a frozenset of plain word strings that keys the grid search's surveys
-(alg2's under the empty basis), and a trace of one stats row per round.
+Both algorithms run rounds of one shape, ``_round``, whose tables and
+cost body follow ``cfg.algorithm``. Pass 1, ``_survey``, builds every
+name's table and, for alg1, the corpus-wide demand for each
+not-yet-in-basis word (a word counts at most once per name however
+many of the name's tilings want it). It does not depend on the
+weights, so the grid search keeps one survey per input basis and
+reuses it across weight sets. Pass 2 picks each name's cheapest row
+and adds its new words to the basis, which is then orthogonalized.
+The seeded algorithm (``alg1``) tiles the names by the basis, from a
+frequency seed, round after round; the from-scratch algorithm
+(``alg2``) costs every name's compositions in one round from an empty
+basis. Both return the basis, a frozenset of plain word strings that
+keys the grid search's surveys (alg2's under the empty basis), and a
+trace of one stats row per round.
 The final segmentation picks each name's cheapest covering tiling; a
 run that stops at a fixed point hands it the span patterns its last
 survey found, since the final basis is the one that round surveyed.
@@ -240,7 +240,6 @@ def _choose_row(
     table: SegmentTable,
     corpus_freq: Mapping[str, float] | None,
     cfg: RunConfig,
-    cost_fn: Callable[..., float],
 ) -> tuple[SequenceCandidate, int, int]:
     """The cheapest row of ``table``, a segmentation table of ``name``,
     which reads it through its ``stops``, the rows costed in full and the
@@ -258,20 +257,21 @@ def _choose_row(
     text of one span keeps that span's count, and a text of several asks
     ``SegmentTable.rows_placing``, which the names sharing the table
     share, for the rows placing any of them. Each row's features are
-    summed in ``compute_features``' order and costed by ``cost_fn``,
-    which takes ``tiling_cost``'s arguments. The new-word features (corpus
-    frequency, syntax bit) are only built when ``weights.extra > 0``,
-    since the cost ignores them otherwise, and a span's syntax bit only
-    when a row that places it is costed. Rows come one cell (segment
-    count ``k``, new-segment count ``e``) at a time, ``e`` ascending,
-    then ``k`` ascending, and by boundaries within a cell. That is
-    ``select_best``'s tie order (fewer new segments, then fewer joins,
-    then leftmost boundaries), so the first row of least cost is its
-    pick; only it becomes a candidate. A table with no rows (alg2's, for
-    a name with no composition) keeps the name whole, as one new
-    segment. A table with one row lists it, as the scan would, and picks
-    it without costing it: every cost is finite, so the scan would pick
-    it whatever it costs.
+    summed in ``compute_features``' order and costed by the body of
+    ``cfg.algorithm``, ``tiling_cost`` for alg1 and ``composition_cost``
+    for alg2. The new-word features (corpus frequency, syntax bit) are
+    only built when ``weights.extra > 0``, since the cost ignores them
+    otherwise, and a span's syntax bit only when a row that places it
+    is costed. Rows come one cell (segment count ``k``, new-segment
+    count ``e``) at a time, ``e`` ascending, then ``k`` ascending, and
+    by boundaries within a cell. That is ``select_best``'s tie order
+    (fewer new segments, then fewer joins, then leftmost boundaries), so
+    the first row of least cost is its pick; only it becomes a
+    candidate. A table with no rows (alg2's, for a name with no
+    composition) keeps the name whole, as one new segment. A table with
+    one row lists it, as the scan would, and picks it without costing
+    it: every cost is finite, so the scan would pick it whatever it
+    costs.
 
     The scan is a branch and bound that keeps that pick exact, by the
     cost bodies' contract (see ``features``): every term is >= 0, and
@@ -279,8 +279,8 @@ def _choose_row(
     That needs corpus frequencies to be name shares in [0, 1], as
     ``_survey`` counts them. A demand average is a mean of shares in
     (0, 1], so its term is least at 0.0, or at 1.0 when inverted. So
-    ``cost_fn(n / k, 0.0, least demand, e, 1.0, 1.0)`` (``None`` for
-    the two averages when ``e`` is 0) bounds the cost of every row of
+    the body at ``(n / k, 0.0, least demand, e, 1.0, 1.0)`` (``None``
+    for the two averages when ``e`` is 0) bounds the cost of every row of
     cell ``(k, e)`` from below, and never falls as ``k`` grows: once it
     is no longer below the best cost, no later cell of that ``e`` can
     win, and the scan goes on to the next ``e`` before the table lists
@@ -299,6 +299,7 @@ def _choose_row(
         return table.candidate(name, stops, table.cell(k, e)[0]), 0, table.listed - listed
     spans, counts, new = table.spans, table.counts, table.new
 
+    cost_fn = tiling_cost if cfg.algorithm == "alg1" else composition_cost
     weights = cfg.resolved_weights
     inverted = cfg.pav_inverted
     scored_new = weights.extra > 0.0
@@ -398,23 +399,22 @@ def _choose_all(
     entries: Iterable[Entry],
     corpus_freq: Mapping[str, float] | None,
     cfg: RunConfig,
-    cost_fn: Callable[..., float],
 ) -> dict[str, SequenceCandidate]:
     """Each name's pick by ``_choose_row`` from its ``(name, stops, table)``.
 
-    Logs one line for the pass: the names whose table reached the cap,
-    the rows the tables count, and the sums of ``_choose_row``'s counts,
-    the rows listed (tables list theirs one cell at a time, as the chooser
-    asks, and a shared table only once) and costed in full (a one-row
-    table's row is listed but not costed, since it is the pick). Warns when
-    the cap decided a pick: a capped name has a covering tiling, but
-    every row the cap keeps has new segments (only gapped tiling tables
-    can).
+    ``cfg.algorithm`` picks the cost body. Logs one line for the pass:
+    the names whose table reached the cap, the rows the tables count,
+    and the sums of ``_choose_row``'s counts, the rows listed (tables
+    list theirs one cell at a time, as the chooser asks, and a shared
+    table only once) and costed in full (a one-row table's row is listed
+    but not costed, since it is the pick). Warns when the cap decided a
+    pick: a capped name has a covering tiling, but every row the cap
+    keeps has new segments (only gapped tiling tables can).
     """
     chosen: dict[str, SequenceCandidate] = {}
     capped = lost = rows = listed = costed = 0
     for name, stops, table in entries:
-        chosen[name], costs, lists = _choose_row(name, stops, table, corpus_freq, cfg, cost_fn)
+        chosen[name], costs, lists = _choose_row(name, stops, table, corpus_freq, cfg)
         costed += costs
         listed += lists
         if table.total >= cfg.cap:
@@ -432,31 +432,6 @@ def _choose_all(
             label, cfg.cap, lost, capped,
         )
     return chosen
-
-
-def _grow_and_prune(
-    basis: frozenset[str], chosen: Iterable[SequenceCandidate], iteration: int, n_total: int
-) -> tuple[frozenset[str], frozenset[str], IterationStats]:
-    """Add the chosen sequences' new words to ``basis``, orthogonalize.
-
-    Returns the grown basis, the orthogonalized basis and the stats row,
-    whose joins are those of the chosen sequences.
-    """
-    words = set(basis)
-    j_total = 0
-    for seq in chosen:
-        j_total += seq.eta_joins
-        words.update(text for text, new in zip(seq.texts, seq.new) if new)
-    grown = frozenset(words)
-    pruned = make_ortho(grown)
-    stats = IterationStats(
-        iteration=iteration,
-        b_m_size=len(grown),
-        b_size=len(pruned),
-        j_total=j_total,
-        cost=global_cost(len(pruned), j_total, n_total),
-    )
-    return grown, pruned, stats
 
 
 def _patterns(corpus: Corpus, basis: frozenset[str]) -> dict[str, Pattern]:
@@ -485,20 +460,26 @@ def _tilings(patterns: Mapping[str, Pattern], cap: int, gaps: bool) -> Iterator[
         yield name, stops, table
 
 
-# A round's weight-free pass: each name with its stops and table and, for
-# alg1, new texts' corpus frequencies and each name's pattern by the basis.
+# ``_survey``'s weight-free pass: each name with its stops and table and, for
+# alg1 only, new texts' corpus frequencies and each name's pattern by the basis.
 Survey = tuple[list[Entry], dict[str, float] | None, dict[str, Pattern] | None]
 Surveys = dict[frozenset[str], Survey]
 
 
 def _survey(corpus: Corpus, basis: frozenset[str], cfg: RunConfig) -> Survey:
-    """Pass 1 of an alg1 round, which does not depend on the weights.
+    """Pass 1 of a round, which does not depend on the weights.
 
-    Counts every name's tilings by the basis, up to ``cfg.cap``, and
-    each new text (a span the table marks new; every span of a table is
-    placed by some row) once per name that places it. Rows are listed
-    later, as pass 2 reads them.
+    alg2 gives the names of one length one table of their compositions.
+    alg1 counts every name's tilings by the basis, up to ``cfg.cap``,
+    and each new text (a span the table marks new; every span of a
+    table is placed by some row) once per name that places it. Rows are
+    listed later, as pass 2 reads them.
     """
+    if cfg.algorithm == "alg2":
+        table_of = lru_cache(maxsize=None)(composition_table)
+        args = cfg.min_segment, cfg.include_whole, cfg.cap
+        entries = [(name, range(len(name) + 1), table_of(len(name), *args)) for name in corpus]
+        return entries, None, None
     patterns = _patterns(corpus, basis)
     surveyed = list(_tilings(patterns, cfg.cap, gaps=True))
     demand_count: dict[str, int] = {}
@@ -515,6 +496,45 @@ def _survey(corpus: Corpus, basis: frozenset[str], cfg: RunConfig) -> Survey:
     return surveyed, freq, patterns
 
 
+def _round(
+    corpus: Corpus,
+    basis: frozenset[str],
+    cfg: RunConfig,
+    label: str,
+    iteration: int,
+    surveys: Surveys | None,
+) -> tuple[frozenset[str], frozenset[str], IterationStats, dict[str, SequenceCandidate]]:
+    """One grow/prune round of ``cfg.algorithm`` from ``basis``.
+
+    Takes pass 1 from ``surveys``, or builds it there (for this round
+    only without them), picks each name's row, adds the picks' new words
+    to ``basis`` and orthogonalizes. Returns the grown basis, the
+    orthogonalized basis, the stats row (the joins are the picks') and
+    each name's pick.
+    """
+    if surveys is None:
+        surveys = {}
+    if basis not in surveys:
+        surveys[basis] = _survey(corpus, basis, cfg)
+    surveyed, corpus_freq, _ = surveys[basis]
+    chosen = _choose_all(label, surveyed, corpus_freq, cfg)
+    words = set(basis)
+    j_total = 0
+    for seq in chosen.values():
+        j_total += seq.eta_joins
+        words.update(text for text, new in zip(seq.texts, seq.new) if new)
+    grown = frozenset(words)
+    pruned = make_ortho(grown)
+    stats = IterationStats(
+        iteration=iteration,
+        b_m_size=len(grown),
+        b_size=len(pruned),
+        j_total=j_total,
+        cost=global_cost(len(pruned), j_total, corpus.total_unique),
+    )
+    return grown, pruned, stats, chosen
+
+
 def run_iteration_alg1(
     corpus: Corpus,
     basis: frozenset[str],
@@ -523,21 +543,12 @@ def run_iteration_alg1(
     *,
     surveys: Surveys | None = None,
 ) -> tuple[frozenset[str], frozenset[str], IterationStats, dict[str, SequenceCandidate]]:
-    """One grow/prune round of the seeded algorithm.
+    """One grow/prune round of the seeded algorithm; see ``_round``.
 
     ``surveys``, when given, keeps pass 1 per input basis, so a caller
     that runs the same basis under other weights costs its rows only.
-    Returns the grown basis, the orthogonalized basis, the stats row,
-    and each name's chosen sequence.
     """
-    if surveys is None:
-        surveys = {}
-    if basis not in surveys:
-        surveys[basis] = _survey(corpus, basis, cfg)
-    surveyed, corpus_freq, _ = surveys[basis]
-    chosen = _choose_all(f"alg1 iteration {iteration}", surveyed, corpus_freq, cfg, tiling_cost)
-    grown, pruned, stats = _grow_and_prune(basis, chosen.values(), iteration, corpus.total_unique)
-    return grown, pruned, stats, chosen
+    return _round(corpus, basis, cfg, f"alg1 iteration {iteration}", iteration, surveys)
 
 
 def run_alg1(
@@ -549,7 +560,7 @@ def run_alg1(
 ) -> tuple[frozenset[str], list[IterationStats]]:
     """Seeded grow/prune induction to a fixed point or iteration cap.
 
-    ``surveys`` is passed to every round (see ``run_iteration_alg1``);
+    Each round is a ``run_iteration_alg1`` call, which gets ``surveys``;
     without it, a round's survey lives for that round only. ``patterns``,
     when given, receives each name's stops and span pattern by the
     returned basis if the last round surveyed it, as it does when the
@@ -579,24 +590,11 @@ def run_alg2(
 ) -> tuple[frozenset[str], list[IterationStats]]:
     """Single-shot induction from exhaustive compositions, no seed.
 
-    Every segment is new, so one grow/prune round from an empty basis
-    takes all the chosen words; the trace has that one row. The names of
-    one length share one table, kept under the empty basis in ``surveys``.
+    Every segment is new, so one ``_round`` from an empty basis takes
+    all the chosen words; the trace has that one row. The names of one
+    length share one table, kept under the empty basis in ``surveys``.
     """
-    basis: frozenset[str] = frozenset()
-    if surveys is None:
-        surveys = {}
-    if basis not in surveys:
-        table_of = lru_cache(maxsize=None)(composition_table)
-        args = cfg.min_segment, cfg.include_whole, cfg.cap
-        surveys[basis] = (
-            [(name, range(len(name) + 1), table_of(len(name), *args)) for name in corpus],
-            None,
-            None,
-        )
-    surveyed, _, _ = surveys[basis]
-    chosen = _choose_all("alg2", surveyed, None, cfg, composition_cost)
-    _, pruned, stats = _grow_and_prune(basis, chosen.values(), 1, corpus.total_unique)
+    _, pruned, stats, _ = _round(corpus, frozenset(), cfg, "alg2", 1, surveys)
     return pruned, [stats]
 
 
@@ -617,9 +615,8 @@ def segment_corpus(
     ``patterns`` are the corpus's stops and span patterns by ``basis``,
     as ``run_alg1`` leaves them; they are found anew when not given.
     """
-    cost_fn = tiling_cost if cfg.algorithm == "alg1" else composition_cost
     tables = _tilings(patterns or _patterns(corpus, basis), cfg.cap, gaps=False)
-    return _choose_all("segmentation", tables, None, cfg, cost_fn)
+    return _choose_all("segmentation", tables, None, cfg)
 
 
 def check_convergence(trace: Sequence[IterationStats]) -> list[ConvergenceStep]:
@@ -672,21 +669,15 @@ def grid_search_weights(
     surveys: Surveys = {}
     run = run_alg1 if cfg.algorithm == "alg1" else run_alg2
     table: list[tuple[WeightSet, float]] = []
-    best: tuple[float, int, int] | None = None
-    best_weights: WeightSet | None = None
+    keys: list[tuple[float, int, int]] = []
     rounds = 0
     for index, weights in enumerate(grid):
         basis, trace = run(corpus, replace(cfg, weights=weights), surveys=surveys)
         rounds += len(trace)
-        final = trace[-1]
-        table.append((weights, final.cost))
-        key = (final.cost, len(basis), index)
-        if best is None or key < best:
-            best = key
-            best_weights = weights
+        table.append((weights, trace[-1].cost))
+        keys.append((trace[-1].cost, len(basis), index))
     logger.info(
         "grid search: %d %s surveys built, %d reused over %d rounds",
         len(surveys), cfg.algorithm, rounds - len(surveys), rounds,
     )
-    assert best_weights is not None
-    return best_weights, table
+    return grid[min(keys)[2]], table

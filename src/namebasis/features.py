@@ -2,8 +2,8 @@
 
 Each cost flavour has one scalar body that takes the feature values
 (``tiling_cost`` for alg1, ``composition_cost`` for alg2). Both take
-the same arguments, so the engine's one table chooser calls either
-directly. ``compute_features``, ``FeatureVector``,
+the same arguments; the engine's one table chooser calls the body of
+the run's algorithm. ``compute_features``, ``FeatureVector``,
 ``cost_alg1``/``cost_alg2``, ``demand_shares`` and ``select_best``
 score whole candidates through the same bodies, and serve as the
 chooser's test oracle.

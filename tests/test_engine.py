@@ -27,13 +27,11 @@ from namebasis.engine import (
 )
 from namebasis.features import (
     WeightSet,
-    composition_cost,
     compute_features,
     cost_alg1,
     cost_alg2,
     demand_shares,
     select_best,
-    tiling_cost,
 )
 from namebasis.ortho import is_constructible, is_ortho
 from namebasis.segmenter import (
@@ -167,9 +165,9 @@ class TestIterationAlg1:
         # xax at one; each still counts once per name
         seen = []
 
-        def capture(name, stops, table, corpus_freq, cfg, cost_fn):
+        def capture(name, stops, table, corpus_freq, cfg):
             seen.append(corpus_freq)
-            return choose_row(name, stops, table, corpus_freq, cfg, cost_fn)
+            return choose_row(name, stops, table, corpus_freq, cfg)
 
         choose_row = engine._choose_row
         monkeypatch.setattr(engine, "_choose_row", capture)
@@ -264,7 +262,7 @@ def oracle_composition(name, cfg):
 
 def table_composition(name, cfg):
     table = composition_table(len(name), cfg.min_segment, cfg.include_whole, cfg.cap)
-    return _choose_row(name, range(len(name) + 1), table, None, cfg, composition_cost)[0]
+    return _choose_row(name, range(len(name) + 1), table, None, cfg)[0]
 
 
 class TestCompositionOracle:
@@ -364,20 +362,20 @@ class TestReachedSpans:
 
     def test_texts_placed_once_need_no_count(self, reads):
         table = composition_table(10, 2, True, self.cfg.cap)
-        _, costed, _ = _choose_row("abcdefghij", range(11), table, None, self.cfg, composition_cost)
+        _, costed, _ = _choose_row("abcdefghij", range(11), table, None, self.cfg)
         assert costed == table.total == 34
         assert reads == []
 
     def test_a_text_held_twice_is_counted_once(self, reads):
         # "an" is two spans of "anan", placed by one of its two rows
         table = composition_table(4, 2, True, self.cfg.cap)
-        chosen, costed, _ = _choose_row("anan", range(5), table, None, self.cfg, composition_cost)
+        chosen, costed, _ = _choose_row("anan", range(5), table, None, self.cfg)
         assert costed == table.total == 2
         assert reads == [False]
         assert chosen == oracle_composition("anan", self.cfg)
         # "inin" groups the spans alike: it reads the kept count, and no
         # second backward pass runs
-        chosen, costed, _ = _choose_row("inin", range(5), table, None, self.cfg, composition_cost)
+        chosen, costed, _ = _choose_row("inin", range(5), table, None, self.cfg)
         assert costed == 2
         assert reads == [False, True]
         assert chosen == oracle_composition("inin", self.cfg)
@@ -401,14 +399,12 @@ class TestReachedSpans:
     )
     def test_one_row_table_is_listed_not_costed(self, reads, table, stops, picked):
         assert table.total == 1
-        assert _choose_row(picked.name, stops, table, None, self.cfg, composition_cost) == (
-            picked, 0, 1
-        )
+        assert _choose_row(picked.name, stops, table, None, self.cfg) == (picked, 0, 1)
         assert reads == []
 
 
-# Each cost flavour as the table chooser takes it, and as the oracle does.
-FLAVOURS = {"alg1": (tiling_cost, cost_alg1), "alg2": (composition_cost, cost_alg2)}
+# Each algorithm's cost flavour as the oracle takes it.
+FLAVOURS = {"alg1": cost_alg1, "alg2": cost_alg2}
 
 
 def oracle_demand(seqs_by_name, n_total):
@@ -421,11 +417,13 @@ def oracle_demand(seqs_by_name, n_total):
 
 
 def table_tiling(name, basis, corpus_freq, cfg, gaps, flavour):
-    """The chooser's pick from the name's table built on its span pattern."""
+    """The chooser's pick from the name's table built on its span pattern,
+    costed as ``flavour`` at ``cfg``'s weights."""
     spans = candidate_words(name, basis, lengths_of(basis))
     stops, pattern = span_pattern(len(name), spans)
     table = tiling_table(len(stops) - 1, pattern, cfg.cap, gaps=gaps)
-    return _choose_row(name, stops, table, corpus_freq, cfg, FLAVOURS[flavour][0])[0]
+    cfg = dataclasses.replace(cfg, algorithm=flavour, weights=cfg.resolved_weights)
+    return _choose_row(name, stops, table, corpus_freq, cfg)[0]
 
 
 class TestTilingOracle:
@@ -568,7 +566,7 @@ class TestTilingOracle:
                 if new
             }
         assert table_tiling(name, basis, corpus_freq, cfg, gaps, flavour) == choose(
-            seqs, corpus_freq, cfg, FLAVOURS[flavour][1]
+            seqs, corpus_freq, cfg, FLAVOURS[flavour]
         )
 
     @pytest.fixture(scope="class")
@@ -604,7 +602,7 @@ class TestTilingOracle:
             name: choose(seqs, corpus_freq, cfg, cost_alg1) for name, seqs in gapped.items()
         }
         for name, seqs in gapped.items():
-            for flavour, (_, oracle_cost) in FLAVOURS.items():
+            for flavour, oracle_cost in FLAVOURS.items():
                 assert table_tiling(name, basis, None, cfg, True, flavour) == choose(
                     seqs, None, cfg, oracle_cost
                 )
@@ -637,6 +635,20 @@ class TestSegmentCorpus:
             )
         assert chosen["xy"].texts == ("x", "y")
         assert not [r for r in caplog.records if "does not span" in r.getMessage()]
+
+    @pytest.mark.parametrize(
+        "algorithm, texts", [("alg1", ("eeebeba",)), ("alg2", ("eee", "be", "ba"))]
+    )
+    def test_gapped_fallback_costs_by_the_algorithm(self, algorithm, texts):
+        # The basis does not span the name, so its gapped tilings, with new
+        # segments, are costed. Segmentation has no corpus frequencies, so
+        # alg1's new-word term costs ZERO_PENALTY per new segment and keeps
+        # the fewest; alg2's costs the syntax average's reciprocal once.
+        cfg = RunConfig(
+            algorithm=algorithm, weights=WeightSet(0.0, 0.25, 0.25, 0.5), pav_inverted=True
+        )
+        chosen = segment_corpus(Corpus({"eeebeba": 1}), basis_of("a", "be", "eab"), cfg)
+        assert chosen["eeebeba"].texts == texts
 
     def test_planted_alg2_names_written_in_basis_words(self, caplog):
         planted = make_planted_corpus(n_names=50, n_units=12, seed=7)
@@ -849,8 +861,8 @@ class TestSharedTables:
         # the cells the first name lists are not listed again for the second
         seen = {}
 
-        def capture(name, stops, table, corpus_freq, cfg, cost_fn):
-            returned = choose_row(name, stops, table, corpus_freq, cfg, cost_fn)
+        def capture(name, stops, table, corpus_freq, cfg):
+            returned = choose_row(name, stops, table, corpus_freq, cfg)
             seen[name] = stops, table, corpus_freq, returned
             return returned
 
@@ -868,7 +880,7 @@ class TestSharedTables:
             assert stops == (0, 2, 4)
             alone = tiling_table(4, frozenset({(0, 2), (2, 4)}), cfg.cap, gaps=True)
             assert shared.total == alone.total
-            picked, costed, listed = choose_row(name, offsets, alone, corpus_freq, cfg, tiling_cost)
+            picked, costed, listed = choose_row(name, offsets, alone, corpus_freq, cfg)
             assert returned[:2] == (chosen[name], costed) and picked == chosen[name]
             assert listed == alone.listed > 0
             placed = [
@@ -920,7 +932,7 @@ class TestSharedTables:
         if isinstance(tiled[0], int):
             second = other[:n]
             stops = range(n + 1)
-            cost_fn = composition_cost
+            cfg = dataclasses.replace(cfg, algorithm="alg2")
 
             def build():
                 return composition_table(n, *tiled, cap)
@@ -933,7 +945,6 @@ class TestSharedTables:
             relabeled = {word.translate(letters) for word in basis}
             spans = candidate_words(second, relabeled, lengths_of(relabeled))
             assume(span_pattern(n, spans) == (stops, pattern))
-            cost_fn = tiling_cost
 
             def build():
                 return tiling_table(len(stops) - 1, pattern, cap, gaps=gaps)
@@ -948,15 +959,15 @@ class TestSharedTables:
             # any fixed share per new text
             corpus_freq = {text: (1 + sum(map(ord, text)) % 3) / 3 for text in new}
         alone = {
-            name: _choose_row(name, stops, build(), corpus_freq, cfg, cost_fn)
+            name: _choose_row(name, stops, build(), corpus_freq, cfg)
             for name in (first, second)
         }
         listed = set()
         for one, two in ((first, second), (second, first)):
             shared = build()
-            picked = _choose_row(one, stops, shared, corpus_freq, cfg, cost_fn)
+            picked = _choose_row(one, stops, shared, corpus_freq, cfg)
             assert picked == alone[one]
-            picked = _choose_row(two, stops, shared, corpus_freq, cfg, cost_fn)
+            picked = _choose_row(two, stops, shared, corpus_freq, cfg)
             assert picked[:2] == alone[two][:2]
             # the second name lists only the cells the first left unlisted
             assert alone[one][2] + picked[2] == shared.listed

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import brute_tilings, check_rows_placing, lengths_of
 from namebasis.corpus import Corpus
 from namebasis.engine import RunConfig, _choose_row, _survey, weight_grid
-from namebasis.features import tiling_cost
 from namebasis.segmenter import (
     candidate_words,
     composition_table,
@@ -507,8 +506,8 @@ class TestPatternOracle:
                 if is_new
             }
             cfg = RunConfig(cap=cap, weights=weights, pav_inverted=pav_inverted)
-            assert _choose_row(name, stops, shared, corpus_freq, cfg, tiling_cost) == _choose_row(
-                name, offsets, raw, corpus_freq, cfg, tiling_cost
+            assert _choose_row(name, stops, shared, corpus_freq, cfg) == _choose_row(
+                name, offsets, raw, corpus_freq, cfg
             )
 
 
