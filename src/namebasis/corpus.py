@@ -122,7 +122,8 @@ def normalize(raw: Corpus, min_length: int = 3) -> Corpus:
     lost: list[str] = []
     for surface in raw:
         lowered = surface.lower()
-        if any(ch.isalpha() and not "a" <= ch <= "z" for ch in lowered):
+        # lowercased ASCII letters are all a-z, so only other text is scanned
+        if not lowered.isascii() and any(ch.isalpha() and not "a" <= ch <= "z" for ch in lowered):
             lost.append(surface)
         for part in lowered.split():
             cleaned = _NON_LETTERS.sub("", part)

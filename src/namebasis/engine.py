@@ -1,13 +1,15 @@
 """Basis induction: seeding, grow/prune iterations, convergence, search.
 
 Both algorithms run rounds of one shape, ``_round``, whose tables and
-cost body follow ``cfg.algorithm``. Pass 1, ``_survey``, builds every
-name's table and, for alg1, the corpus-wide demand for each
+cost body follow ``cfg.algorithm``. Pass 1, ``_survey``, keys each
+name's table and, for alg1, finds the corpus-wide demand for each
 not-yet-in-basis word (a word counts at most once per name however
-many of the name's tilings want it). It does not depend on the
-weights, so the grid search keeps one survey per input basis and
-reuses it across weight sets. Pass 2 picks each name's cheapest row
-and adds its new words to the basis, which is then orthogonalized.
+many of the name's tilings want it), each name's one covering tiling
+when it has exactly one, and the largest demand among its new texts.
+It does not depend on the weights, so the grid search keeps one
+survey, with the tables built from it, per input basis and reuses it
+across weight sets. Pass 2 picks each name's cheapest row and adds its
+new words to the basis, which is then orthogonalized.
 The seeded algorithm (``alg1``) tiles the names by the basis, from a
 frequency seed, round after round; the from-scratch algorithm
 (``alg2``) costs every name's compositions in one round from an empty
@@ -17,8 +19,14 @@ trace of one stats row per round.
 The final segmentation picks each name's cheapest covering tiling; a
 run that stops at a fixed point hands it the span patterns its last
 survey found, since the final basis is the one that round surveyed.
-All three picks go through one chooser, ``_choose_row``, over a
-``SegmentTable`` of the name's candidates, so every candidate is one
+A name whose one covering tiling is its pick whatever the rest of its
+table holds (``_forced``: always in the final segmentation, and in an
+alg1 round when no cap can cut the table and the tiling's cost at its
+dearest demand is no greater than the least cost a row with a new
+segment can have) is picked from its pattern, and no table is built
+for it. Every other pick goes through one chooser, ``_choose_row``,
+over a ``SegmentTable`` of the name's candidates, built on first use,
+so every candidate is one
 row of sums and one scalar cost, the table's ``new`` column says which
 segments are new, its counts give each text's demand share without
 listing a row, a name's span features are read only for the rows the
@@ -34,9 +42,11 @@ is a branch and bound with the same pick as costing every row: rows
 come one cell (segment count ``k``, new-segment count ``e``) at a
 time, fewest new segments first, then fewest segments. A row's cost is
 never below its cell's bound, the cost at ``n / k`` letters a segment,
-no length variance, the cheapest demand and, for ``e > 0``, corpus
-frequency and syntax averages at 1.0, their cheapest value; so each
-new segment adds at least ``2 * weights.extra`` to an alg1 row. The
+no length variance, the cheapest demand and, for ``e > 0``, a syntax
+average at 1.0 and a corpus frequency average at the name's ``top``,
+the ``mean_ceiling`` of its new texts' largest frequency, their
+cheapest values; so each new segment adds at least ``2 *
+weights.extra`` to an alg1 row. The
 bound grows with ``k``, so the scan of an ``e`` stops, before the
 table lists the cell, once the bound cannot beat the best row, and a
 row with new segments is skipped when it loses even at those averages.
@@ -62,7 +72,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import config as _config
 from .corpus import Corpus
@@ -72,6 +82,7 @@ from .features import (
     WeightSet,
     composition_cost,
     left_sum,
+    mean_ceiling,
     tiling_cost,
 )
 # Unused here, but perfbench's tracer wraps these engine attributes.
@@ -83,7 +94,10 @@ from .segmenter import (
     SequenceCandidate,
     candidate_words,
     composition_table,
+    covering_tiling,
+    placed_gaps,
     span_pattern,
+    tiling_candidate,
     tiling_table,
     enumerate_all,  # unused here, but perfbench's tracer wraps engine.enumerate_all
     enumerate_with_basis,  # unused here, but perfbench's tracer wraps it too
@@ -234,12 +248,19 @@ def seed_basis(corpus: Corpus, k: float) -> frozenset[str]:
     return make_ortho(frozenset(name for name in corpus if corpus.frequency(name) >= threshold))
 
 
+def _cost_body(cfg: RunConfig) -> Callable[..., float]:
+    """The cost body of ``cfg.algorithm``: ``tiling_cost`` for alg1,
+    ``composition_cost`` for alg2."""
+    return tiling_cost if cfg.algorithm == "alg1" else composition_cost
+
+
 def _choose_row(
     name: str,
     stops: Sequence[int],
     table: SegmentTable,
     corpus_freq: Mapping[str, float] | None,
     cfg: RunConfig,
+    top: float = 1.0,
 ) -> tuple[SequenceCandidate, int, int]:
     """The cheapest row of ``table``, a segmentation table of ``name``,
     which reads it through its ``stops``, the rows costed in full and the
@@ -275,20 +296,23 @@ def _choose_row(
 
     The scan is a branch and bound that keeps that pick exact, by the
     cost bodies' contract (see ``features``): every term is >= 0, and
-    the new-word term is least at ``new_freq_avg = syntax_avg = 1.0``.
+    the new-word term is least at ``new_freq_avg = top`` and
+    ``syntax_avg = 1.0``.
     That needs corpus frequencies to be name shares in [0, 1], as
     ``_survey`` counts them. A demand average is a mean of shares in
     (0, 1], so its term is least at 0.0, or at 1.0 when inverted. So
-    the body at ``(n / k, 0.0, least demand, e, 1.0, 1.0)`` (``None``
+    the body at ``(n / k, 0.0, least demand, e, top, 1.0)`` (``None``
     for the two averages when ``e`` is 0) bounds the cost of every row of
     cell ``(k, e)`` from below, and never falls as ``k`` grows: once it
     is no longer below the best cost, no later cell of that ``e`` can
     win, and the scan goes on to the next ``e`` before the table lists
-    the cell. A row with new segments is first costed at ``(1.0, 1.0)``,
+    the cell. A row with new segments is first costed at ``(top, 1.0)``,
     and its fresh, frequency and syntax work is skipped when that bound
-    already loses to the best row. Every row that is costed in full goes
-    through the same body with the same arguments as an exhaustive scan,
-    so the pick is the same.
+    already loses to the best row. ``top`` may be below 1.0: the survey
+    passes the ``mean_ceiling`` of the largest corpus frequency of a
+    text the table's rows place as new. Every row that is costed in full
+    goes through the same body with the same arguments as an exhaustive
+    scan, so the pick is the same.
     """
     total = table.total
     if not total:
@@ -299,7 +323,7 @@ def _choose_row(
         return table.candidate(name, stops, table.cell(k, e)[0]), 0, table.listed - listed
     spans, counts, new = table.spans, table.counts, table.new
 
-    cost_fn = tiling_cost if cfg.algorithm == "alg1" else composition_cost
+    cost_fn = _cost_body(cfg)
     weights = cfg.resolved_weights
     inverted = cfg.pav_inverted
     scored_new = weights.extra > 0.0
@@ -325,7 +349,7 @@ def _choose_row(
     best_cost = math.inf
     costed = 0
     for eta_new, levels in enumerate(table.cells):
-        least_new = (1.0, 1.0) if eta_new else (None, None)
+        least_new = (top, 1.0) if eta_new else (None, None)
         for k in levels:
             avg_len = n / k
             if (
@@ -364,7 +388,7 @@ def _choose_row(
                 new_freq_avg = syntax_avg = None
                 if scored_new and eta_new:
                     if (
-                        cost_fn(avg_len, len_var, demand_avg, eta_new, 1.0, 1.0, weights, inverted)
+                        cost_fn(avg_len, len_var, demand_avg, eta_new, top, 1.0, weights, inverted)
                         >= best_cost
                     ):
                         continue
@@ -390,31 +414,99 @@ def _choose_row(
     return table.candidate(name, stops, best), costed, table.listed - listed
 
 
-# A name with its stops and the table it reads through them.
-Entry = tuple[str, Sequence[int], SegmentTable]
+# A covering tiling as a name's pick, with its length average and
+# variance as the chooser computes them.
+Cover = tuple[SequenceCandidate, float, float]
+
+# A name, its stops, the key of the table it reads through them (stop
+# intervals, span pattern and gaps for tilings; the length for
+# compositions), its one covering tiling when no cap can cut its table,
+# and, when some row places a new segment, ``mean_ceiling`` of the largest
+# corpus frequency of the texts new there (None otherwise).
+Entry = tuple[str, Sequence[int], tuple, Cover | None, float | None]
+
+
+def _cover(name: str, stops: Sequence[int], tiles: Sequence[tuple[int, int]]) -> Cover:
+    """``tiles``, a covering tiling of ``name`` read through its ``stops``,
+    as its ``Cover``."""
+    n, k = len(name), len(tiles)
+    squares = sum((stops[end] - stops[start]) ** 2 for start, end in tiles)
+    pick = tiling_candidate(name, stops, tiles, (False,) * k)
+    return pick, n / k, (k * squares - n * n) / (k * k)
+
+
+def _forced(cover: Cover, intervals: int, top: float | None, cfg: RunConfig) -> bool:
+    """Whether ``cover``, a name's one covering tiling, is its pick among
+    the rows of its gapped table, which has ``intervals`` stop intervals
+    and so at most ``2 ** (intervals - 1)`` rows, uncut.
+
+    With no new segment to place (``top`` None) it is the table's only
+    row. Otherwise it comes first in tie order, having no new segment,
+    so it is the pick when it costs no more than any row with new
+    segments. It costs at most the body at its own length terms and the
+    dearest demand average: every share is at most 1 and at least 1 over
+    the table's rows, so at least ``2 ** (1 - intervals)``, a power of
+    two that a mean cannot round below. By the cost bodies' contract, a
+    row with new segments costs at least the body at the whole name as
+    one segment, no variance, the cheapest demand, one new segment,
+    ``top`` for its new-word frequency and syntax 1.0.
+    """
+    if top is None:
+        return True
+    pick, avg_len, len_var = cover
+    cost_fn = _cost_body(cfg)
+    weights = cfg.resolved_weights
+    inverted = cfg.pav_inverted
+    dearest = 2.0 ** (1 - intervals) if inverted else 1.0
+    most = cost_fn(avg_len, len_var, dearest, 0, None, None, weights, inverted)
+    cheapest = 1.0 if inverted else 0.0
+    least = cost_fn(float(len(pick.name)), 0.0, cheapest, 1, top, 1.0, weights, inverted)
+    return most <= least
 
 
 def _choose_all(
     label: str,
     entries: Iterable[Entry],
+    tables: Callable[..., SegmentTable],
     corpus_freq: Mapping[str, float] | None,
     cfg: RunConfig,
 ) -> dict[str, SequenceCandidate]:
-    """Each name's pick by ``_choose_row`` from its ``(name, stops, table)``.
+    """Each name's pick from its ``(name, stops, key, cover, top)`` entry.
 
-    ``cfg.algorithm`` picks the cost body. Logs one line for the pass:
-    the names whose table reached the cap, the rows the tables count,
-    and the sums of ``_choose_row``'s counts, the rows listed (tables
-    list theirs one cell at a time, as the chooser asks, and a shared
-    table only once) and costed in full (a one-row table's row is listed
-    but not costed, since it is the pick). Warns when the cap decided a
-    pick: a capped name has a covering tiling, but every row the cap
-    keeps has new segments (only gapped tiling tables can).
+    A name whose covering tiling is ``_forced`` is picked from its
+    pattern, and no table is built or read for it. Every other name is
+    chosen by ``_choose_row`` from ``tables(*key)``, which builds each
+    table on first use and shares it with the names of its key. A
+    tiling table without gaps can have no row, when the basis does not
+    span the name; the name then reads the gapped table of its pattern,
+    and a warning says so. ``cfg.algorithm`` picks the cost body.
+
+    Logs one line for the pass: of the names that read a table, those
+    whose table reached the cap, the rows their tables count, and the
+    sums of ``_choose_row``'s counts, the rows listed (tables list
+    theirs one cell at a time, as the chooser asks, and a shared table
+    only once) and costed in full (a one-row table's row is listed but
+    not costed, since it is the pick); and, when there are any, the
+    names picked from their pattern. Warns when the cap decided a pick:
+    a capped name has a covering tiling, but every row the cap keeps has
+    new segments (only gapped tiling tables can).
     """
     chosen: dict[str, SequenceCandidate] = {}
-    capped = lost = rows = listed = costed = 0
-    for name, stops, table in entries:
-        chosen[name], costs, lists = _choose_row(name, stops, table, corpus_freq, cfg)
+    capped = lost = rows = listed = costed = picked = 0
+    for name, stops, key, cover, top in entries:
+        if cover is not None and _forced(cover, len(stops) - 1, top, cfg):
+            chosen[name] = cover[0]
+            picked += 1
+            continue
+        table = tables(*key)
+        # only a gapless tiling table can be empty: a composition table's
+        # key is its length alone, and a gapped one has the whole name
+        if not table.total and len(key) == 3:
+            logger.warning("basis does not span %r; keeping a gapped sequence", name)
+            table = tables(*key[:2], True)
+        chosen[name], costs, lists = _choose_row(
+            name, stops, table, corpus_freq, cfg, 1.0 if top is None else top
+        )
         costed += costs
         listed += lists
         if table.total >= cfg.cap:
@@ -423,8 +515,9 @@ def _choose_all(
         rows += table.total
     logger.info(
         "%s: %d of %d names reached the candidate cap %d; "
-        "%d rows enumerated, %d listed, %d costed in full",
+        "%d rows enumerated, %d listed, %d costed in full%s",
         label, capped, len(chosen), cfg.cap, rows, listed, costed,
+        f"; {picked} picked from their pattern" if picked else "",
     )
     if lost:
         logger.warning(
@@ -443,57 +536,72 @@ def _patterns(corpus: Corpus, basis: frozenset[str]) -> dict[str, Pattern]:
     }
 
 
-def _tilings(patterns: Mapping[str, Pattern], cap: int, gaps: bool) -> Iterator[Entry]:
-    """Each name of ``patterns`` with its stops and its table of tilings.
+def _tiling_tables(cap: int) -> Callable[[int, frozenset, bool], SegmentTable]:
+    """Tiling tables by stop intervals, span pattern and gaps, each built
+    on first use and then shared by the names of its pattern, whatever
+    their lengths, for as long as the caller keeps the function: a table
+    kept longer keeps its listed cells."""
+    def build(n: int, pattern: frozenset, gaps: bool) -> SegmentTable:
+        return tiling_table(n, pattern, cap, gaps=gaps)
 
-    Names of one span pattern share one table, whatever their lengths,
-    for this pass only: a table kept longer keeps its listed cells. With
-    ``gaps`` false, a name the basis does not span gets its gapped table
-    instead, and a warning.
-    """
-    table_of = lru_cache(maxsize=None)(tiling_table)
-    for name, (stops, pattern) in patterns.items():
-        table = table_of(len(stops) - 1, pattern, cap, gaps=gaps)
-        if not table.total:
-            logger.warning("basis does not span %r; keeping a gapped sequence", name)
-            table = table_of(len(stops) - 1, pattern, cap, gaps=True)
-        yield name, stops, table
+    return lru_cache(maxsize=None)(build)
 
 
-# ``_survey``'s weight-free pass: each name with its stops and table and, for
-# alg1 only, new texts' corpus frequencies and each name's pattern by the basis.
-Survey = tuple[list[Entry], dict[str, float] | None, dict[str, Pattern] | None]
+# ``_survey``'s weight-free pass: each name's entry, for alg1 only new
+# texts' corpus frequencies, and the tables the entries' keys name.
+Survey = tuple[list[Entry], dict[str, float] | None, Callable[..., SegmentTable]]
 Surveys = dict[frozenset[str], Survey]
 
 
 def _survey(corpus: Corpus, basis: frozenset[str], cfg: RunConfig) -> Survey:
     """Pass 1 of a round, which does not depend on the weights.
 
-    alg2 gives the names of one length one table of their compositions.
-    alg1 counts every name's tilings by the basis, up to ``cfg.cap``,
-    and each new text (a span the table marks new; every span of a
-    table is placed by some row) once per name that places it. Rows are
-    listed later, as pass 2 reads them.
+    alg2 keys every name's table, of its compositions, by its length.
+    alg1 keys it by the name's span pattern by the basis, and counts
+    each new text (a gap that some row places) once per name that places
+    it. A pattern of ``n`` stop intervals has at most ``2 ** (n - 1)``
+    tilings, so below ``cfg.cap`` no cap cuts its table: its new texts
+    are its ``placed_gaps``, and its entry keeps its one covering tiling
+    when it has exactly one. Only the other names' tables are built
+    here, to read their new texts from the rows the cap keeps; pass 2
+    builds the rest as it needs them, and lists rows as it reads them.
     """
     if cfg.algorithm == "alg2":
-        table_of = lru_cache(maxsize=None)(composition_table)
         args = cfg.min_segment, cfg.include_whole, cfg.cap
-        entries = [(name, range(len(name) + 1), table_of(len(name), *args)) for name in corpus]
-        return entries, None, None
-    patterns = _patterns(corpus, basis)
-    surveyed = list(_tilings(patterns, cfg.cap, gaps=True))
+        tables = lru_cache(maxsize=None)(lambda n: composition_table(n, *args))
+        entries = [(name, range(len(name) + 1), (len(name),), None, None) for name in corpus]
+        return entries, None, tables
+    tables = _tiling_tables(cfg.cap)
+    covering = lru_cache(maxsize=None)(covering_tiling)
+    gaps_of = lru_cache(maxsize=None)(placed_gaps)
+    placed = []
     demand_count: dict[str, int] = {}
-    for name, stops, table in surveyed:
-        new = {
-            name[stops[start] : stops[end]]
-            for (start, end), is_new in zip(table.spans, table.new)
-            if is_new
-        }
+    for name, (stops, pattern) in _patterns(corpus, basis).items():
+        n = len(stops) - 1
+        if 2 ** (n - 1) < cfg.cap:
+            tiles = covering(n, pattern)
+            gaps = gaps_of(n, pattern)
+        else:
+            tiles = None
+            table = tables(n, pattern, True)
+            gaps = [span for span, is_new in zip(table.spans, table.new) if is_new]
+        new = {name[stops[start] : stops[end]] for start, end in gaps}
         for text in new:
             demand_count[text] = demand_count.get(text, 0) + 1
+        placed.append((name, stops, (n, pattern, True), tiles, new))
     n_total = corpus.total_unique
     freq = {text: count / n_total for text, count in demand_count.items()}
-    return surveyed, freq, patterns
+    entries: list[Entry] = [
+        (
+            name,
+            stops,
+            key,
+            None if tiles is None else _cover(name, stops, tiles),
+            mean_ceiling(max(map(freq.__getitem__, new))) if new else None,
+        )
+        for name, stops, key, tiles, new in placed
+    ]
+    return entries, freq, tables
 
 
 def _round(
@@ -516,8 +624,8 @@ def _round(
         surveys = {}
     if basis not in surveys:
         surveys[basis] = _survey(corpus, basis, cfg)
-    surveyed, corpus_freq, _ = surveys[basis]
-    chosen = _choose_all(label, surveyed, corpus_freq, cfg)
+    entries, corpus_freq, tables = surveys[basis]
+    chosen = _choose_all(label, entries, tables, corpus_freq, cfg)
     words = set(basis)
     j_total = 0
     for seq in chosen.values():
@@ -576,7 +684,8 @@ def run_alg1(
         # At an exact fixed point every further round would repeat this row.
         done = stats.b_m_size - stats.b_size < cfg.epsilon or pruned == basis
         if pruned == basis and patterns is not None:
-            patterns.update(kept[basis][2])
+            entries = kept[basis][0]
+            patterns.update((name, (stops, key[1])) for name, stops, key, _, _ in entries)
         basis = pruned
         if done:
             break
@@ -609,14 +718,21 @@ def segment_corpus(
 
     Used to write the final name -> word-sequence table once induction
     is done. Each name is chosen among its first ``cfg.cap`` covering
-    tilings. Every name a finished run produced is coverable, but a
+    tilings; a name with exactly one takes it, and no table is built
+    for it. Every name a finished run produced is coverable, but a
     foreign basis may leave gaps, in which case the best of the first
     ``cfg.cap`` gapped tilings is kept and a warning logged.
     ``patterns`` are the corpus's stops and span patterns by ``basis``,
     as ``run_alg1`` leaves them; they are found anew when not given.
     """
-    tables = _tilings(patterns or _patterns(corpus, basis), cfg.cap, gaps=False)
-    return _choose_all("segmentation", tables, None, cfg)
+    covering = lru_cache(maxsize=None)(covering_tiling)
+    entries: list[Entry] = []
+    for name, (stops, pattern) in (patterns or _patterns(corpus, basis)).items():
+        n = len(stops) - 1
+        tiles = covering(n, pattern)
+        cover = None if tiles is None else _cover(name, stops, tiles)
+        entries.append((name, stops, (n, pattern, False), cover, None))
+    return _choose_all("segmentation", entries, _tiling_tables(cfg.cap), None, cfg)
 
 
 def check_convergence(trace: Sequence[IterationStats]) -> list[ConvergenceStep]:

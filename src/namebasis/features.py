@@ -55,6 +55,11 @@ monotone: adding a non-negative value never rounds a sum below its
 other operand, and raising an operand never lowers a rounded sum or a
 product with a non-negative factor. So corpus frequencies must be name
 shares in [0, 1].
+
+The second holds as well at ``new_freq_avg = mean_ceiling(top)`` in
+place of 1.0, when each new segment's frequency is at most ``top``: a
+body never rises as ``new_freq_avg`` does, and ``mean_ceiling`` is at
+least the mean of such frequencies, however it rounds.
 """
 
 from __future__ import annotations
@@ -128,6 +133,15 @@ def left_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+def mean_ceiling(top: float) -> float:
+    """The most a ``left_sum`` mean of up to a million shares in [0, 1],
+    none above ``top``, can read. Each addition and the division round
+    the mean up by at most one part in 2**53, so it stays below ``top``
+    raised by one part in 10**9; and a mean of shares is at most 1.0
+    exactly, since a sum of ``e`` of them is at most ``e``."""
+    return min(1.0, top * (1.0 + 1e-9))
 
 
 def demand_shares(candidates: Sequence[SequenceCandidate]) -> dict[str, float]:

@@ -48,6 +48,11 @@ squared segment lengths. So names of different lengths, with their
 spans at different offsets, share one table when their patterns match.
 A composition table's stops are every offset, ``range(n + 1)``.
 
+Two questions about a span pattern need no table: ``covering_tiling``
+finds its one tiling by spans alone, if it has exactly one, and
+``placed_gaps`` the gaps its gapped tilings place, which are the new
+segments of its uncut table.
+
 ``composition_table`` and ``tiling_table`` build a new table on every
 call; the engine shares one, for as long as it decides, among the names
 of one length (compositions) or of one span pattern (tilings), and a
@@ -129,6 +134,64 @@ def span_pattern(n: int, spans: AbstractSet[tuple[int, int]]) -> Pattern:
     stops = sorted({0, n}.union(*spans))
     index = {stop: i for i, stop in enumerate(stops)}
     return tuple(stops), frozenset((index[start], index[end]) for start, end in spans)
+
+
+def covering_tiling(n: int, pattern: AbstractSet[tuple[int, int]]) -> list[tuple[int, int]] | None:
+    """The tiles of the one tiling of ``[0, n)`` by ``pattern``'s spans
+    alone, left to right, or None when there is none or more than one.
+
+    One backward pass counts the ways to finish from each position,
+    stopped at 2; the one tiling, when there is one, goes from 0 through
+    the positions with one way to finish.
+    """
+    ends: list[list[int]] = [[] for _ in range(n)]
+    for start, end in pattern:
+        ends[start].append(end)
+    ways = [0] * n + [1]
+    for pos in range(n - 1, -1, -1):
+        ways[pos] = min(2, sum(ways[end] for end in ends[pos]))
+    if ways[0] != 1:
+        return None
+    tiles = []
+    pos = 0
+    while pos < n:
+        end = next(end for end in ends[pos] if ways[end])
+        tiles.append((pos, end))
+        pos = end
+    return tiles
+
+
+def placed_gaps(n: int, pattern: AbstractSet[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The gaps some gapped tiling of ``[0, n)`` by ``pattern`` places,
+    with no cap: every ``(a, b)``, ``a < b``, that is not a span, where
+    ``a`` is 0 or a span's end and ``b`` is ``n`` or a span's start.
+
+    No two gaps touch, so a placed gap lies between spans or the ends of
+    ``[0, n)``. And each such pair is placed: by a row with the span
+    that ends at ``a`` after one tile from 0, then the gap, then the span
+    that starts at ``b`` and one tile on to ``n`` (less what ``a = 0``
+    or ``b = n`` leaves out). These are the new spans of
+    ``tiling_table(n, pattern, cap, gaps=True)`` whenever the cap cuts
+    nothing.
+    """
+    firsts = {0}.union(end for _, end in pattern)
+    lasts = {n}.union(start for start, _ in pattern)
+    return [(a, b) for a in firsts for b in lasts if a < b and (a, b) not in pattern]
+
+
+def tiling_candidate(
+    name: str, stops: Sequence[int], tiles: Iterable[tuple[int, int]], new: tuple[bool, ...]
+) -> SequenceCandidate:
+    """``name`` tiled by ``tiles``, pairs of stop indices read through its
+    ``stops``, with ``new[i]`` true when tile ``i`` is a new segment."""
+    spans = [(stops[start], stops[end]) for start, end in tiles]
+    return SequenceCandidate(
+        name,
+        tuple(end for _, end in spans[:-1]),
+        tuple(name[start:end] for start, end in spans),
+        new,
+        sum(new),
+    )
 
 
 # A move of the tiling search: the tile's end, whether it is a gap, the
@@ -393,15 +456,8 @@ class SegmentTable:
     def candidate(self, name: str, stops: Sequence[int], row: Sequence[int]) -> SequenceCandidate:
         """A row, as its span indices, as a candidate segmentation of
         ``name``, read through its ``stops``."""
-        spans = [(stops[start], stops[end]) for start, end in map(self.spans.__getitem__, row)]
-        new = tuple(map(self.new.__getitem__, row))
-        return SequenceCandidate(
-            name,
-            tuple(end for _, end in spans[:-1]),
-            tuple(name[start:end] for start, end in spans),
-            new,
-            sum(new),
-        )
+        tiles = map(self.spans.__getitem__, row)
+        return tiling_candidate(name, stops, tiles, tuple(map(self.new.__getitem__, row)))
 
     def candidates(self, name: str, stops: Sequence[int]) -> list[SequenceCandidate]:
         """Every row, level by level, as a candidate segmentation of ``name``.

@@ -31,6 +31,7 @@ from namebasis.features import (
     cost_alg1,
     cost_alg2,
     demand_shares,
+    mean_ceiling,
     select_best,
 )
 from namebasis.ortho import is_constructible, is_ortho
@@ -39,8 +40,10 @@ from namebasis.segmenter import (
     SequenceCandidate,
     candidate_words,
     composition_table,
+    covering_tiling,
     enumerate_all,
     enumerate_with_basis,
+    placed_gaps,
     span_pattern,
     tiling_table,
 )
@@ -165,9 +168,9 @@ class TestIterationAlg1:
         # xax at one; each still counts once per name
         seen = []
 
-        def capture(name, stops, table, corpus_freq, cfg):
+        def capture(name, stops, table, corpus_freq, cfg, top):
             seen.append(corpus_freq)
-            return choose_row(name, stops, table, corpus_freq, cfg)
+            return choose_row(name, stops, table, corpus_freq, cfg, top)
 
         choose_row = engine._choose_row
         monkeypatch.setattr(engine, "_choose_row", capture)
@@ -418,12 +421,21 @@ def oracle_demand(seqs_by_name, n_total):
 
 def table_tiling(name, basis, corpus_freq, cfg, gaps, flavour):
     """The chooser's pick from the name's table built on its span pattern,
-    costed as ``flavour`` at ``cfg``'s weights."""
+    costed as ``flavour`` at ``cfg``'s weights, with the largest corpus
+    frequency of the table's new texts as the survey gives it."""
     spans = candidate_words(name, basis, lengths_of(basis))
     stops, pattern = span_pattern(len(name), spans)
     table = tiling_table(len(stops) - 1, pattern, cfg.cap, gaps=gaps)
     cfg = dataclasses.replace(cfg, algorithm=flavour, weights=cfg.resolved_weights)
-    return _choose_row(name, stops, table, corpus_freq, cfg)[0]
+    top = 1.0
+    if corpus_freq is not None:
+        new = [
+            corpus_freq[name[stops[a] : stops[b]]]
+            for (a, b), is_new in zip(table.spans, table.new)
+            if is_new
+        ]
+        top = mean_ceiling(max(new, default=1.0))
+    return _choose_row(name, stops, table, corpus_freq, cfg, top)[0]
 
 
 class TestTilingOracle:
@@ -615,6 +627,88 @@ class TestTilingOracle:
                 )
 
 
+class TestPatternPicks:
+    """A name's pick read from its span pattern, without a table, against
+    the chooser over the table."""
+
+    @given(
+        # the name is a join of basis words, so it has a covering tiling
+        parts=st.lists(st.text(alphabet="abe", min_size=1, max_size=3), min_size=1, max_size=4),
+        others=st.frozensets(st.text(alphabet="abe", min_size=1, max_size=3), max_size=3),
+        weights=st.sampled_from(weight_grid(0.25)),
+        pav_inverted=st.booleans(),
+        # corpus frequencies in (0, 1], handed to the new texts in turn
+        shares=st.lists(
+            st.one_of(st.just(1e-7), st.just(1.0), st.floats(1e-9, 1.0)), min_size=1, max_size=4
+        ),
+    )
+    # The forced pick's bound ties the least cost of a row with new
+    # segments. "e e e" costs 0.75 / 1, and so does the gap "eee", at
+    # 0.75 / 3 + 0.25 * (1 + 1): the covering row comes first in tie order.
+    @example(["e"] * 3, frozenset(), WeightSet(0.75, 0.0, 0.0, 0.25), True, [1.0])
+    # "a a" at its dearest demand ties the bound, 0.75 and, inverted, 1.0
+    @example(["a"] * 2, frozenset(), WeightSet(0.5, 0.0, 0.25, 0.25), False, [1.0])
+    @example(["a"] * 2, frozenset(), WeightSet(0.5, 0.0, 0.25, 0.25), True, [1.0])
+    # Inverted demand alone: "ea a" (shares 1/3 and 2/3) costs 2.0 and "e
+    # a a" 1.8. Only the least share a 4-row table can give, 1/4, keeps the
+    # bound on "ea a" (4.0) above the bound on rows with new segments (1.0).
+    @example(["ea", "a"], frozenset({"be"}), WeightSet(0.0, 0.0, 1.0, 0.0), True, [1.0])
+    # A looser comparison would force "a eab" (0.625) over the gap "aeab",
+    # which costs 0.5625, exactly the bound on rows with new segments.
+    @example(["a", "eab"], frozenset({"be"}), WeightSet(0.25, 0.5, 0.0, 0.25), False, [1.0])
+    @settings(max_examples=400)
+    def test_forced_pick_is_the_choosers(self, parts, others, weights, pav_inverted, shares):
+        name, basis = "".join(parts), others.union(parts)
+        stops, pattern = span_pattern(len(name), candidate_words(name, basis, lengths_of(basis)))
+        n = len(stops) - 1
+        tiles = covering_tiling(n, pattern)
+        table = tiling_table(n, pattern, 2**n, gaps=True)  # every row
+        new = sorted({name[stops[a] : stops[b]] for a, b in placed_gaps(n, pattern)})
+        corpus_freq = {text: shares[i % len(shares)] for i, text in enumerate(new)}
+        top = mean_ceiling(max(corpus_freq.values())) if new else None
+        cfg = RunConfig(weights=weights, pav_inverted=pav_inverted)
+        picked = _choose_row(name, stops, table, corpus_freq, cfg)[0]
+        if tiles is not None:
+            cover = engine._cover(name, stops, tiles)
+            if engine._forced(cover, n, top, cfg):
+                assert cover[0] == picked
+        # the chooser's bounds at top pick as at 1.0
+        assert _choose_row(name, stops, table, corpus_freq, cfg, top or 1.0)[0] == picked
+
+    @given(
+        n=st.integers(1, 8),
+        pairs=st.frozensets(st.tuples(st.integers(0, 8), st.integers(1, 8)), max_size=12),
+    )
+    @settings(max_examples=400)
+    def test_placed_gaps_are_the_new_spans(self, n, pairs):
+        pattern = frozenset((a, b) for a, b in pairs if a < b <= n)
+        table = tiling_table(n, pattern, 2**n, gaps=True)
+        new = {span for span, is_new in zip(table.spans, table.new) if is_new}
+        assert set(placed_gaps(n, pattern)) == new
+        assert len(placed_gaps(n, pattern)) == len(new)
+
+    @given(
+        name=st.text(alphabet="abe", min_size=1, max_size=10),
+        basis=st.frozensets(st.text(alphabet="abe", min_size=1, max_size=3), max_size=6),
+        cap=st.one_of(st.integers(1, 3), st.just(5000)),
+    )
+    # "r a ma" and "ra ma" are two covering tilings; "ra m a" is one
+    @example("rama", frozenset({"r", "a", "ra", "ma"}), 5000)
+    @example("rama", frozenset({"ra", "m", "a"}), 1)
+    @settings(max_examples=400)
+    def test_forced_segmentation_is_the_gapless_tables_row(self, name, basis, cap):
+        stops, pattern = span_pattern(len(name), candidate_words(name, basis, lengths_of(basis)))
+        n = len(stops) - 1
+        tiles = covering_tiling(n, pattern)
+        gapless = tiling_table(n, pattern, cap, gaps=False)
+        assert (tiles is not None) == (tiling_table(n, pattern, 2**n, gaps=False).total == 1)
+        if tiles is not None:
+            assert gapless.total == 1
+            pick = engine._cover(name, stops, tiles)[0]
+            assert pick == _choose_row(name, stops, gapless, None, RunConfig(cap=cap))[0]
+            assert segment_corpus(Corpus({name: 1}), basis, RunConfig(cap=cap))[name] == pick
+
+
 class TestSegmentCorpus:
     def test_all_segments_existing(self):
         planted = make_planted_corpus(n_names=50, n_units=8, seed=5)
@@ -678,15 +772,29 @@ ALG2_DEFAULTS_LINE = (
 )
 
 
+def open_round():
+    """A planted corpus and a basis by which every name of two or more
+    units has two or more covering tilings, so its pick stays open: the
+    12 planted units and each pair of units that follow one another in a
+    name. Only the 12 names of one unit are picked from their pattern."""
+    planted = make_planted_corpus(n_names=60, n_units=12, seed=7)
+    sequences = planted.unit_sequences.values()
+    pairs = {a + b for seq in sequences for a, b in zip(seq, seq[1:])}
+    return planted.corpus, frozenset(planted.units) | pairs
+
+
 class TestCapCount:
     def test_names_reaching_cap_logged_once_per_pass(self, caplog):
         # with cap 2, rama and ram have two tilings by "ra" and gopal one,
         # 5 tilings enumerated in each pass (none covers, so segmentation
         # reads the gapped ones); rama and ram place "ra" at 0 and share
-        # one table, so 3 rows are listed; rama and gopal have two or more
-        # compositions into parts >= 2, one table each. Each pass has one
-        # one-row table (gopal's tilings, ram's compositions), listed but
-        # not costed, so 4 rows are costed in full.
+        # one table; rama and gopal have two or more compositions into
+        # parts >= 2, one table each. Each pass has one one-row table
+        # (gopal's tilings, ram's compositions), listed but not costed.
+        # alg2 and segmentation list 5 and 3 rows and cost 4. alg1 costs
+        # new texts at their corpus frequency, 1/3 each, so the one-part
+        # rows of rama and ram cost more than 1.2 and beat every two-part
+        # row's bound: it lists 2 rows and costs 2.
         corpus = Corpus({"rama": 1, "ram": 1, "gopal": 1})
         cfg = RunConfig(cap=2, min_length=2)
         basis = basis_of("ra")
@@ -696,7 +804,7 @@ class TestCapCount:
             segment_corpus(corpus, basis, cfg)
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
             "alg1 iteration 1: 2 of 3 names reached the candidate cap 2; "
-            "5 rows enumerated, 3 listed, 4 costed in full",
+            "5 rows enumerated, 2 listed, 2 costed in full",
             "alg2: 2 of 3 names reached the candidate cap 2; "
             "5 rows enumerated, 5 listed, 4 costed in full",
             "segmentation: 2 of 3 names reached the candidate cap 2; "
@@ -719,48 +827,48 @@ class TestCapCount:
     def test_alg1_lists_and_costs_cells_that_can_win(self, caplog):
         # Rows are costed fewest new segments first, and a cell is listed
         # only while its bound can still win; at the default weights each
-        # new segment adds at least 2 * 0.3 to it. A scan by level alone
-        # lists 301 and 316 rows and costs 264 and 276 of them. Names of
-        # one span pattern share one table, whose cells are listed once
-        # for all of them: a table per name lists 135 and 112 rows, a
-        # table per length and span set 121 and 97. The 11 names of each
-        # round whose table has one row list it but do not cost it.
-        corpus = make_planted_corpus(n_names=60, n_units=12, seed=7).corpus
+        # new segment adds at least 2 * 0.3 to it, and more below a corpus
+        # frequency of 1.0: at 1.0, 155 rows are costed. The 48 open names
+        # share 15 tables, one per span pattern, whose cells are listed
+        # once for all of them: a table per name lists 152 rows. The 12
+        # names of one unit are picked from their pattern, and read no table.
+        corpus, basis = open_round()
         with caplog.at_level(logging.INFO, logger="namebasis.engine"):
-            run_alg1(corpus, RunConfig(min_length=2))
+            run_iteration_alg1(corpus, basis, RunConfig(min_length=2))
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
             "alg1 iteration 1: 0 of 60 names reached the candidate cap 5000; "
-            "303 rows enumerated, 76 listed, 85 costed in full",
-            "alg1 iteration 2: 0 of 60 names reached the candidate cap 5000; "
-            "318 rows enumerated, 52 listed, 61 costed in full",
+            "348 rows enumerated, 57 listed, 152 costed in full; 12 picked from their pattern",
         ]
 
     def test_shared_survey_logs_each_pass_its_own_counts(self, caplog):
-        # A second pass over one survey under other weights reads cells the
-        # first listed, so it lists none, and logs its own 77 rows costed
-        # (a fresh survey lists 40 for them), not 85 + 77.
-        corpus = make_planted_corpus(n_names=60, n_units=12, seed=7).corpus
+        # A second pass over one survey under other weights reads the cells
+        # the first listed, so it lists only the 3 rows it needs more (a
+        # fresh survey lists 60 for them), and logs its own 175 rows costed,
+        # not 152 + 175.
+        corpus, basis = open_round()
         cfg = RunConfig(min_length=2)
         other = dataclasses.replace(cfg, weights=WeightSet(0.1, 0.1, 0.1, 0.7))
-        basis = seed_basis(corpus, cfg.seed_fraction)
         surveys = {}
         with caplog.at_level(logging.INFO, logger="namebasis.engine"):
             run_iteration_alg1(corpus, basis, cfg, surveys=surveys)
             run_iteration_alg1(corpus, basis, other, surveys=surveys)
             run_iteration_alg1(corpus, basis, other)
-        head = "alg1 iteration 1: 0 of 60 names reached the candidate cap 5000; "
+        head = (
+            "alg1 iteration 1: 0 of 60 names reached the candidate cap 5000; "
+            "348 rows enumerated, "
+        )
+        tail = " costed in full; 12 picked from their pattern"
         assert [r.getMessage() for r in caplog.records] == [
-            head + "303 rows enumerated, 76 listed, 85 costed in full",
-            head + "303 rows enumerated, 0 listed, 77 costed in full",
-            head + "303 rows enumerated, 40 listed, 77 costed in full",
+            head + "57 listed, 152" + tail,
+            head + "3 listed, 175" + tail,
+            head + "60 listed, 175" + tail,
         ]
 
     def test_round_counts_do_not_depend_on_earlier_work(self, caplog):
         # a grid on another corpus in between leaves the round's line as it was
-        corpus = make_planted_corpus(n_names=60, n_units=12, seed=7).corpus
+        corpus, basis = open_round()
         other = make_planted_corpus(n_names=40, n_units=8, seed=3).corpus
         cfg = RunConfig(min_length=2)
-        basis = seed_basis(corpus, cfg.seed_fraction)
         with caplog.at_level(logging.INFO, logger="namebasis.engine"):
             run_iteration_alg1(corpus, basis, cfg)
             grid_search_weights(other, dataclasses.replace(cfg, max_iterations=3), weight_grid(0.5))
@@ -769,7 +877,7 @@ class TestCapCount:
         assert len(messages) > 3
         assert messages[0] == messages[-1] == (
             "alg1 iteration 1: 0 of 60 names reached the candidate cap 5000; "
-            "303 rows enumerated, 76 listed, 85 costed in full"
+            "348 rows enumerated, 57 listed, 152 costed in full; 12 picked from their pattern"
         )
 
     def test_tables_list_nothing_when_built(self):
@@ -857,12 +965,14 @@ class TestSharedTables:
 
     def test_shared_table_counts_and_picks_per_name(self, builds, monkeypatch):
         # abab places the text "ab" twice, abcd each text once; both tile
-        # as spans (0, 2) and (2, 4), so one table serves both names, and
-        # the cells the first name lists are not listed again for the second
+        # as spans (0, 2) and (2, 4) or as (0, 4), so one table serves both
+        # names, and the cells the first name lists are not listed again for
+        # the second. With two covering tilings each, neither pick is forced
+        # by its pattern.
         seen = {}
 
-        def capture(name, stops, table, corpus_freq, cfg):
-            returned = choose_row(name, stops, table, corpus_freq, cfg)
+        def capture(name, stops, table, corpus_freq, cfg, top):
+            returned = choose_row(name, stops, table, corpus_freq, cfg, top)
             seen[name] = stops, table, corpus_freq, returned
             return returned
 
@@ -870,7 +980,7 @@ class TestSharedTables:
         monkeypatch.setattr(engine, "_choose_row", capture)
         cfg = RunConfig()
         _, _, _, chosen = run_iteration_alg1(
-            Corpus({"abab": 1, "abcd": 1}), basis_of("ab", "cd"), cfg
+            Corpus({"abab": 1, "abcd": 1}), basis_of("ab", "cd", "abab", "abcd"), cfg
         )
         assert len(builds) == 1
         assert seen["abab"][1] is seen["abcd"][1]
@@ -878,7 +988,7 @@ class TestSharedTables:
         groups = {}
         for name, (stops, shared, corpus_freq, returned) in seen.items():
             assert stops == (0, 2, 4)
-            alone = tiling_table(4, frozenset({(0, 2), (2, 4)}), cfg.cap, gaps=True)
+            alone = tiling_table(4, frozenset({(0, 2), (2, 4), (0, 4)}), cfg.cap, gaps=True)
             assert shared.total == alone.total
             picked, costed, listed = choose_row(name, offsets, alone, corpus_freq, cfg)
             assert returned[:2] == (chosen[name], costed) and picked == chosen[name]
