@@ -44,6 +44,7 @@ from .ortho import (
 from .segmenter import (
     SequenceCandidate,
     candidate_words,
+    word_heads,
 )
 from .syntax import CharClassTable, accepts_syntax
 

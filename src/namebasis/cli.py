@@ -142,7 +142,7 @@ def _load_run(args) -> tuple[RunConfig, Corpus, Path]:
 
 def _cmd_induce(args) -> int:
     cfg, corpus, out = _load_run(args)
-    # alg1's last round leaves each name's span pattern by the final basis
+    # alg1's last round leaves what its survey found of each name by the final basis
     patterns: dict = {}
     if cfg.algorithm == "alg1":
         basis, trace = run_alg1(corpus, cfg, patterns=patterns)

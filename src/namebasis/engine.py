@@ -17,8 +17,13 @@ basis. Both return the basis, a frozenset of plain word strings that
 keys the grid search's surveys (alg2's under the empty basis), and a
 trace of one stats row per round.
 The final segmentation picks each name's cheapest covering tiling; a
-run that stops at a fixed point hands it the span patterns its last
-survey found, since the final basis is the one that round surveyed.
+run that stops at a fixed point hands it what its last survey found of
+each name, since the final basis is the one that round surveyed: the
+stops, the span pattern and, where no cap can cut the name's table, its
+covering tilings counted to 2 and the one covering tiling as a cover.
+So the segmentation scans no name for spans again, and counts covering
+tilings only for the names whose table a cap can cut; a name with none
+reads the gapped table of its pattern.
 A name whose one covering tiling is its pick whatever the rest of its
 table holds (``_forced``: always in the final segmentation, and in an
 alg1 round when no cap can cut the table and the tiling's cost at its
@@ -99,6 +104,7 @@ from .segmenter import (
     span_pattern,
     tiling_candidate,
     tiling_table,
+    word_heads,
     enumerate_all,  # unused here, but perfbench's tracer wraps engine.enumerate_all
     enumerate_with_basis,  # unused here, but perfbench's tracer wraps it too
 )
@@ -420,10 +426,15 @@ Cover = tuple[SequenceCandidate, float, float]
 
 # A name, its stops, the key of the table it reads through them (stop
 # intervals, span pattern and gaps for tilings; the length for
-# compositions), its one covering tiling when no cap can cut its table,
-# and, when some row places a new segment, ``mean_ceiling`` of the largest
-# corpus frequency of the texts new there (None otherwise).
-Entry = tuple[str, Sequence[int], tuple, Cover | None, float | None]
+# compositions), its covering tilings counted to 2 and, when there is
+# exactly one, that tiling (both None where a cap can cut its table),
+# and, when some row places a new segment, ``mean_ceiling`` of the
+# largest corpus frequency of the texts new there (None otherwise).
+Entry = tuple[str, Sequence[int], tuple, int | None, Cover | None, float | None]
+
+# What a survey found of a name by its basis: its stops, span pattern,
+# covering tilings counted to 2 and one covering tiling, as in its entry.
+Scan = tuple[Sequence[int], frozenset[tuple[int, int]], int | None, Cover | None]
 
 
 def _cover(name: str, stops: Sequence[int], tiles: Sequence[tuple[int, int]]) -> Cover:
@@ -471,15 +482,14 @@ def _choose_all(
     corpus_freq: Mapping[str, float] | None,
     cfg: RunConfig,
 ) -> dict[str, SequenceCandidate]:
-    """Each name's pick from its ``(name, stops, key, cover, top)`` entry.
+    """Each name's pick from its ``(name, stops, key, ways, cover, top)``
+    entry.
 
     A name whose covering tiling is ``_forced`` is picked from its
     pattern, and no table is built or read for it. Every other name is
     chosen by ``_choose_row`` from ``tables(*key)``, which builds each
-    table on first use and shares it with the names of its key. A
-    tiling table without gaps can have no row, when the basis does not
-    span the name; the name then reads the gapped table of its pattern,
-    and a warning says so. ``cfg.algorithm`` picks the cost body.
+    table on first use and shares it with the names of its key.
+    ``cfg.algorithm`` picks the cost body.
 
     Logs one line for the pass: of the names that read a table, those
     whose table reached the cap, the rows their tables count, and the
@@ -493,17 +503,12 @@ def _choose_all(
     """
     chosen: dict[str, SequenceCandidate] = {}
     capped = lost = rows = listed = costed = picked = 0
-    for name, stops, key, cover, top in entries:
+    for name, stops, key, _, cover, top in entries:
         if cover is not None and _forced(cover, len(stops) - 1, top, cfg):
             chosen[name] = cover[0]
             picked += 1
             continue
         table = tables(*key)
-        # only a gapless tiling table can be empty: a composition table's
-        # key is its length alone, and a gapped one has the whole name
-        if not table.total and len(key) == 3:
-            logger.warning("basis does not span %r; keeping a gapped sequence", name)
-            table = tables(*key[:2], True)
         chosen[name], costs, lists = _choose_row(
             name, stops, table, corpus_freq, cfg, 1.0 if top is None else top
         )
@@ -528,10 +533,11 @@ def _choose_all(
 
 
 def _patterns(corpus: Corpus, basis: frozenset[str]) -> dict[str, Pattern]:
-    """Each name of ``corpus`` with its stops and span pattern by ``basis``."""
-    lengths = sorted({len(word) for word in basis})
+    """Each name of ``corpus`` with its stops and span pattern by ``basis``,
+    scanned through one ``word_heads`` index of the basis."""
+    heads = word_heads(basis)
     return {
-        name: span_pattern(len(name), candidate_words(name, basis, lengths))
+        name: span_pattern(len(name), candidate_words(name, basis, heads))
         for name in corpus
     }
 
@@ -561,15 +567,18 @@ def _survey(corpus: Corpus, basis: frozenset[str], cfg: RunConfig) -> Survey:
     each new text (a gap that some row places) once per name that places
     it. A pattern of ``n`` stop intervals has at most ``2 ** (n - 1)``
     tilings, so below ``cfg.cap`` no cap cuts its table: its new texts
-    are its ``placed_gaps``, and its entry keeps its one covering tiling
-    when it has exactly one. Only the other names' tables are built
-    here, to read their new texts from the rows the cap keeps; pass 2
-    builds the rest as it needs them, and lists rows as it reads them.
+    are its ``placed_gaps``, and its entry keeps its covering tilings
+    counted to 2 and its one covering tiling when it has exactly one.
+    Only the other names' tables are built here, to read their new texts
+    from the rows the cap keeps; pass 2 builds the rest as it needs
+    them, and lists rows as it reads them.
     """
     if cfg.algorithm == "alg2":
         args = cfg.min_segment, cfg.include_whole, cfg.cap
         tables = lru_cache(maxsize=None)(lambda n: composition_table(n, *args))
-        entries = [(name, range(len(name) + 1), (len(name),), None, None) for name in corpus]
+        entries = [
+            (name, range(len(name) + 1), (len(name),), None, None, None) for name in corpus
+        ]
         return entries, None, tables
     tables = _tiling_tables(cfg.cap)
     covering = lru_cache(maxsize=None)(covering_tiling)
@@ -579,16 +588,16 @@ def _survey(corpus: Corpus, basis: frozenset[str], cfg: RunConfig) -> Survey:
     for name, (stops, pattern) in _patterns(corpus, basis).items():
         n = len(stops) - 1
         if 2 ** (n - 1) < cfg.cap:
-            tiles = covering(n, pattern)
+            ways, tiles = covering(n, pattern)
             gaps = gaps_of(n, pattern)
         else:
-            tiles = None
+            ways = tiles = None
             table = tables(n, pattern, True)
             gaps = [span for span, is_new in zip(table.spans, table.new) if is_new]
         new = {name[stops[start] : stops[end]] for start, end in gaps}
         for text in new:
             demand_count[text] = demand_count.get(text, 0) + 1
-        placed.append((name, stops, (n, pattern, True), tiles, new))
+        placed.append((name, stops, (n, pattern, True), ways, tiles, new))
     n_total = corpus.total_unique
     freq = {text: count / n_total for text, count in demand_count.items()}
     entries: list[Entry] = [
@@ -596,10 +605,11 @@ def _survey(corpus: Corpus, basis: frozenset[str], cfg: RunConfig) -> Survey:
             name,
             stops,
             key,
+            ways,
             None if tiles is None else _cover(name, stops, tiles),
             mean_ceiling(max(map(freq.__getitem__, new))) if new else None,
         )
-        for name, stops, key, tiles, new in placed
+        for name, stops, key, ways, tiles, new in placed
     ]
     return entries, freq, tables
 
@@ -664,16 +674,18 @@ def run_alg1(
     cfg: RunConfig,
     *,
     surveys: Surveys | None = None,
-    patterns: dict[str, Pattern] | None = None,
+    patterns: dict[str, Scan] | None = None,
 ) -> tuple[frozenset[str], list[IterationStats]]:
     """Seeded grow/prune induction to a fixed point or iteration cap.
 
     Each round is a ``run_iteration_alg1`` call, which gets ``surveys``;
     without it, a round's survey lives for that round only. ``patterns``,
-    when given, receives each name's stops and span pattern by the
-    returned basis if the last round surveyed it, as it does when the
-    run stops at a fixed point, so ``segment_corpus`` need not find
-    them again; otherwise it stays empty.
+    when given, receives each name's ``Scan`` by the returned basis if
+    the last round surveyed it, as it does when the run stops at a fixed
+    point: its stops, span pattern, covering tilings counted to 2 and
+    one covering tiling, the last two None where a cap can cut the
+    name's table. So ``segment_corpus`` finds neither the spans nor
+    those covers again. Otherwise it stays empty.
     """
     basis = seed_basis(corpus, cfg.seed_fraction)
     trace: list[IterationStats] = []
@@ -685,7 +697,10 @@ def run_alg1(
         done = stats.b_m_size - stats.b_size < cfg.epsilon or pruned == basis
         if pruned == basis and patterns is not None:
             entries = kept[basis][0]
-            patterns.update((name, (stops, key[1])) for name, stops, key, _, _ in entries)
+            patterns.update(
+                (name, (stops, key[1], ways, cover))
+                for name, stops, key, ways, cover, _ in entries
+            )
         basis = pruned
         if done:
             break
@@ -712,7 +727,7 @@ def segment_corpus(
     basis: frozenset[str],
     cfg: RunConfig,
     *,
-    patterns: Mapping[str, Pattern] | None = None,
+    patterns: Mapping[str, Scan] | None = None,
 ) -> dict[str, SequenceCandidate]:
     """Best fully-in-basis segmentation of every name.
 
@@ -720,18 +735,28 @@ def segment_corpus(
     is done. Each name is chosen among its first ``cfg.cap`` covering
     tilings; a name with exactly one takes it, and no table is built
     for it. Every name a finished run produced is coverable, but a
-    foreign basis may leave gaps, in which case the best of the first
-    ``cfg.cap`` gapped tilings is kept and a warning logged.
-    ``patterns`` are the corpus's stops and span patterns by ``basis``,
-    as ``run_alg1`` leaves them; they are found anew when not given.
+    foreign basis may leave gaps: a name with no covering tiling reads
+    the gapped table of its pattern, the best of its first ``cfg.cap``
+    gapped tilings is kept, and a warning logged. ``patterns`` are the
+    names' ``Scan``s by ``basis`` that ``run_alg1`` leaves at a fixed
+    point; covering tilings are counted, and covers built, only for the
+    names its survey did not count (a table a cap can cut). Without
+    ``patterns`` everything is found anew.
     """
     covering = lru_cache(maxsize=None)(covering_tiling)
+    scans = patterns or {
+        name: (stops, pattern, None, None)
+        for name, (stops, pattern) in _patterns(corpus, basis).items()
+    }
     entries: list[Entry] = []
-    for name, (stops, pattern) in (patterns or _patterns(corpus, basis)).items():
+    for name, (stops, pattern, ways, cover) in scans.items():
         n = len(stops) - 1
-        tiles = covering(n, pattern)
-        cover = None if tiles is None else _cover(name, stops, tiles)
-        entries.append((name, stops, (n, pattern, False), cover, None))
+        if ways is None:
+            ways, tiles = covering(n, pattern)
+            cover = None if tiles is None else _cover(name, stops, tiles)
+        if not ways:
+            logger.warning("basis does not span %r; keeping a gapped sequence", name)
+        entries.append((name, stops, (n, pattern, not ways), ways, cover, None))
     return _choose_all("segmentation", entries, _tiling_tables(cfg.cap), None, cfg)
 
 

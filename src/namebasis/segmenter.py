@@ -5,7 +5,9 @@ lists a name's candidate segmentations: the tilings of the name by a
 set of spans, optionally with gaps. Its two uses are
 
   * alg1's tilings (``tiling_table``): the spans are the occurrences
-    of current basis words that ``candidate_words`` finds, and every
+    of current basis words that ``candidate_words`` finds, scanning
+    each name through ``word_heads``, an index of the basis words by
+    their first two letters built once per basis, and every
     maximal uncovered run becomes exactly one not-yet-in-basis ("new")
     segment, so no two adjacent segments are both new, and the whole
     name as a single segment is always a candidate. With ``gaps=False``
@@ -49,9 +51,9 @@ spans at different offsets, share one table when their patterns match.
 A composition table's stops are every offset, ``range(n + 1)``.
 
 Two questions about a span pattern need no table: ``covering_tiling``
-finds its one tiling by spans alone, if it has exactly one, and
-``placed_gaps`` the gaps its gapped tilings place, which are the new
-segments of its uncut table.
+counts its tilings by spans alone, stopped at 2, and finds the one if
+there is exactly one, and ``placed_gaps`` the gaps its gapped tilings
+place, which are the new segments of its uncut table.
 
 ``composition_table`` and ``tiling_table`` build a new table on every
 call; the engine shares one, for as long as it decides, among the names
@@ -68,7 +70,7 @@ the count of new segments, all computed once when it is built.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Container, Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 
 class SequenceCandidate(NamedTuple):
@@ -94,25 +96,39 @@ class SequenceCandidate(NamedTuple):
         return len(self.texts) - 1
 
 
+def word_heads(words: Iterable[str]) -> dict[str, tuple[int, ...]]:
+    """``words`` keyed by their first two letters, a one-letter word by
+    itself: each key maps to the distinct lengths of its words, ascending.
+    ``candidate_words`` scans a name through it, so a caller scanning
+    many names against one basis builds it once."""
+    heads: dict[str, set[int]] = {}
+    for word in words:
+        heads.setdefault(word[:2], set()).add(len(word))
+    return {head: tuple(sorted(lengths)) for head, lengths in heads.items()}
+
+
 def candidate_words(
-    name: str, words: Container[str], lengths: Iterable[int]
+    name: str, words: Container[str], heads: Mapping[str, Sequence[int]]
 ) -> frozenset[tuple[int, int]]:
     """Every occurrence of a basis word in ``name``, as a ``(start, end)`` span.
 
-    The whole name is a span when it is a basis member. Only the
-    substrings of ``lengths``, the distinct word lengths in ascending
-    order, are tested against ``words``, so a caller scanning many names
-    finds the lengths once.
+    The whole name is a span when it is a basis member. ``heads`` is
+    ``word_heads(words)``: at each start only the lengths listed under
+    the letter there (a one-letter word) and under the two letters from
+    there are tested against ``words``.
     """
     n = len(name)
     found: list[tuple[int, int]] = []
     for start in range(n):
-        for length in lengths:
-            end = start + length
-            if end > n:
-                break
-            if name[start:end] in words:
-                found.append((start, end))
+        if name[start] in heads:  # a one-letter word is its own head
+            found.append((start, start + 1))
+        if start + 1 < n:
+            for length in heads.get(name[start : start + 2], ()):
+                end = start + length
+                if end > n:
+                    break
+                if name[start:end] in words:
+                    found.append((start, end))
     return frozenset(found)
 
 
@@ -136,9 +152,12 @@ def span_pattern(n: int, spans: AbstractSet[tuple[int, int]]) -> Pattern:
     return tuple(stops), frozenset((index[start], index[end]) for start, end in spans)
 
 
-def covering_tiling(n: int, pattern: AbstractSet[tuple[int, int]]) -> list[tuple[int, int]] | None:
-    """The tiles of the one tiling of ``[0, n)`` by ``pattern``'s spans
-    alone, left to right, or None when there is none or more than one.
+def covering_tiling(
+    n: int, pattern: AbstractSet[tuple[int, int]]
+) -> tuple[int, list[tuple[int, int]] | None]:
+    """The tilings of ``[0, n)`` by ``pattern``'s spans alone, counted to
+    2, and the tiles of the one tiling, left to right, when there is
+    exactly one (None otherwise).
 
     One backward pass counts the ways to finish from each position,
     stopped at 2; the one tiling, when there is one, goes from 0 through
@@ -151,14 +170,14 @@ def covering_tiling(n: int, pattern: AbstractSet[tuple[int, int]]) -> list[tuple
     for pos in range(n - 1, -1, -1):
         ways[pos] = min(2, sum(ways[end] for end in ends[pos]))
     if ways[0] != 1:
-        return None
+        return ways[0], None
     tiles = []
     pos = 0
     while pos < n:
         end = next(end for end in ends[pos] if ways[end])
         tiles.append((pos, end))
         pos = end
-    return tiles
+    return 1, tiles
 
 
 def placed_gaps(n: int, pattern: AbstractSet[tuple[int, int]]) -> list[tuple[int, int]]:

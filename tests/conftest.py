@@ -39,12 +39,6 @@ def brute_tilings(name, occurrences):
     return results
 
 
-def lengths_of(words):
-    """The distinct lengths of ``words``, ascending, as ``candidate_words``
-    takes them."""
-    return sorted({len(word) for word in words})
-
-
 def check_rows_placing(table, name, stops, rows):
     """``table.rows_placing`` of each text's spans against a count of the
     ``rows`` that place any of them.

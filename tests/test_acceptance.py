@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_tilings, lengths_of
+from conftest import brute_tilings
 from namebasis.corpus import Corpus
 from namebasis.engine import (
     IterationStats,
@@ -28,7 +28,7 @@ from namebasis.ortho import (
     is_ortho,
     make_ortho,
 )
-from namebasis.segmenter import candidate_words, enumerate_all, enumerate_with_basis
+from namebasis.segmenter import candidate_words, enumerate_all, enumerate_with_basis, word_heads
 from namebasis.synthetic import make_planted_corpus
 from namebasis.syntax import accepts_syntax
 
@@ -60,7 +60,7 @@ def test_01_golden_krishna():
     started = time.perf_counter()
     assert is_constructible("krishna", KRISHNA_POOL)
     # the constructions are the covering tilings by the pool's occurrences
-    spans = candidate_words("krishna", KRISHNA_POOL, lengths_of(KRISHNA_POOL))
+    spans = candidate_words("krishna", KRISHNA_POOL, word_heads(KRISHNA_POOL))
     covering = enumerate_with_basis("krishna", spans, 2 ** len("krishna"), gaps=False)
     assert len(covering) == 4
     pruned = make_ortho(frozenset(KRISHNA_POOL | {"krishna"}))
@@ -181,7 +181,7 @@ def test_07_invariant_suite_report():
 )
 @settings(max_examples=200)
 def test_08_enumeration_matches_independent_tiler(name, words):
-    spans = candidate_words(name, words, lengths_of(words))
+    spans = candidate_words(name, words, word_heads(words))
     seqs = enumerate_with_basis(name, spans, cap=10**9)
     boundaries = {s.boundaries for s in seqs}
     assert len(boundaries) == len(seqs)

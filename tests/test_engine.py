@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import check_rows_placing, lengths_of
+from conftest import check_rows_placing
 from namebasis import cli, engine
 from namebasis.config import ConfigError, read_kv
 from namebasis.corpus import Corpus
@@ -46,6 +46,7 @@ from namebasis.segmenter import (
     placed_gaps,
     span_pattern,
     tiling_table,
+    word_heads,
 )
 from namebasis.syntax import CharClassTable, accepts_syntax
 from namebasis.synthetic import make_planted_corpus, write_corpus
@@ -423,7 +424,7 @@ def table_tiling(name, basis, corpus_freq, cfg, gaps, flavour):
     """The chooser's pick from the name's table built on its span pattern,
     costed as ``flavour`` at ``cfg``'s weights, with the largest corpus
     frequency of the table's new texts as the survey gives it."""
-    spans = candidate_words(name, basis, lengths_of(basis))
+    spans = candidate_words(name, basis, word_heads(basis))
     stops, pattern = span_pattern(len(name), spans)
     table = tiling_table(len(stops) - 1, pattern, cfg.cap, gaps=gaps)
     cfg = dataclasses.replace(cfg, algorithm=flavour, weights=cfg.resolved_weights)
@@ -564,7 +565,7 @@ class TestTilingOracle:
         self, name, basis, cap, weights, pav_inverted, n_total, flavour, gaps
     ):
         cfg = RunConfig(cap=cap, weights=weights, pav_inverted=pav_inverted)
-        spans = candidate_words(name, basis, lengths_of(basis))
+        spans = candidate_words(name, basis, word_heads(basis))
         seqs = enumerate_with_basis(name, spans, cap, gaps=gaps)
         if not seqs:
             return  # no covering tiling; segment_corpus falls back to gaps
@@ -602,9 +603,9 @@ class TestTilingOracle:
         basis = bases[round_]
         cfg = RunConfig(weights=weights, pav_inverted=pav_inverted)
         names = sorted(corpus)
-        lengths = lengths_of(basis)
+        heads = word_heads(basis)
         gapped = {
-            name: enumerate_with_basis(name, candidate_words(name, basis, lengths), cfg.cap)
+            name: enumerate_with_basis(name, candidate_words(name, basis, heads), cfg.cap)
             for name in names
         }
         corpus_freq = oracle_demand(gapped, corpus.total_unique)
@@ -619,7 +620,7 @@ class TestTilingOracle:
                     seqs, None, cfg, oracle_cost
                 )
             covering = enumerate_with_basis(
-                name, candidate_words(name, basis, lengths), cfg.cap, gaps=False
+                name, candidate_words(name, basis, heads), cfg.cap, gaps=False
             )
             if covering:
                 assert table_tiling(name, basis, None, cfg, False, "alg1") == choose(
@@ -659,9 +660,9 @@ class TestPatternPicks:
     @settings(max_examples=400)
     def test_forced_pick_is_the_choosers(self, parts, others, weights, pav_inverted, shares):
         name, basis = "".join(parts), others.union(parts)
-        stops, pattern = span_pattern(len(name), candidate_words(name, basis, lengths_of(basis)))
+        stops, pattern = span_pattern(len(name), candidate_words(name, basis, word_heads(basis)))
         n = len(stops) - 1
-        tiles = covering_tiling(n, pattern)
+        _, tiles = covering_tiling(n, pattern)
         table = tiling_table(n, pattern, 2**n, gaps=True)  # every row
         new = sorted({name[stops[a] : stops[b]] for a, b in placed_gaps(n, pattern)})
         corpus_freq = {text: shares[i % len(shares)] for i, text in enumerate(new)}
@@ -697,11 +698,12 @@ class TestPatternPicks:
     @example("rama", frozenset({"ra", "m", "a"}), 1)
     @settings(max_examples=400)
     def test_forced_segmentation_is_the_gapless_tables_row(self, name, basis, cap):
-        stops, pattern = span_pattern(len(name), candidate_words(name, basis, lengths_of(basis)))
+        stops, pattern = span_pattern(len(name), candidate_words(name, basis, word_heads(basis)))
         n = len(stops) - 1
-        tiles = covering_tiling(n, pattern)
+        ways, tiles = covering_tiling(n, pattern)
         gapless = tiling_table(n, pattern, cap, gaps=False)
-        assert (tiles is not None) == (tiling_table(n, pattern, 2**n, gaps=False).total == 1)
+        assert ways == min(2, tiling_table(n, pattern, 2**n, gaps=False).total)
+        assert (tiles is not None) == (ways == 1)
         if tiles is not None:
             assert gapless.total == 1
             pick = engine._cover(name, stops, tiles)[0]
@@ -886,7 +888,8 @@ class TestCapCount:
         # Building either lists no row; the cut level's cells, listed on
         # demand, together list exactly the rows the cap keeps.
         name = "abc" * 4
-        spans = candidate_words(name, {"ab", "bc", "ca", "abc"}, [2, 3])
+        words = {"ab", "bc", "ca", "abc"}
+        spans = candidate_words(name, words, word_heads(words))
         tables = [
             composition_table(23, 2, True, 5000),
             tiling_table(len(name), spans, 100, gaps=True),
@@ -1051,9 +1054,9 @@ class TestSharedTables:
             basis, gaps = tiled
             letters = str.maketrans("abcdn", relabel)
             second = first.translate(letters)
-            stops, pattern = span_pattern(n, candidate_words(first, basis, lengths_of(basis)))
+            stops, pattern = span_pattern(n, candidate_words(first, basis, word_heads(basis)))
             relabeled = {word.translate(letters) for word in basis}
-            spans = candidate_words(second, relabeled, lengths_of(relabeled))
+            spans = candidate_words(second, relabeled, word_heads(relabeled))
             assume(span_pattern(n, spans) == (stops, pattern))
 
             def build():
@@ -1095,7 +1098,7 @@ class TestSharedTables:
             "basis does not span 'abzw'; keeping a gapped sequence",
         ]
         pattern = frozenset({(0, 1)})  # "ab" from stop 0 to stop 1 of (0, 2, 4)
-        assert builds == [(2, pattern, False), (2, pattern, True)]
+        assert builds == [(2, pattern, True)]
         # each name reads its own texts from the shared gapped table
         assert {name: seq.texts for name, seq in chosen.items()} == {
             "abxy": ("abxy",),
@@ -1105,39 +1108,63 @@ class TestSharedTables:
     def test_segmentation_reuses_the_last_rounds_patterns(self, tmp_path, monkeypatch):
         # A converged alg1 run ends on the basis its last round surveyed,
         # so induce finds each name's basis words in the survey passes
-        # only, and segments with the patterns the last one found.
+        # only, and segments with the patterns and covers the last one
+        # found. At cap 8 a pattern of 4 or more stop intervals can be
+        # cut, so the survey counts no covering tiling for 15 of the 60
+        # names, and the segmentation counts them itself.
         planted = make_planted_corpus(n_names=60, n_units=8, seed=41)
-        names = tmp_path / "names.tsv"
-        write_corpus(planted, names, format="name_freq")
-        config = tmp_path / "run.cfg"
-        config.write_text("min_length = 2\n", encoding="utf-8")
-        calls = []
-
-        def counting(name, words, lengths):
-            calls.append(name)
-            return find(name, words, lengths)
-
-        find = engine.candidate_words
-        monkeypatch.setattr(engine, "candidate_words", counting)
-        out = tmp_path / "out"
-        assert cli.main(
-            ["induce", "--names", str(names), "--input-format", "name_freq",
-             "--config", str(config), "--out", str(out)]
-        ) == 0
-        trace = cli.read_stats_csv(out / "stats.csv")
-        assert len(trace) < RunConfig().max_iterations  # a fixed point, as epsilon is 0
         corpus = planted.corpus
         names_seen = sorted(corpus)
-        assert calls == names_seen * len(trace)
-        # the patterns give the segmentation a fresh scan would
-        monkeypatch.setattr(engine, "candidate_words", find)
-        cfg = RunConfig(min_length=2)
-        patterns = {}
-        basis, _ = run_alg1(corpus, cfg, patterns=patterns)
-        assert list(patterns) == names_seen
-        assert segment_corpus(corpus, basis, cfg, patterns=patterns) == segment_corpus(
-            corpus, basis, cfg
-        )
+        names = tmp_path / "names.tsv"
+        write_corpus(planted, names, format="name_freq")
+        find = engine.candidate_words
+        covering, cover = engine.covering_tiling, engine._cover
+        for cap in (5000, 8):
+            config = tmp_path / f"run-{cap}.cfg"
+            config.write_text(f"min_length = 2\ncap = {cap}\n", encoding="utf-8")
+            calls = []
+
+            def counting(name, words, heads):
+                calls.append(name)
+                return find(name, words, heads)
+
+            monkeypatch.setattr(engine, "candidate_words", counting)
+            out = tmp_path / f"out-{cap}"
+            assert cli.main(
+                ["induce", "--names", str(names), "--input-format", "name_freq",
+                 "--config", str(config), "--out", str(out)]
+            ) == 0
+            trace = cli.read_stats_csv(out / "stats.csv")
+            assert len(trace) < RunConfig().max_iterations  # a fixed point, as epsilon is 0
+            assert calls == names_seen * len(trace)
+            monkeypatch.setattr(engine, "candidate_words", find)
+            cfg = RunConfig(min_length=2, cap=cap)
+            patterns = {}
+            basis, _ = run_alg1(corpus, cfg, patterns=patterns)
+            assert list(patterns) == names_seen
+            # the segmentation counts covering tilings, and builds covers,
+            # only for the names whose table the cap can cut
+            counted, covered = [], []
+
+            def counting_tilings(n, pattern):
+                counted.append(n)
+                return covering(n, pattern)
+
+            def counting_covers(name, stops, tiles):
+                covered.append(name)
+                return cover(name, stops, tiles)
+
+            monkeypatch.setattr(engine, "covering_tiling", counting_tilings)
+            monkeypatch.setattr(engine, "_cover", counting_covers)
+            reused = segment_corpus(corpus, basis, cfg, patterns=patterns)
+            uncounted = {name for name, (_, _, ways, _) in patterns.items() if ways is None}
+            assert all(2 ** (n - 1) >= cap for n in counted)
+            assert set(covered) <= uncounted
+            assert bool(counted) == (len(uncounted) == 15) == (cap == 8)
+            # they give the segmentation a fresh scan would
+            assert reused == segment_corpus(corpus, basis, cfg)
+            monkeypatch.setattr(engine, "covering_tiling", covering)
+            monkeypatch.setattr(engine, "_cover", cover)
 
 
 class TestCheckConvergence:

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_tilings, check_rows_placing, lengths_of
+from conftest import brute_tilings, check_rows_placing
 from namebasis.corpus import Corpus
 from namebasis.engine import RunConfig, _choose_row, _survey, weight_grid
 from namebasis.segmenter import (
@@ -14,6 +14,7 @@ from namebasis.segmenter import (
     enumerate_with_basis,
     span_pattern,
     tiling_table,
+    word_heads,
 )
 
 # The 15 splits of gopal, in generation order (fewest parts first,
@@ -32,29 +33,45 @@ def basis_of(*texts):
     return frozenset(texts)
 
 
+def spans_by(name, words):
+    """``name``'s occurrences of ``words``, scanned through their head index."""
+    return candidate_words(name, words, word_heads(words))
+
+
 class TestCandidateWords:
     def test_krishna_occurrences(self):
-        found = candidate_words("krishna", basis_of("krish", "na", "ram"), [2, 3, 5])
+        found = spans_by("krishna", basis_of("krish", "na", "ram"))
         assert found == {(0, 5), (5, 7)}
 
     def test_no_occurrence(self):
-        assert candidate_words("abc", basis_of("xyz"), [3]) == frozenset()
+        assert spans_by("abc", basis_of("xyz")) == frozenset()
 
     def test_overlapping_occurrences_all_reported(self):
-        assert candidate_words("aaa", basis_of("aa"), [2]) == {(0, 2), (1, 3)}
+        assert spans_by("aaa", basis_of("aa")) == {(0, 2), (1, 3)}
 
     def test_whole_name_included_when_in_basis(self):
-        found = candidate_words("rama", basis_of("rama", "ra"), [2, 4])
+        found = spans_by("rama", basis_of("rama", "ra"))
         assert found == {(0, 2), (0, 4)}
 
     def test_plain_set_works_too(self):
-        assert candidate_words("aba", {"a", "ab"}, [1, 2]) == {(0, 1), (2, 3), (0, 2)}
+        assert spans_by("aba", {"a", "ab"}) == {(0, 1), (2, 3), (0, 2)}
 
     @given(
         name=st.text(alphabet="abc", max_size=10),
-        words=st.sets(st.text(alphabet="abc", min_size=1, max_size=4), max_size=6),
+        # one-letter words and words up to 12 letters, longer than most names
+        words=st.builds(
+            frozenset.union,
+            st.frozensets(st.sampled_from("abc")),
+            st.frozensets(st.text(alphabet="abc", min_size=2, max_size=12), max_size=6),
+        ),
+        whole=st.booleans(),
     )
-    def test_matches_every_substring(self, name, words):
+    @example("aaa", frozenset({"aa"}), False)
+    @example("aba", frozenset({"a", "ab"}), False)
+    @example("abc", frozenset({"c", "bc"}), False)  # the last letter is a one-letter word
+    def test_matches_every_substring(self, name, words, whole):
+        if whole and name:
+            words |= {name}
         n = len(name)
         expected = {
             (start, end)
@@ -62,7 +79,7 @@ class TestCandidateWords:
             for end in range(start + 1, n + 1)
             if name[start:end] in words
         }
-        found = candidate_words(name, words, sorted({len(word) for word in words}))
+        found = candidate_words(name, words, word_heads(words))
         assert isinstance(found, frozenset)
         assert found == expected
 
@@ -71,7 +88,7 @@ class TestEnumerateWithBasis:
     def test_krishna_fully_existing_tilings(self):
         seqs = enumerate_with_basis(
             "krishna",
-            candidate_words("krishna", basis_of(*KRISHNA_BASIS), lengths_of(KRISHNA_BASIS)),
+            spans_by("krishna", basis_of(*KRISHNA_BASIS)),
         )
         covered = {s.texts for s in seqs if s.eta_new == 0}
         assert covered == {
@@ -112,7 +129,7 @@ class TestEnumerateWithBasis:
                 assert not (left and right)
 
     def test_cap_keeps_fewest_segments(self):
-        spans = candidate_words("aaaaaa", basis_of("a", "aa", "aaa"), [1, 2, 3])
+        spans = spans_by("aaaaaa", basis_of("a", "aa", "aaa"))
         seqs = enumerate_with_basis("aaaaaa", spans, cap=3)
         assert len(seqs) == 3
         assert [s.boundaries for s in seqs] == [(), (1,), (2,)]
@@ -122,7 +139,7 @@ class TestEnumerateWithBasis:
             enumerate_with_basis("ab", frozenset(), cap=0)
 
     def test_deterministic_order(self):
-        spans = candidate_words("banana", basis_of("an", "na", "ban"), [2, 3])
+        spans = spans_by("banana", basis_of("an", "na", "ban"))
         first = enumerate_with_basis("banana", spans)
         second = enumerate_with_basis("banana", spans)
         assert [s.boundaries for s in first] == [s.boundaries for s in second]
@@ -137,7 +154,7 @@ class TestOracleEquivalence:
     )
     @settings(max_examples=300)
     def test_matches_brute_force_tiler(self, name, words):
-        spans = candidate_words(name, words, lengths_of(words))
+        spans = candidate_words(name, words, word_heads(words))
         seqs = enumerate_with_basis(name, spans, cap=10**9)
         assert {s.boundaries for s in seqs} == brute_tilings(name, spans)
         assert len({s.boundaries for s in seqs}) == len(seqs)  # no duplicates
@@ -150,7 +167,7 @@ class TestOracleEquivalence:
     )
     @settings(max_examples=300)
     def test_order_and_cap_match_brute_force(self, name, words, cap, gaps):
-        spans = candidate_words(name, words, lengths_of(words))
+        spans = candidate_words(name, words, word_heads(words))
         tilings = brute_tilings(name, spans)
         if not gaps:
             tilings = {
@@ -166,7 +183,7 @@ class TestOracleEquivalence:
         words=st.sets(st.text(alphabet="abc", min_size=1, max_size=3), max_size=5),
     )
     def test_every_candidate_reconstructs_name(self, name, words):
-        spans = candidate_words(name, words, lengths_of(words))
+        spans = candidate_words(name, words, word_heads(words))
         for seq in enumerate_with_basis(name, spans):
             assert "".join(seq.texts) == seq.name
             assert seq.eta_new == sum(seq.new)
@@ -257,7 +274,7 @@ class TestEnumerateAll:
         else:
             name, words, gaps = tiled
             n = len(name)
-            existing = candidate_words(name, words, lengths_of(words))
+            existing = candidate_words(name, words, word_heads(words))
             table = tiling_table(n, existing, cap or 10**9, gaps=gaps)
             tilings = brute_tilings(name, existing)
             if not gaps:
@@ -338,7 +355,7 @@ class TestCountingOracle:
             table = composition_table(n, min_segment, include_whole, cap)
         else:
             words, gaps = tiled
-            spans = candidate_words(name, words, lengths_of(words))
+            spans = candidate_words(name, words, word_heads(words))
             seqs = enumerate_with_basis(name, spans, cap or 10**9, gaps=gaps)
             table = tiling_table(n, spans, cap or 10**9, gaps=gaps)
             if gaps:
@@ -417,7 +434,7 @@ class TestCellOracle:
             }
         else:
             words, gaps = tiled
-            spans = candidate_words(name, words, lengths_of(words))
+            spans = candidate_words(name, words, word_heads(words))
             table = tiling_table(n, spans, cap or 10**9, gaps=gaps)
             tilings = brute_tilings(name, spans)
             if not gaps:
@@ -472,7 +489,7 @@ class TestPatternOracle:
         self, name, words, gaps, cap, weights, pav_inverted
     ):
         n = len(name)
-        spans = candidate_words(name, words, lengths_of(words))
+        spans = candidate_words(name, words, word_heads(words))
         stops, pattern = span_pattern(n, spans)
         offsets = range(n + 1)
         cap = cap or 10**9
@@ -537,7 +554,7 @@ class TestCutPositions:
             if isinstance(tiled[0], int):
                 return composition_table(n, *tiled, cap)
             words, gaps = tiled
-            spans = candidate_words(name, words, lengths_of(words))
+            spans = candidate_words(name, words, word_heads(words))
             return tiling_table(n, spans, cap or 10**9, gaps=gaps)
 
         whole = build(None)
