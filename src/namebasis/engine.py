@@ -2,10 +2,12 @@
 
 Both algorithms run rounds of one shape, ``_round``, whose tables and
 cost body follow ``cfg.algorithm``. Pass 1, ``_survey``, keys each
-name's table and, for alg1, finds the corpus-wide demand for each
-not-yet-in-basis word (a word counts at most once per name however
-many of the name's tilings want it), each name's one covering tiling
-when it has exactly one, and the largest demand among its new texts.
+name's table and, for alg1, reads each name's ``_scan`` by the basis
+(its stops, span pattern, covering tilings counted to 2 and the one
+covering tiling when there is exactly one), and finds the corpus-wide
+demand for each not-yet-in-basis word (a word counts at most once per
+name however many of the name's tilings want it) and the largest
+demand among each name's new texts.
 It does not depend on the weights, so the grid search keeps one
 survey, with the tables built from it, per input basis and reuses it
 across weight sets. Pass 2 picks each name's cheapest row and adds its
@@ -16,14 +18,12 @@ frequency seed, round after round; the from-scratch algorithm
 basis. Both return the basis, a frozenset of plain word strings that
 keys the grid search's surveys (alg2's under the empty basis), and a
 trace of one stats row per round.
-The final segmentation picks each name's cheapest covering tiling; a
-run that stops at a fixed point hands it what its last survey found of
-each name, since the final basis is the one that round surveyed: the
-stops, the span pattern and, where no cap can cut the name's table, its
-covering tilings counted to 2 and the one covering tiling as a cover.
-So the segmentation scans no name for spans again, and counts covering
-tilings only for the names whose table a cap can cut; a name with none
-reads the gapped table of its pattern.
+The final segmentation picks each name's cheapest covering tiling from
+the names' scans by the final basis; a run that stops at a fixed point
+hands it the scans of its last survey, since the final basis is the one
+that round surveyed, so the segmentation neither finds spans nor counts
+covering tilings again. A name with none reads the gapped table of its
+pattern.
 A name whose one covering tiling is its pick whatever the rest of its
 table holds (``_forced``: always in the final segmentation, and in an
 alg1 round when no cap can cut the table and the tiling's cost at its
@@ -94,7 +94,6 @@ from .features import (
 from .features import compute_features, cost_alg1, cost_alg2, demand_shares, select_best
 from .ortho import make_ortho
 from .segmenter import (
-    Pattern,
     SegmentTable,
     SequenceCandidate,
     candidate_words,
@@ -420,58 +419,54 @@ def _choose_row(
     return table.candidate(name, stops, best), costed, table.listed - listed
 
 
-# A covering tiling as a name's pick, with its length average and
-# variance as the chooser computes them.
-Cover = tuple[SequenceCandidate, float, float]
-
 # A name, its stops, the key of the table it reads through them (stop
 # intervals, span pattern and gaps for tilings; the length for
-# compositions), its covering tilings counted to 2 and, when there is
-# exactly one, that tiling (both None where a cap can cut its table),
+# compositions), its covering tilings counted to 2 (None for
+# compositions) and, when there is exactly one, that tiling as a pick,
 # and, when some row places a new segment, ``mean_ceiling`` of the
 # largest corpus frequency of the texts new there (None otherwise).
-Entry = tuple[str, Sequence[int], tuple, int | None, Cover | None, float | None]
+Entry = tuple[str, Sequence[int], tuple, int | None, SequenceCandidate | None, float | None]
 
-# What a survey found of a name by its basis: its stops, span pattern,
-# covering tilings counted to 2 and one covering tiling, as in its entry.
-Scan = tuple[Sequence[int], frozenset[tuple[int, int]], int | None, Cover | None]
-
-
-def _cover(name: str, stops: Sequence[int], tiles: Sequence[tuple[int, int]]) -> Cover:
-    """``tiles``, a covering tiling of ``name`` read through its ``stops``,
-    as its ``Cover``."""
-    n, k = len(name), len(tiles)
-    squares = sum((stops[end] - stops[start]) ** 2 for start, end in tiles)
-    pick = tiling_candidate(name, stops, tiles, (False,) * k)
-    return pick, n / k, (k * squares - n * n) / (k * k)
+# A name by a basis: its stops, span pattern, covering tilings counted
+# to 2 and, when there is exactly one, that tiling as a pick.
+Scan = tuple[Sequence[int], frozenset[tuple[int, int]], int, SequenceCandidate | None]
 
 
-def _forced(cover: Cover, intervals: int, top: float | None, cfg: RunConfig) -> bool:
-    """Whether ``cover``, a name's one covering tiling, is its pick among
-    the rows of its gapped table, which has ``intervals`` stop intervals
-    and so at most ``2 ** (intervals - 1)`` rows, uncut.
+def _forced(pick: SequenceCandidate, key: tuple, top: float | None, cfg: RunConfig) -> bool:
+    """Whether ``pick``, a name's one covering tiling, is its pick among
+    the rows of the tiling table ``key`` names, so that no table is built.
 
-    With no new segment to place (``top`` None) it is the table's only
-    row. Otherwise it comes first in tie order, having no new segment,
-    so it is the pick when it costs no more than any row with new
-    segments. It costs at most the body at its own length terms and the
-    dearest demand average: every share is at most 1 and at least 1 over
-    the table's rows, so at least ``2 ** (1 - intervals)``, a power of
-    two that a mean cannot round below. By the cost bodies' contract, a
-    row with new segments costs at least the body at the whole name as
-    one segment, no variance, the cheapest demand, one new segment,
-    ``top`` for its new-word frequency and syntax 1.0.
+    A gapless table's only row is ``pick``. A gapped table of
+    ``intervals`` stop intervals has at most ``2 ** (intervals - 1)``
+    rows; when ``cfg.cap`` can cut it, ``pick`` is never forced, since
+    which rows the cap keeps decides the pick. With no new segment to
+    place (``top`` None) ``pick`` is the uncut table's only row.
+    Otherwise it comes first in tie order, having no new segment, so it
+    is the pick when it costs no more than any row with new segments. It
+    costs at most the body at its own length terms and the dearest demand
+    average: every share is at most 1 and at least 1 over the table's
+    rows, so at least ``2 ** (1 - intervals)``, a power of two that a
+    mean cannot round below. By the cost bodies' contract, a row with new
+    segments costs at least the body at the whole name as one segment, no
+    variance, the cheapest demand, one new segment, ``top`` for its
+    new-word frequency and syntax 1.0.
     """
+    intervals, _, gaps = key
+    if not gaps:
+        return True
+    if 2 ** (intervals - 1) >= cfg.cap:
+        return False
     if top is None:
         return True
-    pick, avg_len, len_var = cover
+    n, k = len(pick.name), len(pick.texts)
+    len_var = (k * sum(len(text) ** 2 for text in pick.texts) - n * n) / (k * k)
     cost_fn = _cost_body(cfg)
     weights = cfg.resolved_weights
     inverted = cfg.pav_inverted
     dearest = 2.0 ** (1 - intervals) if inverted else 1.0
-    most = cost_fn(avg_len, len_var, dearest, 0, None, None, weights, inverted)
+    most = cost_fn(n / k, len_var, dearest, 0, None, None, weights, inverted)
     cheapest = 1.0 if inverted else 0.0
-    least = cost_fn(float(len(pick.name)), 0.0, cheapest, 1, top, 1.0, weights, inverted)
+    least = cost_fn(float(n), 0.0, cheapest, 1, top, 1.0, weights, inverted)
     return most <= least
 
 
@@ -482,7 +477,7 @@ def _choose_all(
     corpus_freq: Mapping[str, float] | None,
     cfg: RunConfig,
 ) -> dict[str, SequenceCandidate]:
-    """Each name's pick from its ``(name, stops, key, ways, cover, top)``
+    """Each name's pick from its ``(name, stops, key, ways, pick, top)``
     entry.
 
     A name whose covering tiling is ``_forced`` is picked from its
@@ -498,14 +493,15 @@ def _choose_all(
     only once) and costed in full (a one-row table's row is listed but
     not costed, since it is the pick); and, when there are any, the
     names picked from their pattern. Warns when the cap decided a pick:
-    a capped name has a covering tiling, but every row the cap keeps has
-    new segments (only gapped tiling tables can).
+    a capped name has a covering tiling (``ways``, None for compositions),
+    but every row the cap keeps has new segments (only gapped tiling
+    tables can).
     """
     chosen: dict[str, SequenceCandidate] = {}
     capped = lost = rows = listed = costed = picked = 0
-    for name, stops, key, _, cover, top in entries:
-        if cover is not None and _forced(cover, len(stops) - 1, top, cfg):
-            chosen[name] = cover[0]
+    for name, stops, key, ways, pick, top in entries:
+        if pick is not None and _forced(pick, key, top, cfg):
+            chosen[name] = pick
             picked += 1
             continue
         table = tables(*key)
@@ -516,7 +512,7 @@ def _choose_all(
         listed += lists
         if table.total >= cfg.cap:
             capped += 1
-            lost += table.covers and not table.cells[0]
+            lost += bool(ways) and not table.cells[0]
         rows += table.total
     logger.info(
         "%s: %d of %d names reached the candidate cap %d; "
@@ -532,14 +528,22 @@ def _choose_all(
     return chosen
 
 
-def _patterns(corpus: Corpus, basis: frozenset[str]) -> dict[str, Pattern]:
-    """Each name of ``corpus`` with its stops and span pattern by ``basis``,
-    scanned through one ``word_heads`` index of the basis."""
+def _scan(corpus: Corpus, basis: frozenset[str]) -> dict[str, Scan]:
+    """Each name of ``corpus`` by ``basis``: its stops and span pattern,
+    scanned through one ``word_heads`` index of the basis, its covering
+    tilings counted to 2 and, when there is exactly one, that tiling as a
+    pick with no new segment."""
     heads = word_heads(basis)
-    return {
-        name: span_pattern(len(name), candidate_words(name, basis, heads))
-        for name in corpus
-    }
+    covering = lru_cache(maxsize=None)(covering_tiling)
+    scans: dict[str, Scan] = {}
+    for name in corpus:
+        stops, pattern = span_pattern(len(name), candidate_words(name, basis, heads))
+        ways, tiles = covering(len(stops) - 1, pattern)
+        pick = None
+        if tiles is not None:
+            pick = tiling_candidate(name, stops, tiles, (False,) * len(tiles))
+        scans[name] = stops, pattern, ways, pick
+    return scans
 
 
 def _tiling_tables(cap: int) -> Callable[[int, frozenset, bool], SegmentTable]:
@@ -563,15 +567,14 @@ def _survey(corpus: Corpus, basis: frozenset[str], cfg: RunConfig) -> Survey:
     """Pass 1 of a round, which does not depend on the weights.
 
     alg2 keys every name's table, of its compositions, by its length.
-    alg1 keys it by the name's span pattern by the basis, and counts
-    each new text (a gap that some row places) once per name that places
-    it. A pattern of ``n`` stop intervals has at most ``2 ** (n - 1)``
-    tilings, so below ``cfg.cap`` no cap cuts its table: its new texts
-    are its ``placed_gaps``, and its entry keeps its covering tilings
-    counted to 2 and its one covering tiling when it has exactly one.
-    Only the other names' tables are built here, to read their new texts
-    from the rows the cap keeps; pass 2 builds the rest as it needs
-    them, and lists rows as it reads them.
+    alg1 keys it by the name's span pattern by the basis, keeps the rest
+    of the name's ``_scan`` in its entry, and counts each new text (a gap
+    that some row places) once per name that places it. A pattern of
+    ``n`` stop intervals has at most ``2 ** (n - 1)`` tilings, so below
+    ``cfg.cap`` no cap cuts its table and its new texts are its
+    ``placed_gaps``. Only the other names' tables are built here, to
+    read their new texts from the rows the cap keeps; pass 2 builds the
+    rest as it needs them, and lists rows as it reads them.
     """
     if cfg.algorithm == "alg2":
         args = cfg.min_segment, cfg.include_whole, cfg.cap
@@ -581,35 +584,25 @@ def _survey(corpus: Corpus, basis: frozenset[str], cfg: RunConfig) -> Survey:
         ]
         return entries, None, tables
     tables = _tiling_tables(cfg.cap)
-    covering = lru_cache(maxsize=None)(covering_tiling)
     gaps_of = lru_cache(maxsize=None)(placed_gaps)
     placed = []
     demand_count: dict[str, int] = {}
-    for name, (stops, pattern) in _patterns(corpus, basis).items():
+    for name, (stops, pattern, ways, pick) in _scan(corpus, basis).items():
         n = len(stops) - 1
         if 2 ** (n - 1) < cfg.cap:
-            ways, tiles = covering(n, pattern)
             gaps = gaps_of(n, pattern)
         else:
-            ways = tiles = None
             table = tables(n, pattern, True)
             gaps = [span for span, is_new in zip(table.spans, table.new) if is_new]
         new = {name[stops[start] : stops[end]] for start, end in gaps}
         for text in new:
             demand_count[text] = demand_count.get(text, 0) + 1
-        placed.append((name, stops, (n, pattern, True), ways, tiles, new))
+        placed.append((name, stops, (n, pattern, True), ways, pick, new))
     n_total = corpus.total_unique
     freq = {text: count / n_total for text, count in demand_count.items()}
     entries: list[Entry] = [
-        (
-            name,
-            stops,
-            key,
-            ways,
-            None if tiles is None else _cover(name, stops, tiles),
-            mean_ceiling(max(map(freq.__getitem__, new))) if new else None,
-        )
-        for name, stops, key, ways, tiles, new in placed
+        (*entry, mean_ceiling(max(map(freq.__getitem__, new))) if new else None)
+        for *entry, new in placed
     ]
     return entries, freq, tables
 
@@ -683,9 +676,8 @@ def run_alg1(
     when given, receives each name's ``Scan`` by the returned basis if
     the last round surveyed it, as it does when the run stops at a fixed
     point: its stops, span pattern, covering tilings counted to 2 and
-    one covering tiling, the last two None where a cap can cut the
-    name's table. So ``segment_corpus`` finds neither the spans nor
-    those covers again. Otherwise it stays empty.
+    the one covering tiling. So ``segment_corpus`` scans no name again.
+    Otherwise it stays empty.
     """
     basis = seed_basis(corpus, cfg.seed_fraction)
     trace: list[IterationStats] = []
@@ -698,8 +690,7 @@ def run_alg1(
         if pruned == basis and patterns is not None:
             entries = kept[basis][0]
             patterns.update(
-                (name, (stops, key[1], ways, cover))
-                for name, stops, key, ways, cover, _ in entries
+                (name, (stops, key[1], ways, pick)) for name, stops, key, ways, pick, _ in entries
             )
         basis = pruned
         if done:
@@ -739,24 +730,13 @@ def segment_corpus(
     the gapped table of its pattern, the best of its first ``cfg.cap``
     gapped tilings is kept, and a warning logged. ``patterns`` are the
     names' ``Scan``s by ``basis`` that ``run_alg1`` leaves at a fixed
-    point; covering tilings are counted, and covers built, only for the
-    names its survey did not count (a table a cap can cut). Without
-    ``patterns`` everything is found anew.
+    point; without them every name is scanned anew.
     """
-    covering = lru_cache(maxsize=None)(covering_tiling)
-    scans = patterns or {
-        name: (stops, pattern, None, None)
-        for name, (stops, pattern) in _patterns(corpus, basis).items()
-    }
     entries: list[Entry] = []
-    for name, (stops, pattern, ways, cover) in scans.items():
-        n = len(stops) - 1
-        if ways is None:
-            ways, tiles = covering(n, pattern)
-            cover = None if tiles is None else _cover(name, stops, tiles)
+    for name, (stops, pattern, ways, pick) in (patterns or _scan(corpus, basis)).items():
         if not ways:
             logger.warning("basis does not span %r; keeping a gapped sequence", name)
-        entries.append((name, stops, (n, pattern, not ways), ways, cover, None))
+        entries.append((name, stops, (len(stops) - 1, pattern, not ways), ways, pick, None))
     return _choose_all("segmentation", entries, _tiling_tables(cfg.cap), None, cfg)
 
 

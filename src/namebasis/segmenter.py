@@ -50,10 +50,11 @@ squared segment lengths. So names of different lengths, with their
 spans at different offsets, share one table when their patterns match.
 A composition table's stops are every offset, ``range(n + 1)``.
 
-Two questions about a span pattern need no table: ``covering_tiling``
-counts its tilings by spans alone, stopped at 2, and finds the one if
-there is exactly one, and ``placed_gaps`` the gaps its gapped tilings
-place, which are the new segments of its uncut table.
+Two questions about a span pattern need no table, and no table keeps
+their answers: ``covering_tiling`` counts its tilings by spans alone,
+stopped at 2, and finds the one if there is exactly one, and
+``placed_gaps`` the gaps its gapped tilings place, which are the new
+segments of its uncut table.
 
 ``composition_table`` and ``tiling_table`` build a new table on every
 call; the engine shares one, for as long as it decides, among the names
@@ -266,9 +267,7 @@ class SegmentTable:
         has rows, for each ``e`` up to the last level;
       * ``spans``, every tile some kept row places, with ``new[i]``
         true when ``spans[i]`` is a new segment and ``counts[i]`` the
-        rows that place it;
-      * ``covers``, whether a tiling without gaps exists, kept or not:
-        bit 0 of some field of the backward pass's mask at 0.
+        rows that place it.
 
     Each position keeps one list of moves, the tiles from it that kept
     rows place, in ascending end order; after a gap, only spans are
@@ -300,7 +299,7 @@ class SegmentTable:
     """
 
     __slots__ = (
-        "spans", "new", "counts", "levels", "total", "cells", "covers", "listed",
+        "spans", "new", "counts", "levels", "total", "cells", "listed",
         "_width", "_moves", "_cells", "_cut", "_full", "_path", "_placing",
     )
 
@@ -354,8 +353,6 @@ class SegmentTable:
             kept += count
         self.levels = tuple(levels)
         self.total = sum(levels)
-        # bit 0 of every field: (2 ** (width * (n + 1)) - 1) // field
-        self.covers = bool(finish[0][False] & ((1 << (width * (n + 1))) - 1) // field)
         self._cut = cut
         self._full = len(levels) - 1 - bool(cut)  # the last level kept in full
 

@@ -74,11 +74,11 @@ def accepts_syntax(
     """
     if not word:
         raise ValueError("word must be non-empty")
-    if not any(ch in table.vowels for ch in word):
-        return False
     end = start + len(word)
     if start < 0 or end > len(name) or name[start:end] != word:
         raise ValueError(f"{word!r} does not occur in {name!r} at offset {start}")
+    if not any(ch in table.vowels for ch in word):
+        return False
     for boundary in (start, end):
         if boundary <= 0 or boundary >= len(name):
             continue

@@ -45,6 +45,7 @@ from namebasis.segmenter import (
     enumerate_with_basis,
     placed_gaps,
     span_pattern,
+    tiling_candidate,
     tiling_table,
     word_heads,
 )
@@ -663,16 +664,16 @@ class TestPatternPicks:
         stops, pattern = span_pattern(len(name), candidate_words(name, basis, word_heads(basis)))
         n = len(stops) - 1
         _, tiles = covering_tiling(n, pattern)
-        table = tiling_table(n, pattern, 2**n, gaps=True)  # every row
+        table = tiling_table(n, pattern, 2**n, gaps=True)  # every row, below the default cap
         new = sorted({name[stops[a] : stops[b]] for a, b in placed_gaps(n, pattern)})
         corpus_freq = {text: shares[i % len(shares)] for i, text in enumerate(new)}
         top = mean_ceiling(max(corpus_freq.values())) if new else None
         cfg = RunConfig(weights=weights, pav_inverted=pav_inverted)
         picked = _choose_row(name, stops, table, corpus_freq, cfg)[0]
         if tiles is not None:
-            cover = engine._cover(name, stops, tiles)
-            if engine._forced(cover, n, top, cfg):
-                assert cover[0] == picked
+            pick = tiling_candidate(name, stops, tiles, (False,) * len(tiles))
+            if engine._forced(pick, (n, pattern, True), top, cfg):
+                assert pick == picked
         # the chooser's bounds at top pick as at 1.0
         assert _choose_row(name, stops, table, corpus_freq, cfg, top or 1.0)[0] == picked
 
@@ -706,7 +707,8 @@ class TestPatternPicks:
         assert (tiles is not None) == (ways == 1)
         if tiles is not None:
             assert gapless.total == 1
-            pick = engine._cover(name, stops, tiles)[0]
+            pick = tiling_candidate(name, stops, tiles, (False,) * len(tiles))
+            assert engine._forced(pick, (n, pattern, False), None, RunConfig(cap=cap))
             assert pick == _choose_row(name, stops, gapless, None, RunConfig(cap=cap))[0]
             assert segment_corpus(Corpus({name: 1}), basis, RunConfig(cap=cap))[name] == pick
 
@@ -811,6 +813,19 @@ class TestCapCount:
             "5 rows enumerated, 5 listed, 4 costed in full",
             "segmentation: 2 of 3 names reached the candidate cap 2; "
             "5 rows enumerated, 3 listed, 4 costed in full",
+        ]
+
+    def test_cap_warning_counts_covered_names_only(self, caplog):
+        # At cap 1 each gapped table keeps one row, the whole name as one
+        # new segment, and no pick is forced. The basis covers rama (ra
+        # ma), so its cap lost a covering tiling. It covers ramu only in
+        # part and gopal not at all: their tables are capped too, but they
+        # had no covering tiling to lose.
+        corpus = Corpus({"rama": 1, "ramu": 1, "gopal": 1})
+        with caplog.at_level(logging.WARNING, logger="namebasis.engine"):
+            run_iteration_alg1(corpus, basis_of("ra", "ma"), RunConfig(cap=1, min_length=2))
+        assert [r.getMessage() for r in caplog.records] == [
+            "alg1 iteration 1: the candidate cap 1 kept no covering tiling for 1 of 3 capped names"
         ]
 
     def test_segmentation_counts_covering_tilings_only(self, caplog):
@@ -1108,17 +1123,17 @@ class TestSharedTables:
     def test_segmentation_reuses_the_last_rounds_patterns(self, tmp_path, monkeypatch):
         # A converged alg1 run ends on the basis its last round surveyed,
         # so induce finds each name's basis words in the survey passes
-        # only, and segments with the patterns and covers the last one
-        # found. At cap 8 a pattern of 4 or more stop intervals can be
-        # cut, so the survey counts no covering tiling for 15 of the 60
-        # names, and the segmentation counts them itself.
+        # only, and segments with the scans the last one made: stops,
+        # span pattern, covering tilings counted to 2 and the one covering
+        # tiling, whatever the cap (at cap 8 a pattern of 4 or more stop
+        # intervals can be cut).
         planted = make_planted_corpus(n_names=60, n_units=8, seed=41)
         corpus = planted.corpus
         names_seen = sorted(corpus)
         names = tmp_path / "names.tsv"
         write_corpus(planted, names, format="name_freq")
         find = engine.candidate_words
-        covering, cover = engine.covering_tiling, engine._cover
+        covering = engine.covering_tiling
         for cap in (5000, 8):
             config = tmp_path / f"run-{cap}.cfg"
             config.write_text(f"min_length = 2\ncap = {cap}\n", encoding="utf-8")
@@ -1142,29 +1157,21 @@ class TestSharedTables:
             patterns = {}
             basis, _ = run_alg1(corpus, cfg, patterns=patterns)
             assert list(patterns) == names_seen
-            # the segmentation counts covering tilings, and builds covers,
-            # only for the names whose table the cap can cut
-            counted, covered = [], []
+            cuttable = [stops for stops, *_ in patterns.values() if 2 ** (len(stops) - 2) >= cap]
+            assert bool(cuttable) == (cap == 8)
+            # the segmentation counts no covering tiling itself
+            counted = []
 
             def counting_tilings(n, pattern):
                 counted.append(n)
                 return covering(n, pattern)
 
-            def counting_covers(name, stops, tiles):
-                covered.append(name)
-                return cover(name, stops, tiles)
-
             monkeypatch.setattr(engine, "covering_tiling", counting_tilings)
-            monkeypatch.setattr(engine, "_cover", counting_covers)
             reused = segment_corpus(corpus, basis, cfg, patterns=patterns)
-            uncounted = {name for name, (_, _, ways, _) in patterns.items() if ways is None}
-            assert all(2 ** (n - 1) >= cap for n in counted)
-            assert set(covered) <= uncounted
-            assert bool(counted) == (len(uncounted) == 15) == (cap == 8)
-            # they give the segmentation a fresh scan would
-            assert reused == segment_corpus(corpus, basis, cfg)
+            assert counted == []
             monkeypatch.setattr(engine, "covering_tiling", covering)
-            monkeypatch.setattr(engine, "_cover", cover)
+            # it gives the segmentation a fresh scan would
+            assert reused == segment_corpus(corpus, basis, cfg)
 
 
 class TestCheckConvergence:

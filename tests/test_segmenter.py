@@ -10,6 +10,7 @@ from namebasis.engine import RunConfig, _choose_row, _survey, weight_grid
 from namebasis.segmenter import (
     candidate_words,
     composition_table,
+    covering_tiling,
     enumerate_all,
     enumerate_with_basis,
     span_pattern,
@@ -449,9 +450,12 @@ class TestCellOracle:
             expected.setdefault((len(placed), fresh), []).append(cuts)
 
         # cells with rows, as the table knows them before listing any, and
-        # whether a covering tiling exists, kept under the cap or not
+        # the covering tilings, kept under the cap or not, counted to 2
         assert {(k, e) for e, levels in enumerate(table.cells) for k in levels} == set(expected)
-        assert table.covers == any(set(zip((0, *cuts), (*cuts, n))) <= spans for cuts in tilings)
+        covers = [set(zip((0, *cuts), (*cuts, n))) <= spans for cuts in tilings]
+        ways = covering_tiling(n, spans)[0]
+        assert (ways > 0) == any(covers)
+        assert ways == min(2, sum(covers))
         assert all(list(levels) == sorted(levels) for levels in table.cells)
         order = sorted(expected)
         shuffle.shuffle(order)
@@ -499,7 +503,7 @@ class TestPatternOracle:
         assert stops[0] == 0 and stops[-1] == n and list(stops) == sorted(set(stops))
         assert (shared.levels, shared.total, shared.cells) == (raw.levels, raw.total, raw.cells)
         assert [(stops[a], stops[b]) for a, b in shared.spans] == list(raw.spans)
-        assert (shared.new, shared.counts, shared.covers) == (raw.new, raw.counts, raw.covers)
+        assert (shared.new, shared.counts) == (raw.new, raw.counts)
         for e, levels in enumerate(raw.cells):
             for k in levels:
                 rows = shared.cell(k, e)
@@ -569,7 +573,6 @@ class TestCutPositions:
                 sum(seq.eta_total == k for seq in kept) for k in range(last + 1)
             )
             assert table.total == cap
-            assert table.covers == whole.covers
             assert table.spans == tuple(sorted({span for row in placed for span in row}))
             assert table.new == tuple(whole.new[whole.spans.index(span)] for span in table.spans)
             assert table.counts == tuple(

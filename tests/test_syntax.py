@@ -45,6 +45,11 @@ class TestErrors:
         with pytest.raises(ValueError):
             accepts_syntax("na", "krishna", 6)
 
+    def test_vowelless_word_misplaced(self):
+        # the placement is checked before the vowel rule can reject the word
+        with pytest.raises(ValueError):
+            accepts_syntax("kr", "krishna", 3)
+
 
 def test_custom_table():
     table = CharClassTable(vowels=frozenset("ae"), digraphs=frozenset({"zz"}))
